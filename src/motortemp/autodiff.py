@@ -2,10 +2,18 @@
 
 Everything the recurrent models need is expressed through a small, closed set
 of primitives: matmul, add, hadamard, tanh, hard_sigmoid, softmax_rows,
-concat_cols, slice_cols, scale and sum_reduce.  Each primitive evaluates
-eagerly with numpy and, while a tape is open, records its inputs so the exact
-(sub)gradient can be replayed later.  Tapes are define-by-run and rebuilt per
-batch; there is no graph reuse and no graph optimizer.
+concat_cols, slice_cols, scale and sum_reduce, plus two fused layers,
+lstm_sequence (one LSTM over a whole window) and attend (dot-product
+attention: scores, softmax and context in one node).  Each primitive
+evaluates eagerly with numpy and, while a tape is open, records its inputs so
+the exact (sub)gradient can be replayed later.  Tapes are define-by-run and
+rebuilt per batch; there is no graph reuse and no graph optimizer.
+
+The fused nodes keep what their hand-written backward rules need beside
+their output: lstm_sequence keeps the activated gates, the cell states and
+the hidden states of every step, time-major as (steps, width, batch), and
+recomputes tanh of the cell states on the way back; attend keeps nothing
+beyond its output, which already holds the alignment.
 
 Backward pass conventions:
 
@@ -13,8 +21,8 @@ Backward pass conventions:
   order exactly once;
 * interior gradients are freed as soon as they have been consumed, which
   keeps peak memory close to the forward activations alone;
-* leaves that were not requested (e.g. the per-step input slices) never
-  receive a gradient, so the corresponding matrix products are skipped.
+* leaves that were not requested (e.g. the input windows) never receive a
+  gradient, so the corresponding matrix products are skipped.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ __all__ = [
     "slice_cols",
     "scale",
     "sum_reduce",
+    "lstm_sequence",
+    "attend",
     "backward",
 ]
 
@@ -117,7 +127,7 @@ class Matrix:
 
     @property
     def data(self) -> np.ndarray:
-        """The entries as a flat row-major view."""
+        """The entries flattened in row-major order (a view when contiguous)."""
         return self.values.reshape(-1)
 
     def copy(self) -> "Matrix":
@@ -285,12 +295,16 @@ def concat_cols(parts) -> Matrix:
 
 
 def slice_cols(x: Matrix, start: int, stop: int) -> Matrix:
-    """The contiguous column block x[:, start:stop] as a new matrix."""
+    """The contiguous column block x[:, start:stop], sharing x's memory.
+
+    Ops never write into their operands, so the view is as good as a copy
+    and costs nothing for wide blocks such as a kept hidden sequence.
+    """
     if not (0 <= start < stop <= x.cols):
         raise ShapeError(
             f"slice_cols: bounds [{start}, {stop}) invalid for {x.rows}x{x.cols}"
         )
-    out = Matrix._wrap(np.ascontiguousarray(x.values[:, start:stop]))
+    out = Matrix._wrap(x.values[:, start:stop])
     return _maybe_record("slice_cols", (x,), out, (start, stop))
 
 
@@ -305,6 +319,111 @@ def sum_reduce(x: Matrix) -> Matrix:
     """Sum of all entries, as a 1x1 matrix."""
     out = Matrix._wrap(np.array([[x.values.sum()]]))
     return _maybe_record("sum_reduce", (x,), out)
+
+
+def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
+                  reverse: bool = False, keep_sequence: bool = False) -> Matrix:
+    """One LSTM layer over a whole window, from zero initial states.
+
+    ``x`` holds one window per row, time-major: row r is [x_0 | ... | x_{T-1}]
+    with each x_t as wide as ``wx`` has rows.  ``wx`` (D x 4H), ``wh``
+    (H x 4H) and ``b`` (1 x 4H) hold the gate blocks side by side in the
+    order input, forget, output, candidate.  Each step computes
+
+        z = x_t wx + h wh + b
+        i, f, o = hard_sigmoid(z_i, z_f, z_o);  g = tanh(z_c)
+        c = f * c + i * g;  h = o * tanh(c)
+
+    walking t backwards when ``reverse`` is set.  Returns [h | c] after the
+    last step processed (B x 2H); with ``keep_sequence`` the hidden state
+    after each step follows in processing order (B x (2 + T)H).  The
+    backward rule gives the hard sigmoid slope 0.2 where the gate lies
+    strictly inside (0, 1) and 0 where it is clipped.
+    """
+    d, width = wx.shape
+    n = width // 4
+    if width != 4 * n or n < 1:
+        raise ShapeError(f"lstm_sequence: wx is {d}x{width}, need 4*hidden columns")
+    if wh.shape != (n, width) or b.shape != (1, width):
+        raise ShapeError(
+            f"lstm_sequence: wh {wh.rows}x{wh.cols} and b {b.rows}x{b.cols} "
+            f"do not match wx {d}x{width} (want {n}x{width} and 1x{width})"
+        )
+    if x.cols < d or x.cols % d:
+        raise ShapeError(
+            f"lstm_sequence: input has {x.cols} columns, not a whole number "
+            f"of {d}-wide steps"
+        )
+    rows, steps = x.rows, x.cols // d
+    xs = x.values.reshape(rows, steps, d)
+    taped = active_tape() is not None
+    # States are kept feature-major, (width, batch) per step, so each gate
+    # block is one contiguous run for the elementwise updates.  Off tape
+    # only the latest step is needed (plus the hidden sequence when kept),
+    # so one slot is reused in place of a per-step history.
+    slots = steps if taped else 1
+    gates = np.empty((slots, width, rows))
+    cells = np.empty((slots, n, rows))
+    hidden = np.empty((slots, n, rows))
+    out = np.empty((rows, (2 + (steps if keep_sequence else 0)) * n))
+    # Splitting the trailing axis of a row-major block is always a view.
+    seq = out[:, 2 * n:].reshape(rows, steps, n) if keep_sequence else None
+    rec = np.empty((width, rows))
+    prod = np.empty((n, rows))
+    h_prev = np.zeros((n, rows))
+    c_prev = np.zeros((n, rows))
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    for s, t in enumerate(order):
+        z = gates[s % slots]
+        np.matmul(wx.values.T, xs[:, t].T, out=z)
+        np.matmul(wh.values.T, h_prev, out=rec)
+        z += rec
+        z += b.values.T
+        ifo = z[:3 * n]
+        ifo *= 0.2
+        ifo += 0.5
+        np.clip(ifo, 0.0, 1.0, out=ifo)
+        np.tanh(z[3 * n:], out=z[3 * n:])
+        c = cells[s % slots]
+        np.multiply(z[n:2 * n], c_prev, out=c)
+        np.multiply(z[:n], z[3 * n:], out=prod)
+        c += prod
+        h = hidden[s % slots]
+        np.tanh(c, out=h)
+        h *= z[2 * n:3 * n]
+        if seq is not None:
+            seq[:, s] = h.T
+        h_prev, c_prev = h, c
+
+    out[:, :n] = h_prev.T
+    out[:, n:2 * n] = c_prev.T
+    ctx = (gates, cells, hidden, reverse) if taped else ()
+    return _maybe_record("lstm_sequence", (x, wx, wh, b), Matrix._wrap(out), ctx)
+
+
+def attend(query: Matrix, keys: Matrix) -> Matrix:
+    """Dot-product attention of one query per row over a sequence of keys.
+
+    ``query`` is B x H and ``keys`` is B x TH, rows [k_0 | ... | k_{T-1}].
+    With score_t = <query, k_t>, the alignment is the softmax of the scores
+    over t and the context is sum_t alignment_t k_t.  Returns
+    [alignment | context] (B x (T + H)).
+    """
+    rows, n = query.shape
+    if keys.rows != rows or keys.cols < n or keys.cols % n:
+        raise ShapeError(
+            f"attend: keys {keys.rows}x{keys.cols} are not a sequence of "
+            f"{rows}x{n} states"
+        )
+    steps = keys.cols // n
+    k3 = keys.values.reshape(rows, steps, n)
+    scores = np.einsum("bth,bh->bt", k3, query.values)
+    scores -= scores.max(axis=1, keepdims=True)
+    e = np.exp(scores)
+    out = np.empty((rows, steps + n))
+    np.divide(e, e.sum(axis=1, keepdims=True), out=out[:, :steps])
+    np.einsum("bt,bth->bh", out[:, :steps], k3, out=out[:, steps:])
+    return _maybe_record("attend", (query, keys), Matrix._wrap(out))
 
 
 def _acc(grads: dict, need, nid: int, val: np.ndarray):
@@ -385,12 +504,15 @@ def _bw_concat_cols(nd, nodes, g, grads, need):
 
 
 def _bw_slice_cols(nd, nodes, g, grads, need):
+    # Adds into the input's gradient in place: only the first slice of a
+    # matrix to be reached allocates its full-size gradient.
     j = nd.inputs[0]
     if need[j]:
         start, stop = nd.ctx
-        full = np.zeros(nodes[j].out.shape)
-        full[:, start:stop] = g
-        _acc(grads, need, j, full)
+        cur = grads.get(j)
+        if cur is None:
+            cur = grads[j] = np.zeros(nodes[j].out.shape)
+        cur[:, start:stop] += g
 
 
 def _bw_scale(nd, nodes, g, grads, need):
@@ -405,6 +527,116 @@ def _bw_sum_reduce(nd, nodes, g, grads, need):
         _acc(grads, need, j, np.full(nodes[j].out.shape, g[0, 0]))
 
 
+# Steps x batch per block in which the backward pass folds the per-step
+# gate gradients into the weight gradients; bounds its scratch memory.
+_BPTT_CHUNK_ROWS = 8192
+
+
+def _bw_lstm_sequence(nd, nodes, g, grads, need):
+    ix, iwx, iwh, ib = nd.inputs
+    gates, cells, hidden, reverse = nd.ctx
+    steps, width, rows = gates.shape
+    n = width // 4
+    wx = nodes[iwx].out.values
+    wh = nodes[iwh].out.values
+    d = wx.shape[0]
+    xs = nodes[ix].out.values.reshape(rows, steps, d)
+    seq_g = g[:, 2 * n:].reshape(rows, steps, n) if g.shape[1] > 2 * n else None
+
+    dwx = np.zeros((d, width)) if need[iwx] else None
+    dwh = np.zeros((n, width)) if need[iwh] else None
+    db = np.zeros((1, width)) if need[ib] else None
+    dx = np.zeros((rows, steps, d)) if need[ix] else None
+
+    chunk = max(1, min(steps, _BPTT_CHUNK_ROWS // rows))
+    dz_buf = np.empty((chunk, width, rows))
+    dh = np.ascontiguousarray(g[:, :n].T)
+    dc = np.ascontiguousarray(g[:, n:2 * n].T)
+    tc = np.empty((n, rows))
+    tmp = np.empty((n, rows))
+
+    # Walk processing steps s from last to first in blocks [lo, hi); step s
+    # read input x_t with t = s, or t = T-1-s when the layer ran in reverse.
+    hi = steps
+    while hi > 0:
+        lo = max(0, hi - chunk)
+        for s in range(hi - 1, lo - 1, -1):
+            if seq_g is not None:
+                dh += seq_g[:, s].T
+            z = gates[s]
+            gi, gf, go, gc = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
+            dz = dz_buf[s - lo]
+            np.tanh(cells[s], out=tc)
+            np.multiply(dh, tc, out=dz[2 * n:3 * n])
+            # dc += dh * o * (1 - tanh(c)^2)
+            np.multiply(tc, tc, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= go
+            tmp *= dh
+            dc += tmp
+            np.multiply(dc, gc, out=dz[:n])
+            if s > 0:
+                np.multiply(dc, cells[s - 1], out=dz[n:2 * n])
+            else:
+                dz[n:2 * n] = 0.0
+            np.multiply(dc, gi, out=dz[3 * n:])
+            np.multiply(gc, gc, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            dz[3 * n:] *= tmp
+            # Hard sigmoid: slope 0.2 strictly inside (0, 1), 0 where clipped.
+            ifo = z[:3 * n]
+            dz[:3 * n] *= 0.2 * ((ifo > 0.0) & (ifo < 1.0))
+            dc *= gf
+            np.matmul(wh, dz, out=dh)
+
+        # One batched product per block: sum over its steps of
+        # (inputs of step s) @ (gate gradients of step s).
+        dzs = dz_buf[:hi - lo]
+        t_lo, t_hi = (steps - hi, steps - lo) if reverse else (lo, hi)
+        x_blk = xs[:, t_lo:t_hi].transpose(1, 2, 0)  # (steps, d, batch)
+        if reverse:
+            x_blk = x_blk[::-1]
+        if db is not None:
+            db += dzs.sum(axis=(0, 2))
+        if dwx is not None:
+            dwx += np.matmul(x_blk, dzs.transpose(0, 2, 1)).sum(axis=0)
+        if dwh is not None:
+            first = max(lo, 1)  # step 0 saw the zero initial state
+            if first < hi:
+                dwh += np.matmul(hidden[first - 1:hi - 1],
+                                 dz_buf[first - lo:hi - lo].transpose(0, 2, 1)
+                                 ).sum(axis=0)
+        if dx is not None:
+            blk = np.matmul(wx, dzs).transpose(2, 0, 1)  # (batch, steps, d)
+            dx[:, t_lo:t_hi] = blk[:, ::-1] if reverse else blk
+        hi = lo
+
+    if dx is not None:
+        _acc(grads, need, ix, dx.reshape(rows, steps * d))
+    for j, val in ((iwx, dwx), (iwh, dwh), (ib, db)):
+        if val is not None:
+            _acc(grads, need, j, val)
+
+
+def _bw_attend(nd, nodes, g, grads, need):
+    iq, ik = nd.inputs
+    q = nodes[iq].out.values
+    rows, n = q.shape
+    steps = nd.out.cols - n
+    k3 = nodes[ik].out.values.reshape(rows, steps, n)
+    align = nd.out.values[:, :steps]
+    g_ctx = g[:, steps:]
+    # context = sum_t a_t k_t, then the softmax and score rules.
+    da = g[:, :steps] + np.einsum("bth,bh->bt", k3, g_ctx)
+    ds = align * (da - (align * da).sum(axis=1, keepdims=True))
+    if need[iq]:
+        _acc(grads, need, iq, np.einsum("bt,bth->bh", ds, k3))
+    if need[ik]:
+        dk = align[:, :, None] * g_ctx[:, None, :]
+        dk += ds[:, :, None] * q[:, None, :]
+        _acc(grads, need, ik, dk.reshape(rows, steps * n))
+
+
 _BACKWARD = {
     "matmul": _bw_matmul,
     "add": _bw_add,
@@ -416,6 +648,8 @@ _BACKWARD = {
     "slice_cols": _bw_slice_cols,
     "scale": _bw_scale,
     "sum_reduce": _bw_sum_reduce,
+    "lstm_sequence": _bw_lstm_sequence,
+    "attend": _bw_attend,
 }
 
 

@@ -31,12 +31,13 @@ from .autodiff import (
     Matrix,
     ShapeError,
     add,
+    attend,
     concat_cols,
     hadamard,
     hard_sigmoid,
+    lstm_sequence,
     matmul,
     slice_cols,
-    softmax_rows,
     tanh,
 )
 
@@ -305,22 +306,20 @@ def _check_batch(params: ModelParams, batch) -> np.ndarray:
 
 def _encode(cell: LstmCellParams, batch: np.ndarray, reverse: bool = False,
             keep_sequence: bool = False):
-    """Unroll a cell over the window; zero initial states.
+    """Run a cell over the whole window; zero initial states.
 
-    Returns (h_final, c_final, sequence) where sequence is the list of
-    hidden states in processing order, or None.
+    Returns (h_final, c_final, sequence) where sequence is the
+    (batch, window * hidden) matrix of hidden states side by side in
+    processing order, or None.
     """
-    n, steps, _ = batch.shape
-    fused = _fuse(cell)
-    h = Matrix.zeros(n, cell.hidden)
-    c = Matrix.zeros(n, cell.hidden)
-    seq = [] if keep_sequence else None
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    for t in order:
-        x = Matrix._wrap(np.ascontiguousarray(batch[:, t, :]))
-        h, c = _cell_step(fused, x, h, c)
-        if seq is not None:
-            seq.append(h)
+    n, steps, dim = batch.shape
+    wx, wh, b, hidden = _fuse(cell)
+    x = Matrix._wrap(batch.reshape(n, steps * dim))
+    out = lstm_sequence(x, wx, wh, b, reverse=reverse,
+                        keep_sequence=keep_sequence)
+    h = slice_cols(out, 0, hidden)
+    c = slice_cols(out, hidden, 2 * hidden)
+    seq = slice_cols(out, 2 * hidden, out.cols) if keep_sequence else None
     return h, c, seq
 
 
@@ -356,19 +355,15 @@ def _attend(h_de: Matrix, sequence):
     """Dot-product alignment of one decoder state against encoder states.
 
     score_t = <h_de, h_t> per batch row; weights = softmax over the window;
-    context = sum_t weight_t * h_t.  Returns (alignment, context).
+    context = sum_t weight_t * h_t.  ``sequence`` is the (batch,
+    window * hidden) matrix ``_encode`` keeps, or a list of (batch, hidden)
+    states.  Returns (alignment, context).
     """
-    hidden = h_de.cols
-    ones = Matrix.ones(hidden, 1)
-    scores = concat_cols(
-        [matmul(hadamard(h_de, h_t), ones) for h_t in sequence]
-    )
-    alignment = softmax_rows(scores)
-    context = None
-    for t, h_t in enumerate(sequence):
-        term = hadamard(slice_cols(alignment, t, t + 1), h_t)
-        context = term if context is None else add(context, term)
-    return alignment, context
+    if not isinstance(sequence, Matrix):
+        sequence = concat_cols(sequence)
+    steps = sequence.cols // h_de.cols
+    out = attend(h_de, sequence)
+    return slice_cols(out, 0, steps), slice_cols(out, steps, out.cols)
 
 
 def _attention_graph(params: ModelParams, batch: np.ndarray):

@@ -15,6 +15,7 @@ stderr themselves.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -70,12 +71,18 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
+        # eps guards Adam's division; at 0 a block with zero gradient
+        # computes 0/0 and turns its parameters into NaN.
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be positive and finite, got {self.eps!r}")
         if self.epochs_per_group < 1:
             raise ConfigError("epochs_per_group must be at least 1")
         if self.group_count < 1:
             raise ConfigError("group_count must be at least 1")
         if self.fine_tune_profiles < 0:
             raise ConfigError("fine_tune_profiles must be non-negative")
+        if self.fine_tune_epochs is not None and self.fine_tune_epochs < 0:
+            raise ConfigError("fine_tune_epochs must be non-negative when set")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigError("clip_norm must be positive when set")
 

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from helpers import assert_grads_close, numeric_grad
+from motortemp import autodiff
 from motortemp.autodiff import (
     ContractError,
     Matrix,
     ShapeError,
     Tape,
     add,
+    attend,
     backward,
     concat_cols,
     hadamard,
     hard_sigmoid,
+    lstm_sequence,
     matmul,
     scale,
     slice_cols,
@@ -269,6 +272,13 @@ def _r(rng, rows, cols, spread=1.0):
     return Matrix(rng.standard_normal((rows, cols)) * spread)
 
 
+def _lstm_inputs(rng):
+    # Two windows of four 3-wide steps, hidden width 2.  Small weights keep
+    # every gate pre-activation well inside the hard sigmoid's kinks.
+    return [_r(rng, 2, 12, 0.5), _r(rng, 3, 8, 0.4), _r(rng, 2, 8, 0.4),
+            _r(rng, 1, 8, 0.4)]
+
+
 # One entry per primitive (plus broadcast variants): input builders and the
 # op under test.  hard_sigmoid inputs stay inside (-2, 2), away from kinks
 # where the subgradient and the difference quotient legitimately disagree.
@@ -294,6 +304,17 @@ PRIMITIVES = [
      lambda a: slice_cols(a, 1, 4)),
     ("scale", lambda rng: [_r(rng, 3, 4)], lambda a: scale(a, -1.7)),
     ("sum_reduce", lambda rng: [_r(rng, 3, 4)], lambda a: sum_reduce(a)),
+    ("lstm_sequence", _lstm_inputs,
+     lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b)),
+    ("lstm_sequence_reverse", _lstm_inputs,
+     lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b, reverse=True)),
+    ("lstm_sequence_kept", _lstm_inputs,
+     lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b, keep_sequence=True)),
+    ("lstm_sequence_reverse_kept", _lstm_inputs,
+     lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b, reverse=True,
+                                        keep_sequence=True)),
+    ("attend", lambda rng: [_r(rng, 3, 4), _r(rng, 3, 20)],
+     lambda q, k: attend(q, k)),
 ]
 
 
@@ -336,3 +357,55 @@ def test_composite_graph_gradient():
     for m in (a, b):
         numeric = numeric_grad(lambda _: float(graph(a, b).values[0, 0]), m.values)
         assert_grads_close(grads[tape.node_id(m)].values, numeric)
+
+
+def test_two_slices_of_one_matrix_accumulate():
+    rng = np.random.default_rng(78)
+    x = _r(rng, 3, 6)
+    w1, w2 = _r(rng, 3, 4), _r(rng, 3, 4)
+    with Tape() as tape:
+        loss = add(sum_reduce(hadamard(slice_cols(x, 0, 4), w1)),
+                   sum_reduce(hadamard(slice_cols(x, 2, 6), w2)))
+    got = tape.backward(loss, wrt=[x])[tape.node_id(x)].values
+    want = np.zeros((3, 6))
+    want[:, 0:4] += w1.values
+    want[:, 2:6] += w2.values
+    np.testing.assert_array_equal(got, want)
+
+
+def _lstm_grads(inputs, weights, **kw):
+    with Tape() as tape:
+        loss = sum_reduce(hadamard(lstm_sequence(*inputs, **kw), weights))
+    grads = tape.backward(loss, wrt=inputs)
+    return [grads[tape.node_id(m)].values for m in inputs]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_backward_independent_of_chunking(monkeypatch, reverse):
+    # Weight gradients are folded in per block of steps; blocks of two steps
+    # over a five-step window (one short block) must give the full-window
+    # result.
+    rng = np.random.default_rng(79)
+    inputs = [_r(rng, 3, 20, 0.5), _r(rng, 4, 12, 0.4), _r(rng, 3, 12, 0.4),
+              _r(rng, 1, 12, 0.4)]
+    weights = _r(rng, 3, 6 + 15)
+    whole = _lstm_grads(inputs, weights, reverse=reverse, keep_sequence=True)
+    monkeypatch.setattr(autodiff, "_BPTT_CHUNK_ROWS", 6)
+    chunked = _lstm_grads(inputs, weights, reverse=reverse, keep_sequence=True)
+    for a, b in zip(whole, chunked):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_lstm_sequence_shape_errors():
+    wx, wh, b = Matrix.zeros(3, 8), Matrix.zeros(2, 8), Matrix.zeros(1, 8)
+    with pytest.raises(ShapeError):
+        lstm_sequence(Matrix.zeros(2, 10), wx, wh, b)  # not whole steps
+    with pytest.raises(ShapeError):
+        lstm_sequence(Matrix.zeros(2, 6), Matrix.zeros(3, 6), wh, b)
+    with pytest.raises(ShapeError):
+        lstm_sequence(Matrix.zeros(2, 6), wx, Matrix.zeros(3, 8), b)
+    with pytest.raises(ShapeError):
+        attend(Matrix.zeros(2, 4), Matrix.zeros(2, 10))
+    with pytest.raises(ShapeError):
+        attend(Matrix.zeros(2, 4), Matrix.zeros(3, 8))
+

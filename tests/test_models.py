@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from helpers import check_model_gradients, zero_params
-from motortemp.autodiff import ContractError, Matrix, ShapeError
+from motortemp.autodiff import (
+    ContractError,
+    Matrix,
+    ShapeError,
+    Tape,
+    concat_cols,
+    hadamard,
+    sum_reduce,
+)
 from motortemp.models import (
     VARIANTS,
     _attend,
@@ -15,6 +23,7 @@ from motortemp.models import (
     describe_layers,
     forward_attention,
     forward_bidirectional,
+    forward_for_training,
     forward_vanilla,
     init_params,
     lstm_step,
@@ -145,6 +154,54 @@ class TestLstmStep:
         with pytest.raises(ShapeError):
             lstm_step(cell, Matrix.zeros(2, 3), Matrix.zeros(2, 3),
                       Matrix.zeros(2, 4))
+
+
+def _unrolled_encode(cell, batch, reverse):
+    n, steps, _ = batch.shape
+    h = Matrix.zeros(n, cell.hidden)
+    c = Matrix.zeros(n, cell.hidden)
+    seq = []
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        h, c = lstm_step(cell, Matrix(batch[:, t, :]), h, c)
+        seq.append(h)
+    return h, c, concat_cols(seq)
+
+
+class TestFusedEncoder:
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_unrolled_lstm_steps(self, steps, reverse):
+        rng = np.random.default_rng(20 + steps)
+        cell = init_params("vanilla", seed=steps, input_dim=4, hidden=5).encoder
+        batch = rng.standard_normal((3, steps, 4))
+        weights = [Matrix(rng.standard_normal((3, w))) for w in (5, 5, 5 * steps)]
+
+        results = []
+        for encode in (lambda: _encode(cell, batch, reverse, keep_sequence=True),
+                       lambda: _unrolled_encode(cell, batch, reverse)):
+            with Tape() as tape:
+                outs = encode()
+                loss = sum_reduce(hadamard(concat_cols(outs), concat_cols(weights)))
+            grads = tape.backward(loss, wrt=[m for _, m in cell.items("e")])
+            results.append(([m.values for m in outs],
+                            [grads[tape.node_id(m)].values
+                             for _, m in cell.items("e")]))
+        (fused_out, fused_grad), (step_out, step_grad) = results
+        for a, b in zip(fused_out, step_out):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        for a, b in zip(fused_grad, step_grad):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_tape_size_does_not_grow_with_window(self):
+        rng = np.random.default_rng(21)
+        sizes = {}
+        for variant in VARIANTS:
+            params = init_params(variant, seed=0, input_dim=3, hidden=4)
+            for steps in (2, 40):
+                with Tape() as tape:
+                    forward_for_training(params, rng.standard_normal((2, steps, 3)))
+                sizes[variant, steps] = len(tape)
+            assert sizes[variant, 2] == sizes[variant, 40], variant
 
 
 class TestForwardShapes:

@@ -58,10 +58,19 @@ class TestTrainConfig:
         {"group_count": 0},
         {"fine_tune_profiles": -1},
         {"clip_norm": 0.0},
+        {"eps": 0.0},
+        {"eps": -1e-8},
+        {"eps": float("nan")},
+        {"eps": float("inf")},
+        {"fine_tune_epochs": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ConfigError):
+        (field,) = kwargs
+        with pytest.raises(ConfigError, match=field):
             TrainConfig(**kwargs)
+
+    def test_fine_tune_epochs_zero_allowed(self):
+        assert TrainConfig(fine_tune_epochs=0).fine_tune_epochs == 0
 
 
 class TestMseLoss:
