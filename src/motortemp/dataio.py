@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "ATTRIBUTES",
@@ -28,6 +27,7 @@ __all__ = [
     "save_csv",
     "split",
     "synthesize",
+    "one_pole",
 ]
 
 # Measured attributes, in canonical column order.
@@ -114,7 +114,8 @@ def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
 
     The file must carry a ``profile_id`` column plus every attribute in
     ``schema``.  Extra columns are ignored with a warning.  Frames come back
-    in order of first appearance, rows in file order.
+    in order of first appearance, rows in file order.  A cell that is not a
+    finite number raises CsvParseError naming its column, row and profile.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -135,19 +136,22 @@ def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
         col_idx = {c: header.index(c) for c in (PROFILE_COLUMN, *schema)}
 
         buckets: dict[int, dict[str, list[float]]] = {}
+        row_numbers: dict[int, list[int]] = {}
         order: list[int] = []
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 pid = int(float(row[col_idx[PROFILE_COLUMN]]))
-            except (ValueError, IndexError):
+            except (ValueError, OverflowError, IndexError):
                 raise CsvParseError(
                     f"{path}: bad profile_id at row {row_no}"
                 )
             if pid not in buckets:
                 buckets[pid] = {name: [] for name in schema}
+                row_numbers[pid] = []
                 order.append(pid)
+            row_numbers[pid].append(row_no)
             bucket = buckets[pid]
             for name in schema:
                 cell = row[col_idx[name]]
@@ -159,10 +163,19 @@ def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
                         f"{name!r} at row {row_no}"
                     )
 
-    return [
-        ProfileFrame(pid, {n: np.array(v) for n, v in buckets[pid].items()})
-        for pid in order
-    ]
+    frames = []
+    for pid in order:
+        columns = {n: np.array(v) for n, v in buckets[pid].items()}
+        for name, col in columns.items():
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                i = bad[0]
+                raise CsvParseError(
+                    f"{path}: non-finite value {float(col[i])} in column "
+                    f"{name!r} at row {row_numbers[pid][i]} (profile {pid})"
+                )
+        frames.append(ProfileFrame(pid, columns))
+    return frames
 
 
 def save_csv(frames, path, schema=ATTRIBUTES) -> None:
@@ -207,16 +220,63 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _M64
 
 
+# Rows per block of the one-pole scan.  A block costs log2(block) doubling
+# passes and the carry between blocks one more scan over n / block rows; 512
+# was the fastest of 64-512 on (20k, 13) and (200k, 13) inputs.
+_SCAN_BLOCK = 512
+
+
+def one_pole(x, pole: float, gain: float = 1.0, init=0.0) -> np.ndarray:
+    """The first-order recurrence y[t] = pole * y[t-1] + gain * x[t] along axis 0.
+
+    ``init`` is the state before the first sample, so y[0] = pole * init +
+    gain * x[0]; it broadcasts against one row of ``x``.  Trailing axes are
+    independent series scanned together.  Rows are split into fixed blocks;
+    within each block ~log2(block) recursive-doubling passes
+    ``y[k:] += pole**k * y[:-k]`` build the zero-state response, then the
+    block-end states are carried across blocks by the same recurrence with
+    pole**block and added back as ``pole**(j+1) * carry`` at row j.  Every
+    weight is a power of ``pole``, so nothing grows for |pole| <= 1.
+    """
+    y = gain * np.asarray(x, dtype=np.float64)
+    n = len(y)
+    if n == 0:
+        return y
+    y[0] += pole * init
+    if pole == 0.0:
+        return y
+    block = min(n, _SCAN_BLOCK)
+    n_blocks = -(-n // block)
+    pad = n_blocks * block - n
+    if pad:
+        y = np.concatenate([y, np.zeros((pad,) + y.shape[1:])])
+    blocks = y.reshape((n_blocks, block) + y.shape[1:])
+    k = 1
+    while k < block:
+        weight = pole ** k
+        if weight == 0.0:
+            break
+        blocks[:, k:] += weight * blocks[:, :-k]
+        k *= 2
+    if n_blocks > 1:
+        carry = one_pole(blocks[:-1, -1], pole ** block)
+        powers = pole ** np.arange(1, block + 1)
+        blocks[1:] += powers.reshape((block,) + (1,) * (y.ndim - 1)) * carry[:, None]
+    return y[:n]
+
+
 def _lag(x: np.ndarray, tau: float) -> np.ndarray:
     """First-order response y[t] = y[t-1] + (x[t] - y[t-1]) / tau, y[0] = x[0]."""
     a = 1.0 / float(tau)
-    y, _ = lfilter([a], [1.0, a - 1.0], x, zi=[(1.0 - a) * x[0]])
+    y = np.empty_like(x)
+    y[0] = x[0]
+    y[1:] = one_pole(x[1:], 1.0 - a, a, init=x[0])
     return y
 
 
 def _smooth(rng: np.random.Generator, n: int, pole: float) -> np.ndarray:
     """Low-pass filtered white noise with roughly unit spread."""
-    raw = lfilter([1.0 - pole], [1.0, -pole], rng.standard_normal(n))
+    raw = one_pole(rng.standard_normal(n), pole, 1.0 - pole)
     stat = np.sqrt((1.0 - pole) / (1.0 + pole))  # stationary std of the filter
     return raw / stat
 

@@ -14,9 +14,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .dataio import ProfileFrame, SchemaError
+from .dataio import ProfileFrame, SchemaError, one_pole
 
 __all__ = [
     "PREDICTORS",
@@ -172,22 +171,25 @@ def ewma(series, span: int) -> np.ndarray:
         sum_{i=0..t} (1-alpha)^i x[t-i]  /  sum_{i=0..t} (1-alpha)^i
 
     i.e. the weights are renormalized over the samples actually seen, so
-    early entries are unbiased instead of damped toward zero.  Both the
-    numerator and denominator follow the same one-pole recurrence, which
-    lfilter evaluates in C.
+    early entries are unbiased instead of damped toward zero.  Numerator and
+    denominator are each a one-pole scan ``y[t] = (1-alpha) y[t-1] + x[t]``
+    (``dataio.one_pole``), the denominator over a series of ones, so entry 0
+    is exactly x[0] and span 1 returns the series unchanged.
     """
     if span < 1:
         raise ValueError(f"span must be a positive sample count, got {span}")
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"ewma expects a 1-D series, got shape {x.shape}")
-    if x.size == 0:
-        return x.copy()
-    alpha = 2.0 / (span + 1.0)
-    decay = 1.0 - alpha
-    num = lfilter([1.0], [1.0, -decay], x)
-    den = lfilter([1.0], [1.0, -decay], np.ones_like(x))
-    return num / den
+    return _ewma_columns(x[:, None], span)[:, 0]
+
+
+def _ewma_columns(columns: np.ndarray, span: int, out=None) -> np.ndarray:
+    """``ewma`` of every column of an (n, k) block, scanned together."""
+    decay = 1.0 - 2.0 / (span + 1.0)
+    num = one_pole(columns, decay)
+    den = one_pole(np.ones(len(columns)), decay)
+    return np.divide(num, den[:, None], out=out)
 
 
 def avg_abs_correlation(frames, candidate: str, targets=TARGETS) -> float:
@@ -224,15 +226,19 @@ def channel_matrix(frame: ProfileFrame, config: FeatureConfig) -> np.ndarray:
     (when enabled), then one EWMA block per span.  Smoothing never crosses
     the profile boundary because it only ever sees this frame's series.
     """
+    names = config.attribute_names()
     augmented = derive_synthetic(frame, config.synthetic)
-    augmented.require(config.attribute_names())
-    attrs = [augmented.columns[a] for a in config.attribute_names()]
-    blocks = []
-    if config.include_raw:
-        blocks.extend(attrs)
-    for span in config.spans:
-        blocks.extend(ewma(a, span) for a in attrs)
-    return np.column_stack(blocks)
+    augmented.require(names)
+    n, k = frame.n_samples, len(names)
+    out = np.empty((n, config.channel_count()))
+    attrs = out[:, :k] if config.include_raw else np.empty((n, k))
+    for j, name in enumerate(names):
+        attrs[:, j] = augmented.columns[name]
+    first = k if config.include_raw else 0
+    for i, span in enumerate(config.spans):
+        start = first + i * k
+        _ewma_columns(attrs, span, out=out[:, start:start + k])
+    return out
 
 
 def target_matrix(frame: ProfileFrame) -> np.ndarray:

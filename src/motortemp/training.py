@@ -67,8 +67,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
         # eps guards Adam's division; at 0 a block with zero gradient
@@ -83,8 +85,13 @@ class TrainConfig:
             raise ConfigError("fine_tune_profiles must be non-negative")
         if self.fine_tune_epochs is not None and self.fine_tune_epochs < 0:
             raise ConfigError("fine_tune_epochs must be non-negative when set")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError("clip_norm must be positive when set")
+        # A NaN bound would switch clipping off: `norm > nan` is never true.
+        if self.clip_norm is not None and not (
+            math.isfinite(self.clip_norm) and self.clip_norm > 0
+        ):
+            raise ConfigError(
+                f"clip_norm must be positive and finite when set, got {self.clip_norm!r}"
+            )
 
 
 @dataclass

@@ -1,10 +1,14 @@
 """End-to-end command line flows against generated recordings."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import motortemp
 from motortemp import cli
 from motortemp.checkpoint import save_checkpoint
 from motortemp.models import init_params
@@ -19,6 +23,20 @@ FAST_TRAIN = FAST_FEATURES + [
 
 def run(argv):
     return cli.main(argv)
+
+
+def test_import_leaves_scipy_unloaded():
+    # Every command pays the package import; scipy.signal alone took ~1.2 s.
+    src = os.path.dirname(os.path.dirname(motortemp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, motortemp; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestSynth:

@@ -9,7 +9,10 @@ from motortemp.dataio import (
     CsvParseError,
     ProfileFrame,
     SchemaError,
+    _lag,
+    _smooth,
     load_csv,
+    one_pole,
     save_csv,
     split,
     synthesize,
@@ -26,6 +29,56 @@ def _write_csv(path, header, rows):
 def _rows(pid, count, base=1.0):
     return [[pid] + [base + 0.1 * (i + j) for j in range(len(ATTRIBUTES))]
             for i in range(count)]
+
+
+def recurrence_loop(x, pole, gain=1.0, init=0.0):
+    """y[t] = pole * y[t-1] + gain * x[t] with y[-1] = init, one row at a time."""
+    y = np.empty(np.shape(x))
+    state = init
+    for t in range(len(x)):
+        state = pole * state + gain * x[t]
+        y[t] = state
+    return y
+
+
+class TestOnePole:
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025, 3000])
+    @pytest.mark.parametrize("pole", [0.0, 1.0 / 3.0, 0.97, 0.9995])
+    def test_matches_loop(self, n, pole):
+        rng = np.random.default_rng(n)
+        x = 80.0 * rng.standard_normal((n, 3))
+        init = np.array([0.0, 2.5, -40.0])
+        np.testing.assert_allclose(
+            one_pole(x, pole, 0.3, init=init),
+            recurrence_loop(x, pole, 0.3, init=init),
+            rtol=0, atol=1e-10,
+        )
+
+
+class TestSynthesizerFilters:
+    @pytest.mark.parametrize("n", [1, 2, 513, 1500])
+    @pytest.mark.parametrize("tau", [25.0, 120.0])
+    def test_lag_matches_loop(self, n, tau):
+        x = 30.0 * np.random.default_rng(n).standard_normal(n) + 50.0
+        y = _lag(x, tau)
+        assert y[0] == x[0]
+        want = np.empty(n)
+        want[0] = x[0]
+        for t in range(1, n):
+            want[t] = want[t - 1] + (x[t] - want[t - 1]) / tau
+        np.testing.assert_allclose(y, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 513, 1500])
+    @pytest.mark.parametrize("pole", [0.9, 0.995])
+    def test_smooth_matches_loop(self, n, pole):
+        y = _smooth(np.random.default_rng(4), n, pole)
+        noise = np.random.default_rng(4).standard_normal(n)
+        stat = np.sqrt((1.0 - pole) / (1.0 + pole))
+        assert y[0] == (1.0 - pole) * noise[0] / stat
+        np.testing.assert_allclose(
+            y, recurrence_loop(noise, pole, 1.0 - pole) / stat,
+            rtol=0, atol=1e-10,
+        )
 
 
 class TestLoadCsv:
@@ -62,6 +115,26 @@ class TestLoadCsv:
         rows[1][3] = "oops"
         _write_csv(path, ["profile_id", *ATTRIBUTES], rows)
         with pytest.raises(CsvParseError, match="row 3"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_column_row_and_profile(self, tmp_path, cell):
+        path = tmp_path / "rec.csv"
+        rows = _rows(1, 3) + _rows(7, 3, base=5.0)
+        rows[4][1 + ATTRIBUTES.index("motor_speed")] = cell
+        _write_csv(path, ["profile_id", *ATTRIBUTES], rows)
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        msg = str(info.value)
+        assert f"non-finite value {float(cell)}" in msg
+        assert "column 'motor_speed' at row 6 (profile 7)" in msg
+
+    def test_infinite_profile_id_reports_row(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        rows = _rows(1, 3)
+        rows[2][0] = "inf"
+        _write_csv(path, ["profile_id", *ATTRIBUTES], rows)
+        with pytest.raises(CsvParseError, match="profile_id at row 4"):
             load_csv(path)
 
     def test_empty_file_is_schema_error(self, tmp_path):
@@ -119,8 +192,8 @@ class TestSplit:
 
 class TestSynthesize:
     def test_deterministic(self):
-        a = synthesize(seed=9, profiles=2, length=100)
-        b = synthesize(seed=9, profiles=2, length=100)
+        a = synthesize(seed=9, profiles=2, length=1300)
+        b = synthesize(seed=9, profiles=2, length=1300)
         for fa, fb in zip(a, b):
             for name in ATTRIBUTES:
                 np.testing.assert_array_equal(

@@ -35,6 +35,23 @@ def ewma_direct(x, span):
     return out
 
 
+def ewma_loop(x, span):
+    """The numerator and denominator recurrences, one sample at a time."""
+    decay = 1.0 - 2.0 / (span + 1.0)
+    out = np.empty(len(x))
+    num = den = 0.0
+    for t, v in enumerate(x):
+        num = decay * num + v
+        den = decay * den + 1.0
+        out[t] = num / den
+    return out
+
+
+# Around the scan's 512-row block: one row, a block edge either side, two
+# blocks and a bit, and many blocks.
+SCAN_LENGTHS = (1, 511, 512, 513, 1025, 4999)
+
+
 class TestDeriveSynthetic:
     def test_formulas(self):
         frame = make_frame(
@@ -77,7 +94,7 @@ class TestEwma:
         )
 
     def test_span_one_is_identity(self):
-        x = np.random.default_rng(0).standard_normal(40)
+        x = np.random.default_rng(0).standard_normal(1300)
         np.testing.assert_array_equal(ewma(x, 1), x)
 
     def test_constant_series_unchanged(self):
@@ -110,6 +127,18 @@ class TestEwma:
             np.testing.assert_allclose(
                 ewma(x, span), ewma_direct(x, span), rtol=0, atol=1e-10
             )
+
+    @pytest.mark.parametrize("n", SCAN_LENGTHS)
+    def test_matches_recurrence_loop_across_blocks(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1.0, 80.0):
+            x = scale * (rng.standard_normal(n) + 0.5)
+            for span in (1, 2, 3, *DEFAULT_SPANS):
+                y = ewma(x, span)
+                np.testing.assert_allclose(
+                    y, ewma_loop(x, span), rtol=0, atol=1e-10
+                )
+                assert y[0] == x[0]
 
     def test_smoothing_reduces_total_variation(self):
         rng = np.random.default_rng(4)
@@ -208,6 +237,18 @@ class TestChannelMatrix:
         np.testing.assert_array_equal(
             mat[:, idx], ewma(frame.columns["coolant"], 16)
         )
+
+    def test_each_column_is_the_1d_ewma_of_its_attribute(self):
+        frame = synthesize(seed=2, profiles=1, length=1100)[0]
+        config = FeatureConfig()
+        mat = channel_matrix(frame, config)
+        augmented = derive_synthetic(frame, config.synthetic)
+        attrs = config.attribute_names()
+        for j, name in enumerate(config.channel_names()):
+            series = augmented.columns[attrs[j % len(attrs)]]
+            block = j // len(attrs)
+            want = series if block == 0 else ewma(series, config.spans[block - 1])
+            np.testing.assert_array_equal(mat[:, j], want, err_msg=name)
 
     def test_target_matrix_order(self):
         frame = make_frame(n=10)

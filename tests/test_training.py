@@ -52,12 +52,16 @@ class TestTrainConfig:
         {"batch_size": 0},
         {"learning_rate": 0.0},
         {"learning_rate": -1e-3},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
         {"beta1": 1.0},
         {"beta2": -0.1},
         {"epochs_per_group": 0},
         {"group_count": 0},
         {"fine_tune_profiles": -1},
         {"clip_norm": 0.0},
+        {"clip_norm": float("nan")},
+        {"clip_norm": float("inf")},
         {"eps": 0.0},
         {"eps": -1e-8},
         {"eps": float("nan")},
