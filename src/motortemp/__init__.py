@@ -47,7 +47,6 @@ from .features import (
     derive_synthetic,
     ewma,
     fit_standardization,
-    standardize,
     windowize,
 )
 from .models import (

@@ -15,6 +15,15 @@ the hidden states of every step, time-major as (steps, width, batch), and
 recomputes tanh of the cell states on the way back; attend keeps nothing
 beyond its output, which already holds the alignment.
 
+lstm_sequence runs each step as one matrix product.  Its weights and bias
+are stacked into W = [wx; wh; b]^T, shape (4H, D + H + 1), and each step
+writes [x_t; h; 1] into one (D + H + 1, batch) operand, so z = W @ operand.
+The hard sigmoid's affine part 0.2*z + 0.5 is folded into the input, forget
+and output rows of W, which leaves only a clip for those gates.  The
+backward pass works with the same folded W: clipped gates pass no gradient,
+the others slope 1, and the factor 0.2 is applied once to the gate rows of
+the finished weight gradient.
+
 Backward pass conventions:
 
 * gradients are accumulated per node, visiting nodes in reverse recording
@@ -321,6 +330,21 @@ def sum_reduce(x: Matrix) -> Matrix:
     return _maybe_record("sum_reduce", (x,), out)
 
 
+def _folded_weight(wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stacked gate weight [wx; wh; b]^T, shape (4H, D + H + 1), with the
+    hard sigmoid's affine part 0.2*z + 0.5 folded into the i/f/o rows, so
+    that clip(W @ [x_t; h; 1], 0, 1) is those three gates."""
+    d, width = wx.shape
+    n = width // 4
+    w = np.empty((width, d + n + 1))
+    w[:, :d] = wx.T
+    w[:, d:d + n] = wh.T
+    w[:, d + n] = b[0]
+    w[:3 * n] *= 0.2
+    w[:3 * n, d + n] += 0.5
+    return w
+
+
 def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
                   reverse: bool = False, keep_sequence: bool = False) -> Matrix:
     """One LSTM layer over a whole window, from zero initial states.
@@ -339,6 +363,10 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     after each step follows in processing order (B x (2 + T)H).  The
     backward rule gives the hard sigmoid slope 0.2 where the gate lies
     strictly inside (0, 1) and 0 where it is clipped.
+
+    Each step is one matrix product of the folded weight (see
+    ``_folded_weight``) with the stacked operand [x_t; h; 1] (D + H + 1 x B),
+    followed by the clip, the two tanh and the cell and hidden products.
     """
     d, width = wx.shape
     n = width // 4
@@ -357,47 +385,49 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     rows, steps = x.rows, x.cols // d
     xs = x.values.reshape(rows, steps, d)
     taped = active_tape() is not None
+    w = _folded_weight(wx.values, wh.values, b.values)
     # States are kept feature-major, (width, batch) per step, so each gate
     # block is one contiguous run for the elementwise updates.  Off tape
     # only the latest step is needed (plus the hidden sequence when kept),
-    # so one slot is reused in place of a per-step history.
+    # so one slot is reused in place of a per-step history, and the hidden
+    # state lives only in the operand.
     slots = steps if taped else 1
     gates = np.empty((slots, width, rows))
     cells = np.empty((slots, n, rows))
-    hidden = np.empty((slots, n, rows))
+    hidden = np.empty((steps, n, rows)) if taped else None
     out = np.empty((rows, (2 + (steps if keep_sequence else 0)) * n))
     # Splitting the trailing axis of a row-major block is always a view.
     seq = out[:, 2 * n:].reshape(rows, steps, n) if keep_sequence else None
-    rec = np.empty((width, rows))
+    operand = np.empty((d + n + 1, rows))
+    x_in, h = operand[:d], operand[d:d + n]
+    h[...] = 0.0
+    operand[d + n] = 1.0
     prod = np.empty((n, rows))
-    h_prev = np.zeros((n, rows))
     c_prev = np.zeros((n, rows))
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     for s, t in enumerate(order):
         z = gates[s % slots]
-        np.matmul(wx.values.T, xs[:, t].T, out=z)
-        np.matmul(wh.values.T, h_prev, out=rec)
-        z += rec
-        z += b.values.T
+        x_in[...] = xs[:, t].T
+        np.matmul(w, operand, out=z)
         ifo = z[:3 * n]
-        ifo *= 0.2
-        ifo += 0.5
         np.clip(ifo, 0.0, 1.0, out=ifo)
         np.tanh(z[3 * n:], out=z[3 * n:])
         c = cells[s % slots]
         np.multiply(z[n:2 * n], c_prev, out=c)
         np.multiply(z[:n], z[3 * n:], out=prod)
         c += prod
-        h = hidden[s % slots]
+        # h_{t-1} has been read; the new state overwrites it in place.
         np.tanh(c, out=h)
         h *= z[2 * n:3 * n]
+        if taped:
+            hidden[s] = h
         if seq is not None:
             seq[:, s] = h.T
-        h_prev, c_prev = h, c
+        c_prev = c
 
-    out[:, :n] = h_prev.T
+    out[:, :n] = h.T
     out[:, n:2 * n] = c_prev.T
-    ctx = (gates, cells, hidden, reverse) if taped else ()
+    ctx = (gates, cells, hidden, w, reverse) if taped else ()
     return _maybe_record("lstm_sequence", (x, wx, wh, b), Matrix._wrap(out), ctx)
 
 
@@ -527,95 +557,91 @@ def _bw_sum_reduce(nd, nodes, g, grads, need):
         _acc(grads, need, j, np.full(nodes[j].out.shape, g[0, 0]))
 
 
-# Steps x batch per block in which the backward pass folds the per-step
-# gate gradients into the weight gradients; bounds its scratch memory.
-_BPTT_CHUNK_ROWS = 8192
-
-
 def _bw_lstm_sequence(nd, nodes, g, grads, need):
+    # Works in the folded parameterisation of the forward: with z' = W op,
+    # the i/f/o gates are clip(z') and have slope 1 strictly inside (0, 1),
+    # and the factor 0.2 between z' and the unfolded z is applied once to
+    # the gate rows of the finished weight gradient.
     ix, iwx, iwh, ib = nd.inputs
-    gates, cells, hidden, reverse = nd.ctx
+    gates, cells, hidden, w, reverse = nd.ctx
     steps, width, rows = gates.shape
     n = width // 4
-    wx = nodes[iwx].out.values
-    wh = nodes[iwh].out.values
-    d = wx.shape[0]
+    d = w.shape[1] - n - 1
     xs = nodes[ix].out.values.reshape(rows, steps, d)
     seq_g = g[:, 2 * n:].reshape(rows, steps, n) if g.shape[1] > 2 * n else None
 
-    dwx = np.zeros((d, width)) if need[iwx] else None
-    dwh = np.zeros((n, width)) if need[iwh] else None
-    db = np.zeros((1, width)) if need[ib] else None
+    dw = np.zeros(w.shape) if need[iwx] or need[iwh] or need[ib] else None
     dx = np.zeros((rows, steps, d)) if need[ix] else None
-
-    chunk = max(1, min(steps, _BPTT_CHUNK_ROWS // rows))
-    dz_buf = np.empty((chunk, width, rows))
+    if dw is not None:
+        # The operand [x_t; h_{t-1}; 1] of each step, rebuilt from the
+        # input and the kept hidden states.
+        operand = np.empty((d + n + 1, rows))
+        operand[d + n] = 1.0
+        dw_step = np.empty(w.shape)
+    if dx is not None:
+        wx_t = np.ascontiguousarray(w[:, :d].T)
+        dx_step = np.empty((d, rows))
+    wh_t = np.ascontiguousarray(w[:, d:d + n].T)
+    dz = np.empty((width, rows))
     dh = np.ascontiguousarray(g[:, :n].T)
     dc = np.ascontiguousarray(g[:, n:2 * n].T)
     tc = np.empty((n, rows))
     tmp = np.empty((n, rows))
+    inside = np.empty((3 * n, rows), dtype=bool)
+    below = np.empty((3 * n, rows), dtype=bool)
 
-    # Walk processing steps s from last to first in blocks [lo, hi); step s
-    # read input x_t with t = s, or t = T-1-s when the layer ran in reverse.
-    hi = steps
-    while hi > 0:
-        lo = max(0, hi - chunk)
-        for s in range(hi - 1, lo - 1, -1):
-            if seq_g is not None:
-                dh += seq_g[:, s].T
-            z = gates[s]
-            gi, gf, go, gc = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-            dz = dz_buf[s - lo]
-            np.tanh(cells[s], out=tc)
-            np.multiply(dh, tc, out=dz[2 * n:3 * n])
-            # dc += dh * o * (1 - tanh(c)^2)
-            np.multiply(tc, tc, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            tmp *= go
-            tmp *= dh
-            dc += tmp
-            np.multiply(dc, gc, out=dz[:n])
+    # Walk processing steps s from last to first; step s read input x_t
+    # with t = s, or t = T-1-s when the layer ran in reverse.
+    for s in range(steps - 1, -1, -1):
+        t = steps - 1 - s if reverse else s
+        if seq_g is not None:
+            dh += seq_g[:, s].T
+        z = gates[s]
+        gi, gf, go, gc = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
+        np.tanh(cells[s], out=tc)
+        np.multiply(dh, tc, out=dz[2 * n:3 * n])
+        # dc += dh * o * (1 - tanh(c)^2)
+        np.multiply(tc, tc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= go
+        tmp *= dh
+        dc += tmp
+        np.multiply(dc, gc, out=dz[:n])
+        if s > 0:
+            np.multiply(dc, cells[s - 1], out=dz[n:2 * n])
+        else:
+            dz[n:2 * n] = 0.0
+        np.multiply(dc, gi, out=dz[3 * n:])
+        np.multiply(gc, gc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dz[3 * n:] *= tmp
+        # Clipped gates pass no gradient.
+        ifo = z[:3 * n]
+        np.greater(ifo, 0.0, out=inside)
+        np.less(ifo, 1.0, out=below)
+        np.logical_and(inside, below, out=inside)
+        np.multiply(dz[:3 * n], inside, out=dz[:3 * n])
+        dc *= gf
+        if dw is not None:
+            operand[:d] = xs[:, t].T
             if s > 0:
-                np.multiply(dc, cells[s - 1], out=dz[n:2 * n])
-            else:
-                dz[n:2 * n] = 0.0
-            np.multiply(dc, gi, out=dz[3 * n:])
-            np.multiply(gc, gc, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            dz[3 * n:] *= tmp
-            # Hard sigmoid: slope 0.2 strictly inside (0, 1), 0 where clipped.
-            ifo = z[:3 * n]
-            dz[:3 * n] *= 0.2 * ((ifo > 0.0) & (ifo < 1.0))
-            dc *= gf
-            np.matmul(wh, dz, out=dh)
-
-        # One batched product per block: sum over its steps of
-        # (inputs of step s) @ (gate gradients of step s).
-        dzs = dz_buf[:hi - lo]
-        t_lo, t_hi = (steps - hi, steps - lo) if reverse else (lo, hi)
-        x_blk = xs[:, t_lo:t_hi].transpose(1, 2, 0)  # (steps, d, batch)
-        if reverse:
-            x_blk = x_blk[::-1]
-        if db is not None:
-            db += dzs.sum(axis=(0, 2))
-        if dwx is not None:
-            dwx += np.matmul(x_blk, dzs.transpose(0, 2, 1)).sum(axis=0)
-        if dwh is not None:
-            first = max(lo, 1)  # step 0 saw the zero initial state
-            if first < hi:
-                dwh += np.matmul(hidden[first - 1:hi - 1],
-                                 dz_buf[first - lo:hi - lo].transpose(0, 2, 1)
-                                 ).sum(axis=0)
+                operand[d:d + n] = hidden[s - 1]
+            else:  # step 0 saw the zero initial state
+                operand[d:d + n] = 0.0
+            np.matmul(dz, operand.T, out=dw_step)
+            dw += dw_step
         if dx is not None:
-            blk = np.matmul(wx, dzs).transpose(2, 0, 1)  # (batch, steps, d)
-            dx[:, t_lo:t_hi] = blk[:, ::-1] if reverse else blk
-        hi = lo
+            np.matmul(wx_t, dz, out=dx_step)
+            dx[:, t] = dx_step.T
+        np.matmul(wh_t, dz, out=dh)
 
     if dx is not None:
         _acc(grads, need, ix, dx.reshape(rows, steps * d))
-    for j, val in ((iwx, dwx), (iwh, dwh), (ib, db)):
-        if val is not None:
-            _acc(grads, need, j, val)
+    if dw is not None:
+        dw[:3 * n] *= 0.2
+        for j, val in ((iwx, dw[:, :d].T), (iwh, dw[:, d:d + n].T),
+                       (ib, dw[:, d + n:].T)):
+            _acc(grads, need, j, np.ascontiguousarray(val))
 
 
 def _bw_attend(nd, nodes, g, grads, need):

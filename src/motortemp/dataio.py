@@ -114,8 +114,10 @@ def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
 
     The file must carry a ``profile_id`` column plus every attribute in
     ``schema``.  Extra columns are ignored with a warning.  Frames come back
-    in order of first appearance, rows in file order.  A cell that is not a
-    finite number raises CsvParseError naming its column, row and profile.
+    in order of first appearance, rows in file order.  Each profile's rows
+    must be one contiguous run.  A cell that is not a finite number, a row
+    too short to hold every column and a profile that resumes after another
+    one started raise CsvParseError with the rows at fault.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -134,6 +136,7 @@ def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
                 stacklevel=2,
             )
         col_idx = {c: header.index(c) for c in (PROFILE_COLUMN, *schema)}
+        needed = max(col_idx.values()) + 1
 
         buckets: dict[int, dict[str, list[float]]] = {}
         row_numbers: dict[int, list[int]] = {}
@@ -141,11 +144,23 @@ def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < needed:
+                first = min(i for i in col_idx.values() if i >= len(row))
+                raise CsvParseError(
+                    f"{path}: row {row_no} has {len(row)} cells, so column "
+                    f"{header[first]!r} is missing"
+                )
             try:
                 pid = int(float(row[col_idx[PROFILE_COLUMN]]))
-            except (ValueError, OverflowError, IndexError):
+            except (ValueError, OverflowError):
                 raise CsvParseError(
                     f"{path}: bad profile_id at row {row_no}"
+                )
+            if pid in buckets and pid != order[-1]:
+                raise CsvParseError(
+                    f"{path}: profile {pid} resumes at row {row_no} after "
+                    f"its rows ended at row {row_numbers[pid][-1]}; profile "
+                    f"{order[-1]} started in between"
                 )
             if pid not in buckets:
                 buckets[pid] = {name: [] for name in schema}

@@ -33,7 +33,6 @@ __all__ = [
     "channel_matrix",
     "target_matrix",
     "fit_standardization",
-    "standardize",
     "build_dataset",
     "windowize",
 ]
@@ -317,30 +316,6 @@ def fit_standardization(frames, config: FeatureConfig) -> Standardization:
         target_std=np.maximum(tgts.std(axis=0), STD_FLOOR),
         standardize_targets=config.standardize_targets,
     )
-
-
-def standardize(channel_mats, config: FeatureConfig = None, stats: Standardization = None):
-    """Apply (or fit, then apply) the affine channel transform.
-
-    Pass fitted ``stats`` to reuse training statistics on held-out data;
-    otherwise ``config`` is required and statistics are computed from the
-    given matrices.  Returns (transformed list, stats).
-    """
-    mats = [np.asarray(m, dtype=np.float64) for m in channel_mats]
-    if stats is None:
-        if config is None:
-            raise ValueError("standardize: need a config to fit fresh stats")
-        all_rows = np.concatenate(mats, axis=0)
-        stats = Standardization(
-            channel_names=tuple(config.channel_names()),
-            channel_mean=all_rows.mean(axis=0),
-            channel_std=np.maximum(all_rows.std(axis=0), STD_FLOOR),
-            target_names=TARGETS,
-            target_mean=np.zeros(len(TARGETS)),
-            target_std=np.ones(len(TARGETS)),
-            standardize_targets=config.standardize_targets,
-        )
-    return [stats.transform_channels(m) for m in mats], stats
 
 
 @dataclass

@@ -137,6 +137,29 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="profile_id at row 4"):
             load_csv(path)
 
+    def test_short_row_names_row_and_missing_column(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        header = ["profile_id", *ATTRIBUTES]
+        assert len(header) == 13
+        _write_csv(path, header, [[1, 1, 2, 3]])
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        msg = str(info.value)
+        assert str(path) in msg
+        assert "row 2" in msg
+        assert f"column {ATTRIBUTES[3]!r} is missing" in msg
+
+    def test_interleaved_profile_is_rejected(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        rows = _rows(1, 3) + _rows(2, 2, base=5.0) + _rows(1, 1)
+        _write_csv(path, ["profile_id", *ATTRIBUTES], rows)
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        msg = str(info.value)
+        assert "profile 1 resumes at row 7" in msg
+        assert "ended at row 4" in msg
+        assert "profile 2 started in between" in msg
+
     def test_empty_file_is_schema_error(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_text("")

@@ -18,7 +18,6 @@ from motortemp.features import (
     derive_synthetic,
     ewma,
     fit_standardization,
-    standardize,
     target_matrix,
     windowize,
 )
@@ -258,46 +257,49 @@ class TestChannelMatrix:
             np.testing.assert_array_equal(tm[:, i], frame.columns[name])
 
 
+# The ambient column alone, raw and through the identity EWMA of span 1.
+AMBIENT_ONLY = FeatureConfig(predictors=("ambient",), synthetic=(), spans=(1,),
+                             window=1)
+
+
 class TestStandardize:
     def test_two_point_column(self):
-        mats = [np.array([[0.0], [2.0]])]
-        config = FeatureConfig(predictors=("ambient",), synthetic=(),
-                               spans=(2,), include_raw=False, window=1)
-        out, stats = standardize(mats, config)
-        np.testing.assert_array_equal(out[0], [[-1.0], [1.0]])
-        assert stats.channel_mean[0] == 1.0 and stats.channel_std[0] == 1.0
+        frame = make_frame(n=2, ambient=[0.0, 2.0])
+        stats = fit_standardization([frame], AMBIENT_ONLY)
+        out = stats.transform_channels(channel_matrix(frame, AMBIENT_ONLY))
+        np.testing.assert_array_equal(out, [[-1.0, -1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(stats.channel_mean, [1.0, 1.0])
+        np.testing.assert_array_equal(stats.channel_std, [1.0, 1.0])
 
     def test_constant_channel_uses_floor(self):
-        mats = [np.full((10, 1), 4.0)]
-        config = FeatureConfig(predictors=("ambient",), synthetic=(),
-                               spans=(2,), include_raw=False, window=1)
-        out, stats = standardize(mats, config)
-        assert stats.channel_std[0] == 1e-8
-        assert np.isfinite(out[0]).all()
+        frame = make_frame(n=10, ambient=np.full(10, 4.0))
+        stats = fit_standardization([frame], AMBIENT_ONLY)
+        np.testing.assert_array_equal(stats.channel_std, [1e-8, 1e-8])
+        out = stats.transform_channels(channel_matrix(frame, AMBIENT_ONLY))
+        assert np.isfinite(out).all()
 
     def test_fit_on_standardized_is_identity(self):
         rng = np.random.default_rng(5)
-        mats = [rng.standard_normal((200, 3)) * 7 + 2]
-        config = FeatureConfig(predictors=("a", "b", "c"), synthetic=(),
-                               spans=(2,), include_raw=False, window=1)
-        once, _ = standardize(mats, config)
-        twice, stats2 = standardize(once, config)
+        frame = make_frame(n=200, ambient=rng.standard_normal(200) * 7 + 2)
+        stats = fit_standardization([frame], AMBIENT_ONLY)
+        once = stats.transform_channels(channel_matrix(frame, AMBIENT_ONLY))
+        again = make_frame(n=200, ambient=once[:, 0])
+        stats2 = fit_standardization([again], AMBIENT_ONLY)
+        twice = stats2.transform_channels(channel_matrix(again, AMBIENT_ONLY))
         assert np.abs(stats2.channel_mean).max() < 1e-9
         assert np.abs(stats2.channel_std - 1.0).max() < 1e-9
-        np.testing.assert_allclose(twice[0], once[0], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(twice, once, rtol=0, atol=1e-9)
 
     def test_reusing_stats_is_pure(self):
         rng = np.random.default_rng(6)
-        train = [rng.standard_normal((50, 2))]
-        test = [rng.standard_normal((30, 2))]
-        _, stats = standardize(train, FeatureConfig(
-            predictors=("a", "b"), synthetic=(), spans=(2,),
-            include_raw=False, window=1,
-        ))
+        train = make_frame(n=50, ambient=rng.standard_normal(50))
+        test = channel_matrix(make_frame(n=30, ambient=rng.standard_normal(30)),
+                              AMBIENT_ONLY)
+        stats = fit_standardization([train], AMBIENT_ONLY)
         mean_before = stats.channel_mean.copy()
-        first, _ = standardize(test, stats=stats)
-        second, _ = standardize(test, stats=stats)
-        np.testing.assert_array_equal(first[0], second[0])
+        first = stats.transform_channels(test)
+        second = stats.transform_channels(test)
+        np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(stats.channel_mean, mean_before)
 
     def test_fit_standardization_floors_target_std(self):

@@ -171,26 +171,40 @@ class TestFusedEncoder:
     @pytest.mark.parametrize("steps", [1, 2, 7])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_unrolled_lstm_steps(self, steps, reverse):
-        rng = np.random.default_rng(20 + steps)
-        cell = init_params("vanilla", seed=steps, input_dim=4, hidden=5).encoder
-        batch = rng.standard_normal((3, steps, 4))
-        weights = [Matrix(rng.standard_normal((3, w))) for w in (5, 5, 5 * steps)]
+        # Inputs at spread 10 drive a good share of the gates into the hard
+        # sigmoid's clipped ends, where no gradient may pass.
+        for spread in (1.0, 10.0):
+            rng = np.random.default_rng(20 + steps)
+            cell = init_params("vanilla", seed=steps, input_dim=4,
+                               hidden=5).encoder
+            batch = rng.standard_normal((3, steps, 4)) * spread
+            weights = [Matrix(rng.standard_normal((3, w)))
+                       for w in (5, 5, 5 * steps)]
 
-        results = []
-        for encode in (lambda: _encode(cell, batch, reverse, keep_sequence=True),
-                       lambda: _unrolled_encode(cell, batch, reverse)):
-            with Tape() as tape:
-                outs = encode()
-                loss = sum_reduce(hadamard(concat_cols(outs), concat_cols(weights)))
-            grads = tape.backward(loss, wrt=[m for _, m in cell.items("e")])
-            results.append(([m.values for m in outs],
-                            [grads[tape.node_id(m)].values
-                             for _, m in cell.items("e")]))
-        (fused_out, fused_grad), (step_out, step_grad) = results
-        for a, b in zip(fused_out, step_out):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-        for a, b in zip(fused_grad, step_grad):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            results = []
+            for encode in (
+                    lambda: _encode(cell, batch, reverse, keep_sequence=True),
+                    lambda: _unrolled_encode(cell, batch, reverse)):
+                with Tape() as tape:
+                    outs = encode()
+                    loss = sum_reduce(hadamard(concat_cols(outs),
+                                               concat_cols(weights)))
+                grads = tape.backward(loss, wrt=[m for _, m in cell.items("e")])
+                results.append(([m.values for m in outs],
+                                [grads[tape.node_id(m)].values
+                                 for _, m in cell.items("e")]))
+            if spread > 1.0:
+                # The unrolled tape was recorded last: its gates show how
+                # many clipped.
+                gates = np.concatenate([nd.out.values.ravel()
+                                        for nd in tape.nodes
+                                        if nd.op == "hard_sigmoid"])
+                assert ((gates == 0.0) | (gates == 1.0)).mean() > 0.25
+            (fused_out, fused_grad), (step_out, step_grad) = results
+            for a, b in zip(fused_out, step_out):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            for a, b in zip(fused_grad, step_grad):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_tape_size_does_not_grow_with_window(self):
         rng = np.random.default_rng(21)
