@@ -56,8 +56,6 @@ from .models import (
     ModelParams,
     count_params,
     forward_attention,
-    forward_bidirectional,
-    forward_vanilla,
     init_params,
     lstm_step,
     predict,

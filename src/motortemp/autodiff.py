@@ -1,13 +1,13 @@
 """Dense 64-bit matrices and a minimal reverse-mode differentiation tape.
 
 Everything the recurrent models need is expressed through a small, closed set
-of primitives: matmul, add, hadamard, tanh, hard_sigmoid, softmax_rows,
-concat_cols, slice_cols, scale and sum_reduce, plus two fused layers,
-lstm_sequence (one LSTM over a whole window) and attend (dot-product
-attention: scores, softmax and context in one node).  Each primitive
-evaluates eagerly with numpy and, while a tape is open, records its inputs so
-the exact (sub)gradient can be replayed later.  Tapes are define-by-run and
-rebuilt per batch; there is no graph reuse and no graph optimizer.
+of nine primitives: matmul, add, hadamard, tanh, hard_sigmoid, concat_cols,
+slice_cols, scale and sum_reduce, plus two fused layers, lstm_sequence (one
+LSTM over a whole window) and attend (dot-product attention: scores, softmax
+and context in one node).  Each primitive evaluates eagerly with numpy and,
+while a tape is open, records its inputs so the exact (sub)gradient can be
+replayed later.  Tapes are define-by-run and rebuilt per batch; there is no
+graph reuse and no graph optimizer.
 
 The fused nodes keep what their hand-written backward rules need beside
 their output: lstm_sequence keeps the activated gates, the cell states and
@@ -49,7 +49,6 @@ __all__ = [
     "hadamard",
     "tanh",
     "hard_sigmoid",
-    "softmax_rows",
     "concat_cols",
     "slice_cols",
     "scale",
@@ -104,10 +103,6 @@ class Matrix:
     @classmethod
     def ones(cls, rows: int, cols: int) -> "Matrix":
         return cls._wrap(np.ones((rows, cols)))
-
-    @classmethod
-    def full(cls, rows: int, cols: int, value: float) -> "Matrix":
-        return cls._wrap(np.full((rows, cols), float(value)))
 
     @classmethod
     def eye(cls, n: int) -> "Matrix":
@@ -277,14 +272,6 @@ def hard_sigmoid(x: Matrix) -> Matrix:
     """
     out = Matrix._wrap(np.clip(0.2 * x.values + 0.5, 0.0, 1.0))
     return _maybe_record("hard_sigmoid", (x,), out)
-
-
-def softmax_rows(x: Matrix) -> Matrix:
-    """Row-wise softmax, computed with the max-shift trick for stability."""
-    shifted = x.values - x.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = Matrix._wrap(e / e.sum(axis=1, keepdims=True))
-    return _maybe_record("softmax_rows", (x,), out)
 
 
 def concat_cols(parts) -> Matrix:
@@ -517,14 +504,6 @@ def _bw_hard_sigmoid(nd, nodes, g, grads, need):
         _acc(grads, need, j, g * (0.2 * mask))
 
 
-def _bw_softmax_rows(nd, nodes, g, grads, need):
-    j = nd.inputs[0]
-    if need[j]:
-        y = nd.out.values
-        inner = (g * y).sum(axis=1, keepdims=True)
-        _acc(grads, need, j, y * (g - inner))
-
-
 def _bw_concat_cols(nd, nodes, g, grads, need):
     offset = 0
     for j, width in zip(nd.inputs, nd.ctx):
@@ -669,7 +648,6 @@ _BACKWARD = {
     "hadamard": _bw_hadamard,
     "tanh": _bw_tanh,
     "hard_sigmoid": _bw_hard_sigmoid,
-    "softmax_rows": _bw_softmax_rows,
     "concat_cols": _bw_concat_cols,
     "slice_cols": _bw_slice_cols,
     "scale": _bw_scale,

@@ -61,8 +61,11 @@ def load_checkpoint(path, expect_variant: str | None = None):
 
     Returns (params, stats, feature_config); the latter two are None when
     the file was saved without them.  Raises CheckpointError for anything
-    that is not a well-formed checkpoint and VariantMismatchError when
-    ``expect_variant`` disagrees with the stored tag.
+    that is not a well-formed checkpoint, including parameter blocks whose
+    shapes do not fit the variant, non-finite parameter values, and header
+    dimensions or channel counts that disagree with the parameters, and
+    VariantMismatchError when ``expect_variant`` disagrees with the stored
+    tag.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -83,6 +86,8 @@ def load_checkpoint(path, expect_variant: str | None = None):
         shapes = header["shapes"]
         n_values = int(header["n_values"])
         crc = int(header["crc32"])
+        dims = {key: int(header[key])
+                for key in ("input_dim", "hidden", "output_dim")}
     except (KeyError, TypeError, ValueError):
         raise CheckpointError(f"{path}: header is missing required fields")
     if variant not in VARIANTS:
@@ -105,6 +110,10 @@ def load_checkpoint(path, expect_variant: str | None = None):
         arr = np.frombuffer(
             blob, dtype="<f8", count=count, offset=offset * 8
         ).astype(np.float64).reshape(int(rows), int(cols))
+        if not np.isfinite(arr).all():
+            raise CheckpointError(
+                f"{path}: parameter block {name} holds non-finite values"
+            )
         mapping[name] = Matrix._wrap(np.ascontiguousarray(arr))
         offset += count
     if offset != n_values:
@@ -113,6 +122,12 @@ def load_checkpoint(path, expect_variant: str | None = None):
         params = params_from_items(variant, mapping)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}")
+    for key, want in dims.items():
+        got = getattr(params, key)
+        if got != want:
+            raise CheckpointError(
+                f"{path}: header gives {key} {want}, the parameters {got}"
+            )
 
     stats = (
         Standardization.from_dict(header["stats"])
@@ -122,4 +137,15 @@ def load_checkpoint(path, expect_variant: str | None = None):
         FeatureConfig.from_dict(header["feature_config"])
         if header.get("feature_config") else None
     )
+    channels = {}
+    if stats is not None:
+        channels["stats"] = len(stats.channel_names)
+    if feature_config is not None:
+        channels["feature_config"] = feature_config.channel_count()
+    for key, count in channels.items():
+        if count != params.input_dim:
+            raise CheckpointError(
+                f"{path}: {key} gives {count} channels, the model expects "
+                f"{params.input_dim}"
+            )
     return params, stats, feature_config

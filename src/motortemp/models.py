@@ -1,27 +1,27 @@
 """The LSTM cell and the three encoder-decoder temperature estimators.
 
-All three variants read a (batch, window, channels) block and emit one
-(batch, 1, 4) temperature vector for the final timestamp:
+One graph reads a (batch, window, channels) block and emits one (batch, 1,
+4) temperature vector for the final timestamp, for every variant:
 
-* ``vanilla``     - single encoder; its final hidden state is repeated once
-                    as the decoder input and, with the final cell state,
-                    seeds the decoder.  A linear map produces the outputs.
-* ``bilstm``      - a second encoder consumes the window back to front.  The
-                    concatenated final hidden states feed a double-width
-                    decoder (and are also its initial hidden state); the
-                    concatenated cell states are the initial cell state.
-* ``attention``   - vanilla wiring, but the encoder's full hidden sequence
-                    is kept.  Dot-product scores between the decoder state
-                    and each encoder step are softmax-normalized, the
-                    weighted sum of encoder states forms a context vector,
-                    and [context | decoder state] feeds the output map.
+1. An encoder runs over the window from zero states.  ``bilstm`` adds a
+   second encoder that reads the window back to front and concatenates the
+   two final hidden states and the two final cell states.
+2. The final hidden state, repeated once, is the decoder input and, with
+   the final cell state, seeds the one decoder step.
+3. A linear map turns the decoder state into the outputs.  ``attention``
+   first scores the decoder state against each kept encoder state by dot
+   product, softmax-normalizes the scores, and feeds [context | decoder
+   state] to the map, the context being the weighted sum of encoder states.
 
-Gates use the piecewise-linear hard sigmoid; cell candidates and outputs use
-tanh.  The gate order everywhere is input, forget, output, candidate.
+``ModelParams`` checks the variant and every block's shape when it is
+built.  Gates use the piecewise-linear hard sigmoid; cell candidates and
+outputs use tanh.  The gate order everywhere is input, forget, output,
+candidate.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +47,6 @@ __all__ = [
     "ModelParams",
     "AttentionTrace",
     "lstm_step",
-    "forward_vanilla",
-    "forward_bidirectional",
     "forward_attention",
     "forward_for_training",
     "predict",
@@ -61,6 +59,19 @@ __all__ = [
 VARIANTS = ("vanilla", "bilstm", "attention")
 
 GATES = ("i", "f", "o", "c")
+
+
+def _widths(variant: str, hidden: int) -> tuple[int, int]:
+    """(decoder width, output map rows) for an encoder ``hidden`` wide."""
+    return (2 * hidden if variant == "bilstm" else hidden,
+            hidden if variant == "vanilla" else 2 * hidden)
+
+
+def _expect_shape(name: str, m: Matrix, rows: int, cols: int) -> None:
+    if m.shape != (rows, cols):
+        raise ContractError(
+            f"parameter block {name} is {m.rows}x{m.cols}, expected {rows}x{cols}"
+        )
 
 
 @dataclass
@@ -101,6 +112,15 @@ class LstmCellParams:
     def param_count(self) -> int:
         return sum(m.rows * m.cols for _, m in self.items("cell"))
 
+    def check(self, prefix: str, input_dim: int, hidden: int) -> None:
+        """Raise ContractError naming the first block that is not
+        input_dim x hidden (``w_x*``), hidden x hidden (``w_h*``) or
+        1 x hidden (``b_*``)."""
+        for kind, rows in (("w_x", input_dim), ("w_h", hidden), ("b_", 1)):
+            for gate in GATES:
+                _expect_shape(f"{prefix}.{kind}{gate}",
+                              getattr(self, f"{kind}{gate}"), rows, hidden)
+
 
 @dataclass
 class AttentionTrace:
@@ -127,6 +147,31 @@ class ModelParams:
     output_w: Matrix
     output_b: Matrix
     encoder_back: LstmCellParams | None = None
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ContractError(
+                f"unknown variant {self.variant!r}; choose from {VARIANTS}"
+            )
+        if (self.encoder_back is None) == (self.variant == "bilstm"):
+            state = "missing" if self.encoder_back is None else "present"
+            raise ContractError(
+                f"encoder_back is {state} for variant {self.variant!r}; "
+                "only 'bilstm' has one"
+            )
+        # Read the encoder's widths from what most of its blocks agree on,
+        # so that a single malformed block is the one the error names.
+        dim = Counter(getattr(self.encoder, f"w_x{g}").rows
+                      for g in GATES).most_common(1)[0][0]
+        hidden = Counter(m.cols for _, m in self.encoder.items("")
+                         ).most_common(1)[0][0]
+        self.encoder.check("encoder", dim, hidden)
+        if self.encoder_back is not None:
+            self.encoder_back.check("encoder_back", dim, hidden)
+        wide, head_in = _widths(self.variant, hidden)
+        self.decoder.check("decoder", wide, wide)
+        _expect_shape("output.w", self.output_w, head_in, self.output_w.cols)
+        _expect_shape("output.b", self.output_b, 1, self.output_w.cols)
 
     @property
     def input_dim(self) -> int:
@@ -193,23 +238,12 @@ def init_params(variant: str, seed: int, input_dim: int = 65,
     The draw order is fixed (encoder, reverse encoder, decoder, output map),
     so identical arguments always produce identical weights.
     """
-    if variant not in VARIANTS:
-        raise ContractError(
-            f"unknown variant {variant!r}; choose from {VARIANTS}"
-        )
     rng = np.random.default_rng(seed)
+    wide, head_in = _widths(variant, hidden)
     encoder = _init_cell(rng, input_dim, hidden)
-    encoder_back = None
-    if variant == "bilstm":
-        encoder_back = _init_cell(rng, input_dim, hidden)
-        decoder = _init_cell(rng, 2 * hidden, 2 * hidden)
-        head_in = 2 * hidden
-    elif variant == "attention":
-        decoder = _init_cell(rng, hidden, hidden)
-        head_in = 2 * hidden
-    else:
-        decoder = _init_cell(rng, hidden, hidden)
-        head_in = hidden
+    encoder_back = (_init_cell(rng, input_dim, hidden)
+                    if variant == "bilstm" else None)
+    decoder = _init_cell(rng, wide, wide)
     output_w = _glorot(rng, head_in, output_dim)
     output_b = Matrix.zeros(1, output_dim)
     return ModelParams(variant, encoder, decoder, output_w, output_b,
@@ -218,27 +252,19 @@ def init_params(variant: str, seed: int, input_dim: int = 65,
 
 def params_from_items(variant: str, mapping: dict) -> ModelParams:
     """Rebuild ModelParams from the (name -> Matrix) map items() produces."""
-    def cell(prefix):
-        names = [f"{prefix}.{k}{g}" for k in ("w_x", "w_h", "b_") for g in GATES]
-        missing = [n for n in names if n not in mapping]
-        if missing:
-            raise ValueError(f"missing parameter blocks: {missing}")
-        return LstmCellParams(*[mapping[n] for n in names])
-
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    encoder_back = cell("encoder_back") if variant == "bilstm" else None
-    for name in ("output.w", "output.b"):
+    def block(name):
         if name not in mapping:
-            raise ValueError(f"missing parameter blocks: ['{name}']")
-    return ModelParams(
-        variant,
-        cell("encoder"),
-        cell("decoder"),
-        mapping["output.w"],
-        mapping["output.b"],
-        encoder_back=encoder_back,
-    )
+            raise ValueError(f"missing parameter block {name}")
+        return mapping[name]
+
+    def cell(prefix):
+        return LstmCellParams(*[block(f"{prefix}.{k}{g}")
+                                for k in ("w_x", "w_h", "b_") for g in GATES])
+
+    encoder_back = cell("encoder_back") if variant == "bilstm" else None
+    return ModelParams(variant, cell("encoder"), cell("decoder"),
+                       block("output.w"), block("output.b"),
+                       encoder_back=encoder_back)
 
 
 def _fuse(cell: LstmCellParams):
@@ -327,30 +353,6 @@ def _head(params: ModelParams, h: Matrix) -> Matrix:
     return add(matmul(h, params.output_w), params.output_b)
 
 
-def _require_variant(params: ModelParams, expected: str):
-    if params.variant != expected:
-        raise ContractError(
-            f"model variant is {params.variant!r}, expected {expected!r}"
-        )
-
-
-def _vanilla_graph(params: ModelParams, batch: np.ndarray) -> Matrix:
-    h_en, c_en, _ = _encode(params.encoder, batch)
-    # The encoder's final hidden state, repeated once, is the decoder input;
-    # the final (h, c) pair seeds the decoder state.
-    h_de, _ = _cell_step(_fuse(params.decoder), h_en, h_en, c_en)
-    return _head(params, h_de)
-
-
-def _bilstm_graph(params: ModelParams, batch: np.ndarray) -> Matrix:
-    h_f, c_f, _ = _encode(params.encoder, batch)
-    h_b, c_b, _ = _encode(params.encoder_back, batch, reverse=True)
-    h_cat = concat_cols([h_f, h_b])
-    c_cat = concat_cols([c_f, c_b])
-    h_de, _ = _cell_step(_fuse(params.decoder), h_cat, h_cat, c_cat)
-    return _head(params, h_de)
-
-
 def _attend(h_de: Matrix, sequence):
     """Dot-product alignment of one decoder state against encoder states.
 
@@ -366,91 +368,78 @@ def _attend(h_de: Matrix, sequence):
     return slice_cols(out, 0, steps), slice_cols(out, steps, out.cols)
 
 
-def _attention_graph(params: ModelParams, batch: np.ndarray):
-    h_en, c_en, seq = _encode(params.encoder, batch, keep_sequence=True)
-    h_de, _ = _cell_step(_fuse(params.decoder), h_en, h_en, c_en)
+def _graph(params: ModelParams, batch: np.ndarray):
+    """The encoder-decoder graph of every variant.
+
+    Returns the (batch, output_dim) Matrix and, for ``attention``, the
+    AttentionTrace (None otherwise).
+    """
+    attention = params.variant == "attention"
+    h, c, seq = _encode(params.encoder, batch, keep_sequence=attention)
+    if params.encoder_back is not None:
+        h_b, c_b, _ = _encode(params.encoder_back, batch, reverse=True)
+        h, c = concat_cols([h, h_b]), concat_cols([c, c_b])
+    # The final hidden state, repeated once, is the decoder input; the final
+    # (h, c) pair seeds the decoder state.
+    h_de, _ = _cell_step(_fuse(params.decoder), h, h, c)
+    if not attention:
+        return _head(params, h_de), None
     alignment, context = _attend(h_de, seq)
     attentional = concat_cols([context, h_de])
-    y = add(matmul(attentional, params.output_w), params.output_b)
-    return y, AttentionTrace(alignment, context, attentional)
-
-
-def forward_vanilla(params: ModelParams, batch) -> np.ndarray:
-    """Plain encoder-decoder pass; returns (batch, 1, output_dim)."""
-    _require_variant(params, "vanilla")
-    arr = _check_batch(params, batch)
-    y = _vanilla_graph(params, arr)
-    return y.values.reshape(arr.shape[0], 1, params.output_dim)
-
-
-def forward_bidirectional(params: ModelParams, batch) -> np.ndarray:
-    """Two-direction encoder pass; returns (batch, 1, output_dim)."""
-    _require_variant(params, "bilstm")
-    arr = _check_batch(params, batch)
-    y = _bilstm_graph(params, arr)
-    return y.values.reshape(arr.shape[0], 1, params.output_dim)
+    return (_head(params, attentional),
+            AttentionTrace(alignment, context, attentional))
 
 
 def forward_attention(params: ModelParams, batch):
     """Attention pass; returns ((batch, 1, output_dim), AttentionTrace)."""
-    _require_variant(params, "attention")
+    if params.variant != "attention":
+        raise ContractError(
+            f"model variant is {params.variant!r}, expected 'attention'"
+        )
     arr = _check_batch(params, batch)
-    y, trace = _attention_graph(params, arr)
+    y, trace = _graph(params, arr)
     return y.values.reshape(arr.shape[0], 1, params.output_dim), trace
 
 
 def forward_for_training(params: ModelParams, batch) -> Matrix:
-    """Variant dispatch that keeps the (batch, output_dim) Matrix on tape."""
-    arr = _check_batch(params, batch)
-    if params.variant == "vanilla":
-        return _vanilla_graph(params, arr)
-    if params.variant == "bilstm":
-        return _bilstm_graph(params, arr)
-    if params.variant == "attention":
-        return _attention_graph(params, arr)[0]
-    raise ContractError(f"unknown variant {params.variant!r}")
+    """Forward pass for any variant; returns the (batch, output_dim) Matrix,
+    recorded on the open tape if there is one."""
+    return _graph(params, _check_batch(params, batch))[0]
 
 
 def predict(params: ModelParams, batch) -> np.ndarray:
     """Forward pass for any variant; returns (batch, 1, output_dim)."""
-    if params.variant == "attention":
-        return forward_attention(params, batch)[0]
-    if params.variant == "bilstm":
-        return forward_bidirectional(params, batch)
-    return forward_vanilla(params, batch)
+    arr = _check_batch(params, batch)
+    y, _ = _graph(params, arr)
+    return y.values.reshape(arr.shape[0], 1, params.output_dim)
 
 
 def describe_layers(params: ModelParams, window: int = 180) -> list[tuple[str, str, str]]:
     """Rows of (layer, kind, output shape) describing the wiring."""
     b = "β"  # batch placeholder
     d, h, o = params.input_dim, params.hidden, params.output_dim
+    w = params.decoder.hidden
     rows = [("Input", "source", f"({b}, {window}, {d})")]
     if params.variant == "bilstm":
         rows += [
             ("Encoder-fwd", "lstm", f"({b}, {h})"),
             ("Encoder-bwd", "lstm", f"({b}, {h})"),
-            ("Concat-1", "hidden states", f"({b}, {2 * h})"),
-            ("Concat-2", "cell states", f"({b}, {2 * h})"),
-            ("RepeatVector", "decoder input", f"({b}, 1, {2 * h})"),
-            ("Decoder", "lstm", f"({b}, {2 * h})"),
-            ("Output", "linear", f"({b}, 1, {o})"),
+            ("Concat-1", "hidden states", f"({b}, {w})"),
+            ("Concat-2", "cell states", f"({b}, {w})"),
         ]
     elif params.variant == "attention":
+        rows.append(("Encoder", "lstm, full sequence", f"({b}, {window}, {h})"))
+    else:
+        rows.append(("Encoder", "lstm", f"({b}, {h})"))
+    rows += [
+        ("RepeatVector", "decoder input", f"({b}, 1, {w})"),
+        ("Decoder", "lstm", f"({b}, {w})"),
+    ]
+    if params.variant == "attention":
         rows += [
-            ("Encoder", "lstm, full sequence", f"({b}, {window}, {h})"),
-            ("RepeatVector", "decoder input", f"({b}, 1, {h})"),
-            ("Decoder", "lstm", f"({b}, {h})"),
             ("Dot-1", "alignment scores", f"({b}, {window})"),
             ("Softmax", "alignment weights", f"({b}, {window})"),
             ("Dot-2", "context", f"({b}, {h})"),
             ("Concat", "[context | decoder]", f"({b}, {2 * h})"),
-            ("Output", "linear", f"({b}, 1, {o})"),
         ]
-    else:
-        rows += [
-            ("Encoder", "lstm", f"({b}, {h})"),
-            ("RepeatVector", "decoder input", f"({b}, 1, {h})"),
-            ("Decoder", "lstm", f"({b}, {h})"),
-            ("Output", "linear", f"({b}, 1, {o})"),
-        ]
-    return rows
+    return rows + [("Output", "linear", f"({b}, 1, {o})")]

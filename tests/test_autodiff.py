@@ -19,7 +19,6 @@ from motortemp.autodiff import (
     matmul,
     scale,
     slice_cols,
-    softmax_rows,
     sum_reduce,
     tanh,
 )
@@ -136,27 +135,6 @@ class TestForward:
         y = hard_sigmoid(Matrix(rng.standard_normal((20, 20)) * 10)).values
         assert (y >= 0.0).all() and (y <= 1.0).all()
 
-    def test_softmax_uniform_row(self):
-        y = softmax_rows(Matrix.zeros(2, 180)).values
-        np.testing.assert_array_equal(y, np.full((2, 180), 1.0 / 180.0))
-
-    def test_softmax_two_entry_closed_form(self):
-        y = softmax_rows(Matrix([[0.0, np.log(3.0)]])).values[0]
-        np.testing.assert_allclose(y, [0.25, 0.75], rtol=0, atol=1e-12)
-
-    def test_softmax_against_naive(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((6, 9)) * 5
-        naive = np.exp(x) / np.exp(x).sum(axis=1, keepdims=True)
-        got = softmax_rows(Matrix(x)).values
-        np.testing.assert_allclose(got, naive, rtol=0, atol=1e-10)
-
-    def test_softmax_rows_on_simplex(self):
-        rng = np.random.default_rng(12)
-        y = softmax_rows(Matrix(rng.standard_normal((30, 40)) * 20)).values
-        assert (y >= 0.0).all()
-        np.testing.assert_allclose(y.sum(axis=1), 1.0, rtol=0, atol=1e-9)
-
     def test_concat_slice_roundtrip(self):
         rng = np.random.default_rng(13)
         parts = [Matrix(rng.standard_normal((3, w))) for w in (2, 4, 1)]
@@ -188,7 +166,8 @@ class TestForward:
         rng = np.random.default_rng(14)
         a = Matrix(rng.standard_normal((5, 5)) * 100)
         b = Matrix(rng.standard_normal((5, 5)) * 100)
-        out = softmax_rows(matmul(tanh(a), hard_sigmoid(b)))
+        keys = scale(concat_cols([a, b]), 100.0)
+        out = attend(matmul(tanh(a), hard_sigmoid(b)), keys)
         assert np.isfinite(out.values).all()
 
 
@@ -295,8 +274,6 @@ PRIMITIVES = [
     ("tanh", lambda rng: [_r(rng, 3, 4)], lambda a: tanh(a)),
     ("hard_sigmoid", lambda rng: [_r(rng, 3, 4, 0.6)],
      lambda a: hard_sigmoid(a)),
-    ("softmax_rows", lambda rng: [_r(rng, 3, 5)],
-     lambda a: softmax_rows(a)),
     ("concat_cols", lambda rng: [_r(rng, 3, 2), _r(rng, 3, 3), _r(rng, 3, 1)],
      lambda *ps: concat_cols(ps)),
     ("slice_cols", lambda rng: [_r(rng, 3, 6)],
@@ -347,7 +324,7 @@ def test_composite_graph_gradient():
         gates = hard_sigmoid(scale(h, 1.5))
         mix = hadamard(h, gates)
         split = concat_cols([slice_cols(mix, 0, 2), slice_cols(mix, 2, 4)])
-        return sum_reduce(softmax_rows(split))
+        return sum_reduce(hadamard(split, tanh(split)))
 
     with Tape() as tape:
         loss = graph(a, b)

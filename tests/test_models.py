@@ -1,6 +1,7 @@
 """Cell semantics, architecture wiring, and end-to-end gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,14 +18,13 @@ from motortemp.autodiff import (
 )
 from motortemp.models import (
     VARIANTS,
+    ModelParams,
     _attend,
     _encode,
     count_params,
     describe_layers,
     forward_attention,
-    forward_bidirectional,
     forward_for_training,
-    forward_vanilla,
     init_params,
     lstm_step,
     params_from_items,
@@ -87,6 +87,67 @@ class TestInit:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ContractError, match="unknown variant"):
             init_params("gru", seed=0)
+        van = init_params("vanilla", seed=0, input_dim=3, hidden=2)
+        with pytest.raises(ContractError, match="unknown variant 'gru'"):
+            ModelParams("gru", van.encoder, van.decoder, van.output_w,
+                        van.output_b)
+
+
+class TestParamShapes:
+    def test_transposed_block_is_named(self):
+        params = init_params("vanilla", seed=0, input_dim=39, hidden=5)
+        params.encoder.w_xi = Matrix(params.encoder.w_xi.values.T)
+        with pytest.raises(ContractError,
+                           match=r"encoder\.w_xi is 5x39, expected 39x5"):
+            replace(params)
+
+    @pytest.mark.parametrize("block,kind,shape,want", [
+        ("w_xo", "encoder", (4, 6), "3x6"),
+        ("w_hf", "encoder", (6, 5), "6x6"),
+        ("b_c", "encoder", (6, 1), "1x6"),
+        ("w_xc", "decoder", (5, 6), "6x6"),
+        ("b_i", "decoder", (1, 7), "1x6"),
+    ])
+    def test_cell_block_shapes(self, block, kind, shape, want):
+        params = init_params("attention", seed=0, input_dim=3, hidden=6)
+        setattr(getattr(params, kind), block, Matrix.zeros(*shape))
+        with pytest.raises(ContractError, match=rf"{kind}\.{block} is "
+                           rf"{shape[0]}x{shape[1]}, expected {want}"):
+            replace(params)
+
+    def test_encoder_back_only_for_bilstm(self):
+        bil = init_params("bilstm", seed=0, input_dim=3, hidden=2)
+        with pytest.raises(ContractError, match="encoder_back is missing"):
+            replace(bil, encoder_back=None)
+        van = init_params("vanilla", seed=0, input_dim=3, hidden=2)
+        with pytest.raises(ContractError, match="encoder_back is present"):
+            replace(van, encoder_back=bil.encoder_back)
+        bil.encoder_back.w_xi = Matrix.zeros(4, 2)
+        with pytest.raises(ContractError, match=r"encoder_back\.w_xi is 4x2"):
+            replace(bil)
+
+    def test_decoder_width_follows_variant(self):
+        bil = init_params("bilstm", seed=0, input_dim=3, hidden=2)
+        van = init_params("vanilla", seed=0, input_dim=3, hidden=2)
+        with pytest.raises(ContractError, match=r"decoder\.w_xi is 2x2, "
+                           "expected 4x4"):
+            replace(bil, decoder=van.decoder)
+        with pytest.raises(ContractError, match=r"decoder\.w_xi is 4x4, "
+                           "expected 2x2"):
+            replace(van, decoder=bil.decoder)
+
+    def test_output_map_shapes(self):
+        van = init_params("vanilla", seed=0, input_dim=3, hidden=2)
+        att = init_params("attention", seed=0, input_dim=3, hidden=2)
+        with pytest.raises(ContractError, match=r"output\.w is 4x4, "
+                           "expected 2x4"):
+            replace(van, output_w=att.output_w)
+        with pytest.raises(ContractError, match=r"output\.w is 2x4, "
+                           "expected 4x4"):
+            replace(att, output_w=van.output_w)
+        with pytest.raises(ContractError, match=r"output\.b is 1x3, "
+                           "expected 1x4"):
+            replace(van, output_b=Matrix.zeros(1, 3))
 
 
 class TestLstmStep:
@@ -231,17 +292,29 @@ class TestForwardShapes:
         batch = np.zeros((2, 5, 3))
         with pytest.raises(ContractError, match="vanilla"):
             forward_attention(params, batch)
-        with pytest.raises(ContractError):
-            forward_bidirectional(params, batch)
 
     def test_batch_validation(self):
         params = init_params("vanilla", seed=1, input_dim=3, hidden=4)
         with pytest.raises(ShapeError):
-            forward_vanilla(params, np.zeros((2, 5)))
+            predict(params, np.zeros((2, 5)))
         with pytest.raises(ShapeError):
-            forward_vanilla(params, np.zeros((2, 5, 7)))
+            predict(params, np.zeros((2, 5, 7)))
         with pytest.raises(ValueError):
-            forward_vanilla(params, np.full((2, 5, 3), np.nan))
+            predict(params, np.full((2, 5, 3), np.nan))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_entry_points_agree_bitwise(self, variant):
+        params = init_params(variant, seed=2, input_dim=4, hidden=5)
+        batch = np.random.default_rng(3).standard_normal((6, 9, 4))
+        want = predict(params, batch).reshape(6, -1)
+        np.testing.assert_array_equal(
+            forward_for_training(params, batch).values, want)
+        with Tape():
+            taped = forward_for_training(params, batch)
+        np.testing.assert_array_equal(taped.values, want)
+        if variant == "attention":
+            out, _ = forward_attention(params, batch)
+            np.testing.assert_array_equal(out.reshape(6, -1), want)
 
 
 class TestWiring:
@@ -303,7 +376,7 @@ class TestWiring:
         att.output_b.values[:] = van.output_b.values
 
         batch = rng.standard_normal((4, 11, 6))
-        out_v = forward_vanilla(van, batch)
+        out_v = predict(van, batch)
         out_a, _ = forward_attention(att, batch)
         np.testing.assert_allclose(out_a, out_v, rtol=0, atol=1e-12)
 

@@ -1,6 +1,8 @@
 """Optimizer arithmetic, curriculum mechanics, and checkpoint persistence."""
 
+import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -363,3 +365,59 @@ class TestCheckpoint:
             load_checkpoint(path, expect_variant="bilstm")
         loaded, _, _ = load_checkpoint(path, expect_variant="vanilla")
         assert loaded.variant == "vanilla"
+
+    @staticmethod
+    def rewrite(path, edit, values=None):
+        """Apply ``edit`` to the header of the checkpoint at ``path``; with
+        ``values``, also replace the parameter blob and its checksum."""
+        magic, header, blob = path.read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        if values is not None:
+            blob = np.asarray(values, dtype="<f8").tobytes()
+            header["crc32"] = zlib.crc32(blob)
+        edit(header)
+        path.write_bytes(magic + b"\n" + json.dumps(header).encode("ascii")
+                         + b"\n" + blob)
+
+    def test_rejects_transposed_shape_table(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path, "vanilla")
+
+        def transpose_w_xi(header):
+            entry = header["shapes"][0]
+            assert entry == ["encoder.w_xi", 39, 5]
+            entry[1:] = [5, 39]
+
+        self.rewrite(path, transpose_w_xi)
+        with pytest.raises(CheckpointError,
+                           match=r"encoder\.w_xi is 5x39, expected 39x5"):
+            load_checkpoint(path)
+
+    def test_rejects_header_dims_that_disagree(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path, "bilstm")
+        self.rewrite(path, lambda h: h.update(hidden=10))
+        with pytest.raises(CheckpointError,
+                           match="header gives hidden 10, the parameters 5"):
+            load_checkpoint(path)
+
+    def test_rejects_channel_count_mismatch(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path, "vanilla")
+        self.rewrite(path, lambda h: h["feature_config"].update(spans=[2, 4, 8]))
+        with pytest.raises(CheckpointError,
+                           match="feature_config gives 52 channels, the model "
+                                 "expects 39"):
+            load_checkpoint(path)
+        _, _, path = self.roundtrip(tmp_path, "attention")
+        self.rewrite(path, lambda h: h["stats"]["channel_names"].pop())
+        with pytest.raises(CheckpointError,
+                           match="stats gives 38 channels, the model expects 39"):
+            load_checkpoint(path)
+
+    def test_rejects_non_finite_parameters(self, tmp_path):
+        params, _, path = self.roundtrip(tmp_path, "attention")
+        values = np.concatenate([m.values.ravel() for m in params.matrices()])
+        start = sum(m.values.size for m in params.matrices()[:-2])
+        values[start + 3] = np.inf  # inside output.w
+        self.rewrite(path, lambda h: None, values)
+        with pytest.raises(CheckpointError,
+                           match=r"output\.w holds non-finite values"):
+            load_checkpoint(path)
