@@ -1,13 +1,14 @@
 """Dense 64-bit matrices and a minimal reverse-mode differentiation tape.
 
 Everything the recurrent models need is expressed through a small, closed set
-of nine primitives: matmul, add, hadamard, tanh, hard_sigmoid, concat_cols,
-slice_cols, scale and sum_reduce, plus two fused layers, lstm_sequence (one
-LSTM over a whole window) and attend (dot-product attention: scores, softmax
-and context in one node).  Each primitive evaluates eagerly with numpy and,
-while a tape is open, records its inputs so the exact (sub)gradient can be
-replayed later.  Tapes are define-by-run and rebuilt per batch; there is no
-graph reuse and no graph optimizer.
+of seven primitives: matmul, add, hadamard, concat_cols, slice_cols, scale
+and sum_reduce, plus two fused layers, lstm_sequence (one LSTM over a whole
+window, from zero or from given initial states) and attend (dot-product
+attention: scores, softmax and context in one node).  Each primitive
+evaluates eagerly with numpy and, while a tape is open, records its inputs
+so the exact (sub)gradient can be replayed later.  Tapes are define-by-run and rebuilt per batch; there is no
+graph reuse and no graph optimizer.  Each thread has its own stack of open
+tapes, so threads that record at the same time never share one.
 
 The fused nodes keep what their hand-written backward rules need beside
 their output: lstm_sequence keeps the activated gates, the cell states and
@@ -36,6 +37,8 @@ Backward pass conventions:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = [
@@ -47,8 +50,6 @@ __all__ = [
     "matmul",
     "add",
     "hadamard",
-    "tanh",
-    "hard_sigmoid",
     "concat_cols",
     "slice_cols",
     "scale",
@@ -141,12 +142,19 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-_TAPES: list["Tape"] = []
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_STACK = _TapeStack()
 
 
 def active_tape() -> "Tape | None":
-    """The innermost open tape, or None outside any ``with Tape()`` block."""
-    return _TAPES[-1] if _TAPES else None
+    """The calling thread's innermost open tape, or None outside any
+    ``with Tape()`` block."""
+    tapes = _STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 class TapeNode:
@@ -181,11 +189,11 @@ class Tape:
         self._ids: dict[int, int] = {}
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        _STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPES.pop()
+        popped = _STACK.tapes.pop()
         if popped is not self:
             raise ContractError("tapes must unwind in LIFO order")
         return False
@@ -259,21 +267,6 @@ def hadamard(a: Matrix, b: Matrix) -> Matrix:
     return _maybe_record("hadamard", (a, b), out)
 
 
-def tanh(x: Matrix) -> Matrix:
-    out = Matrix._wrap(np.tanh(x.values))
-    return _maybe_record("tanh", (x,), out)
-
-
-def hard_sigmoid(x: Matrix) -> Matrix:
-    """Piecewise-linear sigmoid: max(0, min(1, 0.2*x + 0.5)).
-
-    Saturates exactly at 0 for x <= -2.5 and at 1 for x >= 2.5.  The
-    backward rule uses the subgradient 0 at the two kinks.
-    """
-    out = Matrix._wrap(np.clip(0.2 * x.values + 0.5, 0.0, 1.0))
-    return _maybe_record("hard_sigmoid", (x,), out)
-
-
 def concat_cols(parts) -> Matrix:
     """Concatenate matrices with equal row counts side by side."""
     parts = list(parts)
@@ -333,8 +326,9 @@ def _folded_weight(wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
-                  reverse: bool = False, keep_sequence: bool = False) -> Matrix:
-    """One LSTM layer over a whole window, from zero initial states.
+                  reverse: bool = False, keep_sequence: bool = False,
+                  h0: Matrix | None = None, c0: Matrix | None = None) -> Matrix:
+    """One LSTM layer over a whole window.
 
     ``x`` holds one window per row, time-major: row r is [x_0 | ... | x_{T-1}]
     with each x_t as wide as ``wx`` has rows.  ``wx`` (D x 4H), ``wh``
@@ -342,14 +336,17 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     order input, forget, output, candidate.  Each step computes
 
         z = x_t wx + h wh + b
-        i, f, o = hard_sigmoid(z_i, z_f, z_o);  g = tanh(z_c)
+        i, f, o = clip(0.2 z + 0.5, 0, 1)  (the hard sigmoid);  g = tanh(z_c)
         c = f * c + i * g;  h = o * tanh(c)
 
-    walking t backwards when ``reverse`` is set.  Returns [h | c] after the
-    last step processed (B x 2H); with ``keep_sequence`` the hidden state
-    after each step follows in processing order (B x (2 + T)H).  The
-    backward rule gives the hard sigmoid slope 0.2 where the gate lies
-    strictly inside (0, 1) and 0 where it is clipped.
+    walking t backwards when ``reverse`` is set.  The states start at
+    ``h0`` and ``c0`` (B x H each, given together, and differentiated like
+    any other input), or at zero when neither is given; a one-column-block
+    ``x`` makes this a single LSTM step from those states.  Returns [h | c]
+    after the last step processed (B x 2H); with ``keep_sequence`` the
+    hidden state after each step follows in processing order
+    (B x (2 + T)H).  The backward rule gives the hard sigmoid slope 0.2
+    where the gate lies strictly inside (0, 1) and 0 where it is clipped.
 
     Each step is one matrix product of the folded weight (see
     ``_folded_weight``) with the stacked operand [x_t; h; 1] (D + H + 1 x B),
@@ -369,6 +366,15 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
             f"lstm_sequence: input has {x.cols} columns, not a whole number "
             f"of {d}-wide steps"
         )
+    if (h0 is None) != (c0 is None):
+        raise ContractError("lstm_sequence: give h0 and c0 together, or neither")
+    states = () if h0 is None else (h0, c0)
+    for name, m in zip(("h0", "c0"), states):
+        if m.shape != (x.rows, n):
+            raise ShapeError(
+                f"lstm_sequence: {name} is {m.rows}x{m.cols}, expected "
+                f"{x.rows}x{n}"
+            )
     rows, steps = x.rows, x.cols // d
     xs = x.values.reshape(rows, steps, d)
     taped = active_tape() is not None
@@ -385,12 +391,16 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     out = np.empty((rows, (2 + (steps if keep_sequence else 0)) * n))
     # Splitting the trailing axis of a row-major block is always a view.
     seq = out[:, 2 * n:].reshape(rows, steps, n) if keep_sequence else None
+    # The initial states, feature-major; the backward pass reads the same
+    # arrays at step 0.
+    h_init, c_init = ((h0.values.T, c0.values.T) if states
+                      else (np.zeros((n, rows)),) * 2)
     operand = np.empty((d + n + 1, rows))
     x_in, h = operand[:d], operand[d:d + n]
-    h[...] = 0.0
+    h[...] = h_init
     operand[d + n] = 1.0
     prod = np.empty((n, rows))
-    c_prev = np.zeros((n, rows))
+    c_prev = c_init
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     for s, t in enumerate(order):
         z = gates[s % slots]
@@ -414,8 +424,9 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
 
     out[:, :n] = h.T
     out[:, n:2 * n] = c_prev.T
-    ctx = (gates, cells, hidden, w, reverse) if taped else ()
-    return _maybe_record("lstm_sequence", (x, wx, wh, b), Matrix._wrap(out), ctx)
+    ctx = (gates, cells, hidden, w, reverse, h_init, c_init) if taped else ()
+    return _maybe_record("lstm_sequence", (x, wx, wh, b) + states,
+                         Matrix._wrap(out), ctx)
 
 
 def attend(query: Matrix, keys: Matrix) -> Matrix:
@@ -489,21 +500,6 @@ def _bw_hadamard(nd, nodes, g, grads, need):
         _acc(grads, need, ib, full)
 
 
-def _bw_tanh(nd, nodes, g, grads, need):
-    j = nd.inputs[0]
-    if need[j]:
-        y = nd.out.values
-        _acc(grads, need, j, g * (1.0 - y * y))
-
-
-def _bw_hard_sigmoid(nd, nodes, g, grads, need):
-    j = nd.inputs[0]
-    if need[j]:
-        x = nodes[j].out.values
-        mask = (x > -2.5) & (x < 2.5)
-        _acc(grads, need, j, g * (0.2 * mask))
-
-
 def _bw_concat_cols(nd, nodes, g, grads, need):
     offset = 0
     for j, width in zip(nd.inputs, nd.ctx):
@@ -541,8 +537,8 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     # the i/f/o gates are clip(z') and have slope 1 strictly inside (0, 1),
     # and the factor 0.2 between z' and the unfolded z is applied once to
     # the gate rows of the finished weight gradient.
-    ix, iwx, iwh, ib = nd.inputs
-    gates, cells, hidden, w, reverse = nd.ctx
+    ix, iwx, iwh, ib = nd.inputs[:4]
+    gates, cells, hidden, w, reverse, h_init, c_init = nd.ctx
     steps, width, rows = gates.shape
     n = width // 4
     d = w.shape[1] - n - 1
@@ -586,10 +582,7 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
         tmp *= dh
         dc += tmp
         np.multiply(dc, gc, out=dz[:n])
-        if s > 0:
-            np.multiply(dc, cells[s - 1], out=dz[n:2 * n])
-        else:
-            dz[n:2 * n] = 0.0
+        np.multiply(dc, cells[s - 1] if s else c_init, out=dz[n:2 * n])
         np.multiply(dc, gi, out=dz[3 * n:])
         np.multiply(gc, gc, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
@@ -603,10 +596,7 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
         dc *= gf
         if dw is not None:
             operand[:d] = xs[:, t].T
-            if s > 0:
-                operand[d:d + n] = hidden[s - 1]
-            else:  # step 0 saw the zero initial state
-                operand[d:d + n] = 0.0
+            operand[d:d + n] = hidden[s - 1] if s else h_init
             np.matmul(dz, operand.T, out=dw_step)
             dw += dw_step
         if dx is not None:
@@ -621,6 +611,9 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
         for j, val in ((iwx, dw[:, :d].T), (iwh, dw[:, d:d + n].T),
                        (ib, dw[:, d + n:].T)):
             _acc(grads, need, j, np.ascontiguousarray(val))
+    # Past step 0, dh and dc are the gradients of the initial states.
+    for j, val in zip(nd.inputs[4:], (dh, dc)):
+        _acc(grads, need, j, val.T.copy())
 
 
 def _bw_attend(nd, nodes, g, grads, need):
@@ -646,8 +639,6 @@ _BACKWARD = {
     "matmul": _bw_matmul,
     "add": _bw_add,
     "hadamard": _bw_hadamard,
-    "tanh": _bw_tanh,
-    "hard_sigmoid": _bw_hard_sigmoid,
     "concat_cols": _bw_concat_cols,
     "slice_cols": _bw_slice_cols,
     "scale": _bw_scale,

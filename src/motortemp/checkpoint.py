@@ -56,14 +56,24 @@ def save_checkpoint(params: ModelParams, stats: Standardization | None,
         fh.write(blob)
 
 
+def _parse_block(path, key: str, block, parse):
+    try:
+        return parse(block)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: {key} block is malformed ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def load_checkpoint(path, expect_variant: str | None = None):
     """Read a checkpoint back.
 
     Returns (params, stats, feature_config); the latter two are None when
     the file was saved without them.  Raises CheckpointError for anything
     that is not a well-formed checkpoint, including parameter blocks whose
-    shapes do not fit the variant, non-finite parameter values, and header
-    dimensions or channel counts that disagree with the parameters, and
+    shapes do not fit the variant, non-finite parameter values, header
+    dimensions or channel counts that disagree with the parameters, and a
+    ``stats`` or ``feature_config`` block that does not parse (named), and
     VariantMismatchError when ``expect_variant`` disagrees with the stored
     tag.
     """
@@ -129,23 +139,24 @@ def load_checkpoint(path, expect_variant: str | None = None):
                 f"{path}: header gives {key} {want}, the parameters {got}"
             )
 
-    stats = (
-        Standardization.from_dict(header["stats"])
-        if header.get("stats") else None
-    )
-    feature_config = (
-        FeatureConfig.from_dict(header["feature_config"])
-        if header.get("feature_config") else None
-    )
-    channels = {}
-    if stats is not None:
-        channels["stats"] = len(stats.channel_names)
-    if feature_config is not None:
-        channels["feature_config"] = feature_config.channel_count()
-    for key, count in channels.items():
+    def channels_fit(key, count):
         if count != params.input_dim:
             raise CheckpointError(
                 f"{path}: {key} gives {count} channels, the model expects "
                 f"{params.input_dim}"
             )
+
+    stats = feature_config = None
+    if header.get("stats"):
+        # The names are held against the model before the statistics are
+        # held against the names, so a lost name is reported as such.
+        channels_fit("stats", _parse_block(path, "stats", header["stats"],
+                                           lambda d: len(d["channel_names"])))
+        stats = _parse_block(path, "stats", header["stats"],
+                             Standardization.from_dict)
+    if header.get("feature_config"):
+        feature_config = _parse_block(path, "feature_config",
+                                      header["feature_config"],
+                                      FeatureConfig.from_dict)
+        channels_fit("feature_config", feature_config.channel_count())
     return params, stats, feature_config

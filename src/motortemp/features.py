@@ -284,7 +284,9 @@ class Standardization:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardization":
-        return cls(
+        """Rebuild from ``to_dict`` output; raises ValueError, naming the
+        field, when a mean or std does not hold one entry per name."""
+        out = cls(
             channel_names=tuple(d["channel_names"]),
             channel_mean=np.asarray(d["channel_mean"], dtype=np.float64),
             channel_std=np.asarray(d["channel_std"], dtype=np.float64),
@@ -293,6 +295,16 @@ class Standardization:
             target_std=np.asarray(d["target_std"], dtype=np.float64),
             standardize_targets=bool(d.get("standardize_targets", True)),
         )
+        for kind in ("channel", "target"):
+            count = len(getattr(out, f"{kind}_names"))
+            for field in (f"{kind}_mean", f"{kind}_std"):
+                values = getattr(out, field)
+                if values.shape != (count,):
+                    raise ValueError(
+                        f"{field} has shape {values.shape}, expected one "
+                        f"entry for each of the {count} {kind}_names"
+                    )
+        return out
 
 
 # Constant channels would otherwise divide by zero; anything below this

@@ -14,9 +14,9 @@ One graph reads a (batch, window, channels) block and emits one (batch, 1,
    state] to the map, the context being the weighted sum of encoder states.
 
 ``ModelParams`` checks the variant and every block's shape when it is
-built.  Gates use the piecewise-linear hard sigmoid; cell candidates and
-outputs use tanh.  The gate order everywhere is input, forget, output,
-candidate.
+built.  Encoders and the decoder step all run on ``autodiff.lstm_sequence``.
+Gates use the piecewise-linear hard sigmoid; cell candidates and outputs
+use tanh.  The gate order everywhere is input, forget, output, candidate.
 """
 
 from __future__ import annotations
@@ -33,12 +33,9 @@ from .autodiff import (
     add,
     attend,
     concat_cols,
-    hadamard,
-    hard_sigmoid,
     lstm_sequence,
     matmul,
     slice_cols,
-    tanh,
 )
 
 __all__ = [
@@ -268,32 +265,20 @@ def params_from_items(variant: str, mapping: dict) -> ModelParams:
 
 
 def _fuse(cell: LstmCellParams):
-    # One wide matrix per operand kind, gate blocks side by side, so each
-    # step runs two matmuls instead of eight.  Column blocks of a product
-    # are independent, so this matches the per-gate formulation.
+    # One wide matrix per operand kind, gate blocks side by side, as
+    # lstm_sequence takes them.  Column blocks of a product are independent,
+    # so this matches the per-gate formulation.
     wx = concat_cols([cell.w_xi, cell.w_xf, cell.w_xo, cell.w_xc])
     wh = concat_cols([cell.w_hi, cell.w_hf, cell.w_ho, cell.w_hc])
     b = concat_cols([cell.b_i, cell.b_f, cell.b_o, cell.b_c])
-    return wx, wh, b, cell.hidden
-
-
-def _cell_step(fused, x: Matrix, h: Matrix, c: Matrix):
-    wx, wh, b, n = fused
-    z = add(add(matmul(x, wx), matmul(h, wh)), b)
-    gate_i = hard_sigmoid(slice_cols(z, 0, n))
-    gate_f = hard_sigmoid(slice_cols(z, n, 2 * n))
-    gate_o = hard_sigmoid(slice_cols(z, 2 * n, 3 * n))
-    cand = tanh(slice_cols(z, 3 * n, 4 * n))
-    c_t = add(hadamard(gate_f, c), hadamard(gate_i, cand))
-    h_t = hadamard(gate_o, tanh(c_t))
-    return h_t, c_t
+    return wx, wh, b
 
 
 def lstm_step(cell: LstmCellParams, x_t: Matrix, h_prev: Matrix,
               c_prev: Matrix) -> tuple[Matrix, Matrix]:
-    """One LSTM update.
+    """One LSTM update, a one-step ``lstm_sequence`` from (h_prev, c_prev).
 
-    i, f, o = hard_sigmoid(x W_x. + h W_h. + b.)   for the three gates
+    i, f, o = clip(0.2 (x W_x. + h W_h. + b.) + 0.5, 0, 1)   three gates
     c_t     = f * c_prev + i * tanh(x W_xc + h W_hc + b_c)
     h_t     = o * tanh(c_t)
 
@@ -303,14 +288,9 @@ def lstm_step(cell: LstmCellParams, x_t: Matrix, h_prev: Matrix,
         raise ShapeError(
             f"lstm_step: input has {x_t.cols} columns, cell expects {cell.input_dim}"
         )
-    expected = (x_t.rows, cell.hidden)
-    for name, m in (("h_prev", h_prev), ("c_prev", c_prev)):
-        if m.shape != expected:
-            raise ShapeError(
-                f"lstm_step: {name} is {m.rows}x{m.cols}, expected "
-                f"{expected[0]}x{expected[1]}"
-            )
-    return _cell_step(_fuse(cell), x_t, h_prev, c_prev)
+    n = cell.hidden
+    out = lstm_sequence(x_t, *_fuse(cell), h0=h_prev, c0=c_prev)
+    return slice_cols(out, 0, n), slice_cols(out, n, 2 * n)
 
 
 def _check_batch(params: ModelParams, batch) -> np.ndarray:
@@ -339,9 +319,9 @@ def _encode(cell: LstmCellParams, batch: np.ndarray, reverse: bool = False,
     processing order, or None.
     """
     n, steps, dim = batch.shape
-    wx, wh, b, hidden = _fuse(cell)
+    hidden = cell.hidden
     x = Matrix._wrap(batch.reshape(n, steps * dim))
-    out = lstm_sequence(x, wx, wh, b, reverse=reverse,
+    out = lstm_sequence(x, *_fuse(cell), reverse=reverse,
                         keep_sequence=keep_sequence)
     h = slice_cols(out, 0, hidden)
     c = slice_cols(out, hidden, 2 * hidden)
@@ -381,7 +361,8 @@ def _graph(params: ModelParams, batch: np.ndarray):
         h, c = concat_cols([h, h_b]), concat_cols([c, c_b])
     # The final hidden state, repeated once, is the decoder input; the final
     # (h, c) pair seeds the decoder state.
-    h_de, _ = _cell_step(_fuse(params.decoder), h, h, c)
+    h_de = slice_cols(lstm_sequence(h, *_fuse(params.decoder), h0=h, c0=c),
+                      0, h.cols)
     if not attention:
         return _head(params, h_de), None
     alignment, context = _attend(h_de, seq)

@@ -1,5 +1,7 @@
 """Forward oracles and gradient checks for the matrix tape."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,11 @@ from motortemp.autodiff import (
     backward,
     concat_cols,
     hadamard,
-    hard_sigmoid,
     lstm_sequence,
     matmul,
     scale,
     slice_cols,
     sum_reduce,
-    tanh,
 )
 
 
@@ -111,30 +111,6 @@ class TestForward:
         with pytest.raises(ShapeError):
             hadamard(a, Matrix.zeros(1, 3))
 
-    def test_tanh_bounds(self):
-        # strictly inside (-1, 1) for moderate inputs; float64 rounds the
-        # far tails onto the bounds themselves
-        x = Matrix([[-15.0, -1.0, 0.0, 1.0, 15.0]])
-        y = tanh(x).values
-        assert (y > -1.0).all() and (y < 1.0).all()
-        assert y[0, 2] == 0.0
-        extreme = tanh(Matrix([[-1e6, 1e6]])).values
-        assert (np.abs(extreme) <= 1.0).all()
-
-    def test_hard_sigmoid_values(self):
-        x = Matrix([[0.0, 2.5, -2.5, 1.0, 3.0, -3.0]])
-        y = hard_sigmoid(x).values[0]
-        assert y[0] == 0.5
-        assert y[1] == 1.0 and y[4] == 1.0
-        assert y[2] == 0.0 and y[5] == 0.0
-        # independent scalar arithmetic for the interior point
-        assert y[3] == 0.2 * 1.0 + 0.5
-
-    def test_hard_sigmoid_bounds(self):
-        rng = np.random.default_rng(3)
-        y = hard_sigmoid(Matrix(rng.standard_normal((20, 20)) * 10)).values
-        assert (y >= 0.0).all() and (y <= 1.0).all()
-
     def test_concat_slice_roundtrip(self):
         rng = np.random.default_rng(13)
         parts = [Matrix(rng.standard_normal((3, w))) for w in (2, 4, 1)]
@@ -167,7 +143,10 @@ class TestForward:
         a = Matrix(rng.standard_normal((5, 5)) * 100)
         b = Matrix(rng.standard_normal((5, 5)) * 100)
         keys = scale(concat_cols([a, b]), 100.0)
-        out = attend(matmul(tanh(a), hard_sigmoid(b)), keys)
+        state = lstm_sequence(a, _r(rng, 5, 20, 100.0), _r(rng, 5, 20, 100.0),
+                              _r(rng, 1, 20, 100.0), h0=b, c0=scale(a, 100.0))
+        out = attend(matmul(slice_cols(state, 0, 5), b), keys)
+        assert np.isfinite(state.values).all()
         assert np.isfinite(out.values).all()
 
 
@@ -181,9 +160,12 @@ class TestTape:
     def test_inputs_recorded_before_consumers(self):
         with Tape() as tape:
             a = Matrix.ones(2, 3)
-            b = tanh(a)
+            b = scale(a, 0.5)
             c = add(b, b)
-            sum_reduce(hadamard(c, b))
+            out = lstm_sequence(c, Matrix.ones(3, 4), Matrix.ones(1, 4),
+                                Matrix.ones(1, 4), h0=slice_cols(b, 0, 1),
+                                c0=Matrix.zeros(2, 1))
+            sum_reduce(hadamard(out, out))
         for i, node in enumerate(tape.nodes):
             assert all(j < i for j in node.inputs)
 
@@ -211,7 +193,7 @@ class TestTape:
     def test_non_scalar_loss_rejected(self):
         w = Matrix.ones(2, 2)
         with Tape() as tape:
-            y = tanh(w)
+            y = scale(w, 2.0)
         with pytest.raises(ContractError):
             tape.backward(y)
 
@@ -239,11 +221,50 @@ class TestTape:
         assert g.values.tolist() == [[2.0]]
 
     def test_hard_sigmoid_saturated_gradient_is_zero(self):
-        x = Matrix([[-3.0, -2.5, 2.5, 3.0]])
+        # The gates' hard sigmoid inside a one-step lstm_sequence.  With
+        # zero weights every i/f/o gate of hidden unit j sees exactly its
+        # bias: -3 and -2.5 clip to 0, 2.5 and 3 to 1, kinks included.
+        rng = np.random.default_rng(6)
+        bias = np.tile([-3.0, -2.5, 2.5, 3.0], 4)[None]
+        bias[0, 12:] = 0.3  # candidate
+        b = Matrix(bias)
+        x, h0, c0 = _r(rng, 3, 2), _r(rng, 3, 4), _r(rng, 3, 4)
+        weights = _r(rng, 3, 8)
         with Tape() as tape:
-            loss = sum_reduce(hard_sigmoid(x))
-        g = tape.backward(loss, wrt=[x])[tape.node_id(x)]
-        np.testing.assert_array_equal(g.values, np.zeros((1, 4)))
+            out = lstm_sequence(x, Matrix.zeros(2, 16), Matrix.zeros(4, 16),
+                                b, h0=h0, c0=c0)
+            loss = sum_reduce(hadamard(out, weights))
+        g = tape.backward(loss, wrt=[b])[tape.node_id(b)].values[0]
+        np.testing.assert_array_equal(g[:12], np.zeros(12))
+        # Units 2 and 3 write the candidate, so its gradient is not blocked.
+        assert (g[14:] != 0.0).all()
+
+    def test_tapes_are_per_thread(self):
+        # Both threads hold an open tape while both record; each must find
+        # its own ops on its own tape.
+        barrier = threading.Barrier(2, timeout=10)
+        results = {}
+
+        def work(k):
+            try:
+                w = Matrix.ones(2, 2)
+                with Tape() as tape:
+                    barrier.wait()
+                    loss = sum_reduce(scale(w, k))
+                    barrier.wait()
+                results[k] = tape.backward(loss, wrt=[w])[tape.node_id(w)]
+            except Exception as exc:  # reported below, not lost in the thread
+                results[k] = exc
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in (1.0, 2.0)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        for k in (1.0, 2.0):
+            assert isinstance(results[k], Matrix), results[k]
+            np.testing.assert_array_equal(results[k].values, np.full((2, 2), k))
 
 
 def _r(rng, rows, cols, spread=1.0):
@@ -252,14 +273,26 @@ def _r(rng, rows, cols, spread=1.0):
 
 def _lstm_inputs(rng):
     # Two windows of four 3-wide steps, hidden width 2.  Small weights keep
-    # every gate pre-activation well inside the hard sigmoid's kinks.
+    # every gate pre-activation well inside the hard sigmoid's kinks, where
+    # the subgradient and the difference quotient legitimately disagree.
     return [_r(rng, 2, 12, 0.5), _r(rng, 3, 8, 0.4), _r(rng, 2, 8, 0.4),
             _r(rng, 1, 8, 0.4)]
 
 
-# One entry per primitive (plus broadcast variants): input builders and the
-# op under test.  hard_sigmoid inputs stay inside (-2, 2), away from kinks
-# where the subgradient and the difference quotient legitimately disagree.
+def _lstm_state_inputs(rng):
+    # The same, plus initial states h0 and c0.
+    return _lstm_inputs(rng) + [_r(rng, 2, 2, 0.5), _r(rng, 2, 2)]
+
+
+def _decoder_inputs(rng):
+    # One step whose input is also its initial hidden state (D == H), as in
+    # the models' decoder: the gradients of both uses must add up.
+    return [_r(rng, 2, 2, 0.5), _r(rng, 2, 8, 0.4), _r(rng, 2, 8, 0.4),
+            _r(rng, 1, 8, 0.4), _r(rng, 2, 2)]
+
+
+# One entry per primitive (plus broadcast and state variants): input
+# builders and the op under test.
 PRIMITIVES = [
     ("matmul", lambda rng: [_r(rng, 3, 4), _r(rng, 4, 5)],
      lambda a, b: matmul(a, b)),
@@ -271,9 +304,6 @@ PRIMITIVES = [
      lambda a, b: hadamard(a, b)),
     ("hadamard_col_broadcast", lambda rng: [_r(rng, 3, 1), _r(rng, 3, 4)],
      lambda a, b: hadamard(a, b)),
-    ("tanh", lambda rng: [_r(rng, 3, 4)], lambda a: tanh(a)),
-    ("hard_sigmoid", lambda rng: [_r(rng, 3, 4, 0.6)],
-     lambda a: hard_sigmoid(a)),
     ("concat_cols", lambda rng: [_r(rng, 3, 2), _r(rng, 3, 3), _r(rng, 3, 1)],
      lambda *ps: concat_cols(ps)),
     ("slice_cols", lambda rng: [_r(rng, 3, 6)],
@@ -289,6 +319,13 @@ PRIMITIVES = [
     ("lstm_sequence_reverse_kept", _lstm_inputs,
      lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b, reverse=True,
                                         keep_sequence=True)),
+    ("lstm_sequence_states", _lstm_state_inputs,
+     lambda x, wx, wh, b, h0, c0: lstm_sequence(x, wx, wh, b, h0=h0, c0=c0)),
+    ("lstm_sequence_reverse_states", _lstm_state_inputs,
+     lambda x, wx, wh, b, h0, c0: lstm_sequence(x, wx, wh, b, reverse=True,
+                                                h0=h0, c0=c0)),
+    ("lstm_sequence_decoder_step", _decoder_inputs,
+     lambda x, wx, wh, b, c0: lstm_sequence(x, wx, wh, b, h0=x, c0=c0)),
     ("attend", lambda rng: [_r(rng, 3, 4), _r(rng, 3, 20)],
      lambda q, k: attend(q, k)),
 ]
@@ -318,13 +355,18 @@ def test_composite_graph_gradient():
     rng = np.random.default_rng(77)
     a = Matrix(rng.standard_normal((3, 4)) * 0.5)
     b = Matrix(rng.standard_normal((4, 4)) * 0.5)
+    wx, wh, bias = _r(rng, 4, 8, 0.3), _r(rng, 2, 8, 0.3), _r(rng, 1, 8, 0.3)
+    row = _r(rng, 1, 4, 0.5)
 
     def graph(a_m, b_m):
-        h = tanh(matmul(a_m, b_m))
-        gates = hard_sigmoid(scale(h, 1.5))
-        mix = hadamard(h, gates)
-        split = concat_cols([slice_cols(mix, 0, 2), slice_cols(mix, 2, 4)])
-        return sum_reduce(hadamard(split, tanh(split)))
+        h = matmul(a_m, b_m)
+        sq = hadamard(h, add(scale(h, 1.5), row))
+        split = concat_cols([slice_cols(sq, 2, 4), slice_cols(h, 0, 2)])
+        state = lstm_sequence(split, wx, wh, bias, h0=slice_cols(h, 0, 2),
+                              c0=slice_cols(sq, 2, 4))
+        out = attend(slice_cols(state, 0, 2),
+                     concat_cols([slice_cols(h, 2, 4), slice_cols(state, 2, 4)]))
+        return sum_reduce(hadamard(out, out))
 
     with Tape() as tape:
         loss = graph(a, b)
@@ -332,7 +374,9 @@ def test_composite_graph_gradient():
 
     for m in (a, b):
         numeric = numeric_grad(lambda _: float(graph(a, b).values[0, 0]), m.values)
-        assert_grads_close(grads[tape.node_id(m)].values, numeric)
+        analytic = grads[tape.node_id(m)].values
+        assert np.abs(analytic).max() > 1e-3
+        assert_grads_close(analytic, numeric)
 
 
 def test_two_slices_of_one_matrix_accumulate():
@@ -371,6 +415,13 @@ def test_lstm_sequence_shape_errors():
         lstm_sequence(Matrix.zeros(2, 6), Matrix.zeros(3, 6), wh, b)
     with pytest.raises(ShapeError):
         lstm_sequence(Matrix.zeros(2, 6), wx, Matrix.zeros(3, 8), b)
+    x, state = Matrix.zeros(2, 6), Matrix.zeros(2, 2)
+    with pytest.raises(ShapeError, match="h0 is 3x2"):
+        lstm_sequence(x, wx, wh, b, h0=Matrix.zeros(3, 2), c0=state)
+    with pytest.raises(ShapeError, match="c0 is 2x4"):
+        lstm_sequence(x, wx, wh, b, h0=state, c0=Matrix.zeros(2, 4))
+    with pytest.raises(ContractError, match="together"):
+        lstm_sequence(x, wx, wh, b, h0=state)
     with pytest.raises(ShapeError):
         attend(Matrix.zeros(2, 4), Matrix.zeros(2, 10))
     with pytest.raises(ShapeError):

@@ -217,7 +217,27 @@ class TestLstmStep:
                       Matrix.zeros(2, 4))
 
 
+def _numpy_encode(cell, batch, reverse):
+    """The lstm_sequence docstring equations in plain numpy, one step at a
+    time; returns ([h, c, sequence], every i/f/o gate value)."""
+    wx, wh, b = (np.hstack([getattr(cell, f"{k}{g}").values for g in "ifoc"])
+                 for k in ("w_x", "w_h", "b_"))
+    n = cell.hidden
+    h = c = np.zeros((batch.shape[0], n))
+    seq, gates = [], []
+    for t in (range(batch.shape[1] - 1, -1, -1) if reverse
+              else range(batch.shape[1])):
+        z = batch[:, t] @ wx + h @ wh + b
+        ifo = np.clip(0.2 * z[:, :3 * n] + 0.5, 0.0, 1.0)
+        c = ifo[:, n:2 * n] * c + ifo[:, :n] * np.tanh(z[:, 3 * n:])
+        h = ifo[:, 2 * n:] * np.tanh(c)
+        seq.append(h)
+        gates.append(ifo)
+    return [h, c, np.hstack(seq)], np.concatenate(gates)
+
+
 def _unrolled_encode(cell, batch, reverse):
+    # A chain of one-step lstm_sequence calls, each from the last states.
     n, steps, _ = batch.shape
     h = Matrix.zeros(n, cell.hidden)
     c = Matrix.zeros(n, cell.hidden)
@@ -232,8 +252,10 @@ class TestFusedEncoder:
     @pytest.mark.parametrize("steps", [1, 2, 7])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_unrolled_lstm_steps(self, steps, reverse):
-        # Inputs at spread 10 drive a good share of the gates into the hard
-        # sigmoid's clipped ends, where no gradient may pass.
+        # Outputs are checked against plain numpy, gradients against a chain
+        # of one-step calls.  Inputs at spread 10 drive a good share of the
+        # gates into the hard sigmoid's clipped ends, where no gradient may
+        # pass.
         for spread in (1.0, 10.0):
             rng = np.random.default_rng(20 + steps)
             cell = init_params("vanilla", seed=steps, input_dim=4,
@@ -242,6 +264,9 @@ class TestFusedEncoder:
             weights = [Matrix(rng.standard_normal((3, w)))
                        for w in (5, 5, 5 * steps)]
 
+            want_out, gates = _numpy_encode(cell, batch, reverse)
+            if spread > 1.0:
+                assert ((gates == 0.0) | (gates == 1.0)).mean() > 0.25
             results = []
             for encode in (
                     lambda: _encode(cell, batch, reverse, keep_sequence=True),
@@ -254,16 +279,10 @@ class TestFusedEncoder:
                 results.append(([m.values for m in outs],
                                 [grads[tape.node_id(m)].values
                                  for _, m in cell.items("e")]))
-            if spread > 1.0:
-                # The unrolled tape was recorded last: its gates show how
-                # many clipped.
-                gates = np.concatenate([nd.out.values.ravel()
-                                        for nd in tape.nodes
-                                        if nd.op == "hard_sigmoid"])
-                assert ((gates == 0.0) | (gates == 1.0)).mean() > 0.25
             (fused_out, fused_grad), (step_out, step_grad) = results
-            for a, b in zip(fused_out, step_out):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            for a, b, want in zip(fused_out, step_out, want_out):
+                np.testing.assert_allclose(a, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(b, want, rtol=0, atol=1e-12)
             for a, b in zip(fused_grad, step_grad):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 

@@ -412,6 +412,26 @@ class TestCheckpoint:
                            match="stats gives 38 channels, the model expects 39"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("block,edit,message", [
+        ("feature_config", lambda b: b.update(spans=[4, 2]),
+         r"feature_config block is malformed \(ValueError: spans must be "
+         r"strictly increasing"),
+        ("stats", lambda b: b.pop("target_std"),
+         r"stats block is malformed \(KeyError: 'target_std'\)"),
+        ("stats", lambda b: b["channel_mean"].pop(),
+         r"stats block is malformed \(ValueError: channel_mean has shape "
+         r"\(38,\), expected one entry for each of the 39 channel_names\)"),
+        ("stats", lambda b: b["target_std"].append(1.0),
+         r"stats block is malformed \(ValueError: target_std has shape "
+         r"\(5,\), expected one entry for each of the 4 target_names\)"),
+    ], ids=["spans", "no_target_std", "short_mean", "long_target_std"])
+    def test_rejects_malformed_header_block(self, tmp_path, block, edit,
+                                            message):
+        _, _, path = self.roundtrip(tmp_path, "vanilla")
+        self.rewrite(path, lambda h: edit(h[block]))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
     def test_rejects_non_finite_parameters(self, tmp_path):
         params, _, path = self.roundtrip(tmp_path, "attention")
         values = np.concatenate([m.values.ravel() for m in params.matrices()])
