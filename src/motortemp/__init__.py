@@ -38,7 +38,6 @@ from .features import (
     SYNTHETIC_SETS,
     TARGETS,
     FeatureConfig,
-    FeatureTensor,
     Standardization,
     UndefinedCorrelationError,
     WindowedDataset,
@@ -47,7 +46,6 @@ from .features import (
     derive_synthetic,
     ewma,
     fit_standardization,
-    windowize,
 )
 from .models import (
     VARIANTS,

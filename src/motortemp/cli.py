@@ -196,6 +196,19 @@ def _write_json(path, payload: dict):
         fh.write("\n")
 
 
+def _windows(frames, config, stats) -> features.WindowedDataset:
+    """``build_dataset`` that raises, naming the window and every profile's
+    length, when no profile is long enough for one window."""
+    dataset = features.build_dataset(frames, config, stats=stats)
+    if dataset.n_windows == 0:
+        lengths = ", ".join(f"{f.profile_id}: {f.n_samples}" for f in frames)
+        raise dataio.ConfigError(
+            f"no windows: every profile is shorter than the window of "
+            f"{config.window} samples (samples per profile: {lengths})"
+        )
+    return dataset
+
+
 def cmd_synth(args, parser) -> int:
     file_cfg = _load_file_config(args)
     seed = int(_merged(args, file_cfg, "seed", 0))
@@ -216,17 +229,18 @@ def cmd_featurize(args, parser) -> int:
     config = _feature_config(args, file_cfg)
     frames = _load_frames(args, file_cfg, parser.error, seed)
     stats = features.fit_standardization(frames, config)
-    tensor = features.windowize(frames, config, stats=stats)
+    dataset = _windows(frames, config, stats)
+    inputs, targets = dataset.gather(np.arange(dataset.n_windows))
     os.makedirs(args.out, exist_ok=True)
-    np.save(os.path.join(args.out, "inputs.npy"), tensor.inputs)
-    np.save(os.path.join(args.out, "targets.npy"), tensor.targets)
+    np.save(os.path.join(args.out, "inputs.npy"), inputs)
+    np.save(os.path.join(args.out, "targets.npy"), targets)
     with open(os.path.join(args.out, "provenance.csv"), "w") as fh:
         fh.write("profile_id,end_index\n")
-        for pid, end in tensor.provenance:
+        for pid, end in dataset.provenance():
             fh.write(f"{pid},{end}\n")
     _write_json(os.path.join(args.out, "stats.json"), stats.to_dict())
     _write_json(os.path.join(args.out, "config.json"), config.to_dict())
-    print(f"wrote {tensor.n_windows} windows x {config.channel_count()} "
+    print(f"wrote {dataset.n_windows} windows x {config.channel_count()} "
           f"channels to {args.out}")
     return 0
 
@@ -328,17 +342,19 @@ def cmd_evaluate(args, parser) -> int:
             f"(available: {available})"
         )
     chosen = dataio.split(frames, test_ids).test
-    dataset = features.build_dataset(chosen, feature_config, stats=stats)
+    dataset = _windows(chosen, feature_config, stats)
     batch_size = int(_merged(args, file_cfg, "batch_size", 256))
-    report = evaluation.evaluate(params, dataset, stats, batch_size=batch_size)
+    actual, predicted = evaluation.collect_predictions(
+        params, dataset, stats, batch_size=batch_size
+    )
+    report = evaluation.compute_metrics(actual, predicted)
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "report.json"), report.to_dict())
     with open(os.path.join(args.out, "report.txt"), "w") as fh:
         fh.write(report.to_text())
         fh.write("\n")
-    evaluation.emit_traces(params, dataset, stats, args.out,
-                           batch_size=batch_size)
+    evaluation.write_traces(args.out, dataset.provenance(), actual, predicted)
     print(report.to_text())
     return 0
 
@@ -353,11 +369,7 @@ def cmd_predict(args, parser) -> int:
             "statistics; cannot rebuild the input pipeline"
         )
     frames = _load_frames(args, file_cfg, parser.error, seed)
-    dataset = features.build_dataset(frames, feature_config, stats=stats)
-    if dataset.n_windows == 0:
-        raise evaluation.EvaluationError(
-            "no predictable windows; are all profiles shorter than the window?"
-        )
+    dataset = _windows(frames, feature_config, stats)
     _, predicted = evaluation.collect_predictions(params, dataset, stats)
     prov = dataset.provenance()
     with open(args.out, "w") as fh:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import TARGETS, Standardization
+from .features import TARGETS, Standardization, WindowedDataset
 from .models import ModelParams, predict
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "collect_predictions",
     "evaluate",
     "emit_traces",
+    "write_traces",
     "time_inference",
 ]
 
@@ -109,14 +110,13 @@ def compute_metrics(actual: np.ndarray, predicted: np.ndarray,
     )
 
 
-def collect_predictions(params: ModelParams, dataset,
+def collect_predictions(params: ModelParams, dataset: WindowedDataset,
                         stats: Standardization | None,
                         batch_size: int = 256):
-    """Run the model over a dataset in batches.
+    """Run the model once over every window of ``dataset``, in batches.
 
-    ``dataset`` is anything with ``n_windows`` and ``gather`` (a
-    WindowedDataset or FeatureTensor).  Returns (actual, predicted) in
-    degrees Celsius, shape (n, targets) each.
+    Returns (actual, predicted) in degrees Celsius, shape (n, targets)
+    each, row k belonging to ``dataset.provenance()[k]``.
     """
     n = dataset.n_windows
     if n == 0:
@@ -152,18 +152,24 @@ def evaluate(params: ModelParams, dataset, stats: Standardization | None,
 
 def emit_traces(params: ModelParams, dataset, stats: Standardization | None,
                 out_dir, batch_size: int = 256) -> list[str]:
+    """Predict every window of ``dataset`` and ``write_traces`` the result."""
+    actual, predicted = collect_predictions(params, dataset, stats, batch_size)
+    return write_traces(out_dir, dataset.provenance(), actual, predicted)
+
+
+def write_traces(out_dir, provenance, actual: np.ndarray,
+                 predicted: np.ndarray) -> list[str]:
     """Write per-target prediction and error traces as CSV files.
 
-    For each target two files appear in ``out_dir``:
+    Row k of the (n, targets) ``actual`` and ``predicted`` arrays (degrees
+    Celsius) gets the sample id ``<profile_id>:<end_index>`` of
+    ``provenance[k]``.  For each target two files appear in ``out_dir``:
     ``<target>_trace.csv`` with (sample_id, actual_c, predicted_c) and
     ``<target>_error.csv`` with (sample_id, error_c), error = actual -
     predicted.  Floats are written with repr so the files parse back
     exactly.  Returns the paths written.
     """
-    actual, predicted = collect_predictions(params, dataset, stats, batch_size)
-    prov = getattr(dataset, "provenance", None)
-    if callable(prov):
-        prov = prov()
+    ids = [f"{pid}:{end}" for pid, end in provenance]
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, target in enumerate(TARGETS):
@@ -172,16 +178,15 @@ def emit_traces(params: ModelParams, dataset, stats: Standardization | None,
         with open(trace_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["sample_id", "actual_c", "predicted_c"])
-            for k in range(len(actual)):
-                sid = f"{prov[k][0]}:{prov[k][1]}" if prov else str(k)
-                w.writerow([sid, repr(float(actual[k, i])),
-                            repr(float(predicted[k, i]))])
+            for sid, a, p in zip(ids, actual[:, i], predicted[:, i],
+                                 strict=True):
+                w.writerow([sid, repr(float(a)), repr(float(p))])
         with open(error_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["sample_id", "error_c"])
-            for k in range(len(actual)):
-                sid = f"{prov[k][0]}:{prov[k][1]}" if prov else str(k)
-                w.writerow([sid, repr(float(actual[k, i] - predicted[k, i]))])
+            for sid, a, p in zip(ids, actual[:, i], predicted[:, i],
+                                 strict=True):
+                w.writerow([sid, repr(float(a - p))])
         paths.extend([trace_path, error_path])
     return paths
 

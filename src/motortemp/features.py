@@ -10,6 +10,7 @@ profiles only; targets stay in degrees Celsius until the training loop.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,7 +25,6 @@ __all__ = [
     "DEFAULT_SPANS",
     "FeatureConfig",
     "Standardization",
-    "FeatureTensor",
     "WindowedDataset",
     "UndefinedCorrelationError",
     "derive_synthetic",
@@ -34,7 +34,6 @@ __all__ = [
     "target_matrix",
     "fit_standardization",
     "build_dataset",
-    "windowize",
 ]
 
 # Input attributes fed to the models, in channel order.
@@ -69,7 +68,6 @@ class FeatureConfig:
     predictors: tuple = PREDICTORS
     synthetic: tuple = DEFAULT_SYNTHETIC
     spans: tuple = DEFAULT_SPANS
-    include_raw: bool = True
     window: int = 180
     stride: int = 1
     standardize_targets: bool = True
@@ -85,12 +83,15 @@ class FeatureConfig:
             raise ValueError(f"spans must be positive, got {self.spans}")
         if list(self.spans) != sorted(set(self.spans)):
             raise ValueError(f"spans must be strictly increasing, got {self.spans}")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
-        if self.stride < 1:
-            raise ValueError("stride must be at least 1")
-        if not self.include_raw and not self.spans:
-            raise ValueError("need raw channels or at least one span")
+        for name in ("window", "stride"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(
+                    f"{name} must be an integer number of samples, got {value!r}"
+                )
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
+            object.__setattr__(self, name, int(value))
 
     @classmethod
     def with_synthetic_set(cls, name: str, **kwargs) -> "FeatureConfig":
@@ -104,12 +105,11 @@ class FeatureConfig:
         return self.predictors + self.synthetic
 
     def channel_count(self) -> int:
-        blocks = (1 if self.include_raw else 0) + len(self.spans)
-        return len(self.attribute_names()) * blocks
+        return len(self.attribute_names()) * (1 + len(self.spans))
 
     def channel_names(self) -> list[str]:
         attrs = self.attribute_names()
-        names = list(attrs) if self.include_raw else []
+        names = list(attrs)
         for span in self.spans:
             names.extend(f"{a}_ewma{span}" for a in attrs)
         return names
@@ -119,7 +119,6 @@ class FeatureConfig:
             "predictors": list(self.predictors),
             "synthetic": list(self.synthetic),
             "spans": list(self.spans),
-            "include_raw": self.include_raw,
             "window": self.window,
             "stride": self.stride,
             "standardize_targets": self.standardize_targets,
@@ -127,6 +126,15 @@ class FeatureConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":
+        """Rebuild from ``to_dict`` output.  Older files also carry an
+        ``include_raw`` key; only ``true`` describes this channel layout."""
+        d = dict(d)
+        include_raw = d.pop("include_raw", True)
+        if include_raw is not True:
+            raise ValueError(
+                f"include_raw {include_raw!r} is not supported: the raw "
+                "attributes are always the first channel block"
+            )
         return cls(**d)
 
 
@@ -221,21 +229,20 @@ def avg_abs_correlation(frames, candidate: str, targets=TARGETS) -> float:
 def channel_matrix(frame: ProfileFrame, config: FeatureConfig) -> np.ndarray:
     """The (n_samples, channel_count) feature block for one profile.
 
-    Columns follow ``config.channel_names()``: the raw attributes first
-    (when enabled), then one EWMA block per span.  Smoothing never crosses
-    the profile boundary because it only ever sees this frame's series.
+    Columns follow ``config.channel_names()``: the raw attributes first,
+    then one EWMA block per span.  Smoothing never crosses the profile
+    boundary because it only ever sees this frame's series.
     """
     names = config.attribute_names()
     augmented = derive_synthetic(frame, config.synthetic)
     augmented.require(names)
     n, k = frame.n_samples, len(names)
     out = np.empty((n, config.channel_count()))
-    attrs = out[:, :k] if config.include_raw else np.empty((n, k))
+    attrs = out[:, :k]
     for j, name in enumerate(names):
         attrs[:, j] = augmented.columns[name]
-    first = k if config.include_raw else 0
     for i, span in enumerate(config.spans):
-        start = first + i * k
+        start = (i + 1) * k
         _ewma_columns(attrs, span, out=out[:, start:start + k])
     return out
 
@@ -331,23 +338,6 @@ def fit_standardization(frames, config: FeatureConfig) -> Standardization:
 
 
 @dataclass
-class FeatureTensor:
-    """Materialized sliding windows: inputs, final-step targets, provenance."""
-
-    inputs: np.ndarray      # (windows, window_len, channels)
-    targets: np.ndarray     # (windows, 1, len(TARGETS)), degrees Celsius
-    provenance: list        # [(profile_id, end_index), ...]
-
-    @property
-    def n_windows(self) -> int:
-        return self.inputs.shape[0]
-
-    def gather(self, idx) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.asarray(idx, dtype=np.intp)
-        return self.inputs[idx], self.targets[idx]
-
-
-@dataclass
 class WindowedDataset:
     """Window index over per-profile channel matrices.
 
@@ -378,14 +368,11 @@ class WindowedDataset:
         return inputs, targets
 
     def provenance(self) -> list:
+        """(profile_id, end_index) of every window, in index order."""
         return [
             (self.profile_ids[fi], int(start) + self.window - 1)
             for fi, start in self.index
         ]
-
-    def materialize(self) -> FeatureTensor:
-        inputs, targets = self.gather(np.arange(self.n_windows))
-        return FeatureTensor(inputs, targets, self.provenance())
 
 
 def build_dataset(frames, config: FeatureConfig,
@@ -422,13 +409,3 @@ def build_dataset(frames, config: FeatureConfig,
         if index_rows else np.empty((0, 2), dtype=np.intp)
     ).astype(np.intp)
     return WindowedDataset(channels, targets, pids, config.window, index)
-
-
-def windowize(frames, config: FeatureConfig,
-              stats: Standardization = None) -> FeatureTensor:
-    """Materialized sliding windows for a set of frames.
-
-    Without ``stats`` the inputs are raw feature channels, which keeps the
-    provenance invertible back to the source series.
-    """
-    return build_dataset(frames, config, stats=stats).materialize()

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import motortemp
-from motortemp import cli
+from motortemp import cli, evaluation
 from motortemp.checkpoint import save_checkpoint
+from motortemp.dataio import synthesize
+from motortemp.features import FeatureConfig, build_dataset, fit_standardization
 from motortemp.models import init_params
 
 FAST_FEATURES = ["--window", "16", "--spans", "2,4"]
@@ -93,6 +95,41 @@ class TestFeaturize:
              "--synth-length", "40", "--config", str(cfg_path),
              "--window", "20", "--out", str(out2)])
         assert json.loads((out2 / "config.json").read_text())["window"] == 20
+
+    def test_matches_build_dataset_gather(self, tmp_path):
+        out = tmp_path / "feat"
+        assert run(["featurize", "--synth", "--synth-profiles", "3",
+                    "--synth-length", "40", "--seed", "4", "--stride", "3",
+                    "--out", str(out)] + FAST_FEATURES) == 0
+        frames = synthesize(seed=4, profiles=3, length=40)
+        config = FeatureConfig(window=16, stride=3, spans=(2, 4))
+        stats = fit_standardization(frames, config)
+        dataset = build_dataset(frames, config, stats=stats)
+        inputs, targets = dataset.gather(np.arange(dataset.n_windows))
+        np.testing.assert_array_equal(np.load(out / "inputs.npy"), inputs)
+        np.testing.assert_array_equal(np.load(out / "targets.npy"), targets)
+        rows = (out / "provenance.csv").read_text().splitlines()[1:]
+        assert rows == [f"{pid},{end}" for pid, end in dataset.provenance()]
+
+    def test_profiles_shorter_than_window_exit_1(self, tmp_path, capsys):
+        with pytest.warns(UserWarning, match="shorter than window"):
+            code = run(["featurize", "--synth", "--synth-profiles", "2",
+                        "--synth-length", "100", "--out", str(tmp_path / "d")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "window of 180 samples" in err
+        assert "1: 100, 2: 100" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("window", "16"), ("window", 16.5), ("stride", 2.0)])
+    def test_non_integer_config_value_exits_1(self, tmp_path, capsys,
+                                              field, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"spans": [2, 4], field: value}))
+        assert run(["featurize", "--synth", "--synth-profiles", "1",
+                    "--synth-length", "40", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "f")]) == 1
+        assert f"{field} must be an integer" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -203,6 +240,27 @@ class TestTrainFlow:
         first = lines[1].split(",")
         assert first[0] == "1"
         float(first[2])  # numeric payload parses
+
+    def test_evaluate_predicts_each_window_once(self, tmp_path, monkeypatch):
+        out = self.train(tmp_path)
+        data = tmp_path / "rec.csv"
+        run(["synth", "--out", str(data), "--profiles", "2", "--length", "80",
+             "--seed", "5"])
+        rows = []
+        real_predict = evaluation.predict
+
+        def counting_predict(params, batch):
+            rows.append(len(batch))
+            return real_predict(params, batch)
+
+        monkeypatch.setattr(evaluation, "predict", counting_predict)
+        ev = tmp_path / "ev"
+        assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                    "--data", str(data), "--test-profiles", "1,2",
+                    "--batch-size", "50", "--out", str(ev)]) == 0
+        report = json.loads((ev / "report.json").read_text())
+        assert report["n_windows"] == 2 * (80 - 16 + 1)
+        assert sum(rows) == report["n_windows"]
 
     def test_evaluate_needs_test_profiles_for_synth_ids(self, tmp_path, capsys):
         out = self.train(tmp_path)

@@ -14,6 +14,7 @@ from motortemp.evaluation import (
     emit_traces,
     evaluate,
     time_inference,
+    write_traces,
 )
 from motortemp.features import (
     TARGETS,
@@ -141,10 +142,10 @@ class TestEvaluate:
 
     def test_zero_error_when_targets_equal_predictions(self):
         params, dataset, stats = fitted_setup()
-        tensor = dataset.materialize()
-        _, predicted = collect_predictions(params, tensor, stats)
-        tensor.targets[:] = predicted.reshape(tensor.targets.shape)
-        report = evaluate(params, tensor, stats)
+        _, predicted = collect_predictions(params, dataset, stats)
+        for k, (fi, start) in enumerate(dataset.index):
+            dataset.targets[fi][start + dataset.window - 1] = predicted[k]
+        report = evaluate(params, dataset, stats)
         assert report.overall_mse == 0.0
         assert report.overall_max_abs_error == 0.0
 
@@ -195,13 +196,10 @@ class TestTraces:
         assert rows[0][0] == f"{prov[0][0]}:{prov[0][1]}"
         assert rows[-1][0] == f"{prov[-1][0]}:{prov[-1][1]}"
 
-    def test_works_on_materialized_tensor(self, tmp_path):
-        params, dataset, stats = fitted_setup()
-        tensor = dataset.materialize()
-        paths = emit_traces(params, tensor, stats, tmp_path)
-        assert len(paths) == 8
-        _, rows = self.read_csv(paths[0])
-        assert len(rows) == tensor.n_windows
+    def test_rejects_provenance_of_another_length(self, tmp_path):
+        rows = np.zeros((3, len(TARGETS)))
+        with pytest.raises(ValueError):
+            write_traces(tmp_path, [(1, 9), (1, 10)], rows, rows)
 
 
 class TestTiming:

@@ -19,7 +19,6 @@ from motortemp.features import (
     ewma,
     fit_standardization,
     target_matrix,
-    windowize,
 )
 
 
@@ -219,6 +218,16 @@ class TestFeatureConfig:
         with pytest.raises(ValueError):
             FeatureConfig.with_synthetic_set("bogus")
 
+    @pytest.mark.parametrize("field", ["window", "stride"])
+    @pytest.mark.parametrize("value", ["16", 16.5, 16.0, True, None])
+    def test_rejects_non_integer_window_and_stride(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FeatureConfig(**{field: value})
+
+    def test_integer_like_window_is_stored_as_int(self):
+        config = FeatureConfig(window=np.int64(16), stride=np.int32(2))
+        assert type(config.window) is int and type(config.stride) is int
+
     def test_dict_roundtrip(self):
         config = FeatureConfig(window=64, stride=3, spans=(5, 10))
         assert FeatureConfig.from_dict(config.to_dict()) == config
@@ -318,18 +327,25 @@ class TestStandardize:
 
 
 class TestWindowize:
+    """Sliding windows from ``build_dataset``, read with ``gather``."""
+
+    @staticmethod
+    def gather_all(dataset):
+        return dataset.gather(np.arange(dataset.n_windows))
+
     def test_window_count_stride_one(self):
         frames = synthesize(seed=2, profiles=1, length=200)
-        tensor = windowize(frames, FeatureConfig(window=180, spans=(4,)))
-        assert tensor.n_windows == 21
-        assert tensor.inputs.shape == (21, 180, 26)
-        assert tensor.targets.shape == (21, 1, 4)
+        ds = build_dataset(frames, FeatureConfig(window=180, spans=(4,)))
+        assert ds.n_windows == 21
+        inputs, targets = self.gather_all(ds)
+        assert inputs.shape == (21, 180, 26)
+        assert targets.shape == (21, 1, 4)
 
     def test_window_count_with_stride(self):
         frames = synthesize(seed=2, profiles=1, length=200)
-        tensor = windowize(frames, FeatureConfig(window=180, stride=5, spans=(4,)))
-        assert tensor.n_windows == 5
-        ends = [end for _, end in tensor.provenance]
+        ds = build_dataset(frames, FeatureConfig(window=180, stride=5, spans=(4,)))
+        assert ds.n_windows == 5
+        ends = [end for _, end in ds.provenance()]
         assert ends == [179, 184, 189, 194, 199]
 
     def test_short_profile_skipped_with_warning(self):
@@ -337,40 +353,44 @@ class TestWindowize:
         config = FeatureConfig(window=150, spans=(4,))
         long_frame = synthesize(seed=5, profiles=1, length=200)[0]
         with pytest.warns(UserWarning, match="shorter than window"):
-            tensor = windowize([frames[0], long_frame], config)
-        assert all(pid == 1 for pid, _ in tensor.provenance)
-        assert tensor.n_windows == 51
+            ds = build_dataset([frames[0], long_frame], config)
+        assert all(pid == 1 for pid, _ in ds.provenance())
+        assert ds.n_windows == 51
 
     def test_provenance_inverts_to_raw_slices(self):
         frames = synthesize(seed=3, profiles=2, length=60)
         config = FeatureConfig(window=20, stride=7, spans=(4, 8))
-        tensor = windowize(frames, config)  # no stats: raw channels
+        ds = build_dataset(frames, config)  # no stats: raw channels
+        inputs, targets = self.gather_all(ds)
         mats = {f.profile_id: channel_matrix(f, config) for f in frames}
         tgts = {f.profile_id: target_matrix(f) for f in frames}
-        for k, (pid, end) in enumerate(tensor.provenance):
+        for k, (pid, end) in enumerate(ds.provenance()):
             start = end - config.window + 1
-            np.testing.assert_array_equal(
-                tensor.inputs[k], mats[pid][start:end + 1]
-            )
-            np.testing.assert_array_equal(tensor.targets[k, 0], tgts[pid][end])
+            np.testing.assert_array_equal(inputs[k], mats[pid][start:end + 1])
+            np.testing.assert_array_equal(targets[k, 0], tgts[pid][end])
 
     def test_targets_stay_in_degrees(self):
         frames = synthesize(seed=3, profiles=1, length=80)
         config = FeatureConfig(window=20, spans=(4,))
         stats = fit_standardization(frames, config)
-        tensor = windowize(frames, config, stats=stats)
+        ds = build_dataset(frames, config, stats=stats)
+        inputs, targets = self.gather_all(ds)
         # raw degC magnitudes, not standardized ones
-        assert tensor.targets.mean() > 5.0
+        assert targets.mean() > 5.0
+        # while the inputs are the standardized channel slices
+        pid, end = ds.provenance()[-1]
+        raw = channel_matrix(frames[0], config)[end - config.window + 1:end + 1]
+        np.testing.assert_array_equal(inputs[-1], stats.transform_channels(raw))
 
-    def test_gather_matches_materialize(self):
+    def test_gather_subset_matches_full_gather(self):
         frames = synthesize(seed=9, profiles=2, length=70)
         config = FeatureConfig(window=25, stride=3, spans=(4,))
         ds = build_dataset(frames, config)
-        tensor = ds.materialize()
+        all_inputs, all_targets = self.gather_all(ds)
         idx = np.array([0, 5, ds.n_windows - 1])
         inputs, targets = ds.gather(idx)
-        np.testing.assert_array_equal(inputs, tensor.inputs[idx])
-        np.testing.assert_array_equal(targets, tensor.targets[idx])
+        np.testing.assert_array_equal(inputs, all_inputs[idx])
+        np.testing.assert_array_equal(targets, all_targets[idx])
 
     def test_default_spans_are_documented_values(self):
         assert DEFAULT_SPANS == (1320, 3360, 6360, 9480)

@@ -424,13 +424,33 @@ class TestCheckpoint:
         ("stats", lambda b: b["target_std"].append(1.0),
          r"stats block is malformed \(ValueError: target_std has shape "
          r"\(5,\), expected one entry for each of the 4 target_names\)"),
-    ], ids=["spans", "no_target_std", "short_mean", "long_target_std"])
+        ("feature_config", lambda b: b.update(include_raw=False),
+         r"feature_config block is malformed \(ValueError: include_raw False "
+         r"is not supported"),
+        ("feature_config", lambda b: b.update(window=16.5),
+         r"feature_config block is malformed \(ValueError: window must be an "
+         r"integer number of samples, got 16\.5\)"),
+        ("feature_config", lambda b: b.update(stride="2"),
+         r"feature_config block is malformed \(ValueError: stride must be an "
+         r"integer number of samples, got '2'\)"),
+    ], ids=["spans", "no_target_std", "short_mean", "long_target_std",
+            "include_raw_false", "float_window", "string_stride"])
     def test_rejects_malformed_header_block(self, tmp_path, block, edit,
                                             message):
         _, _, path = self.roundtrip(tmp_path, "vanilla")
         self.rewrite(path, lambda h: edit(h[block]))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+    def test_loads_legacy_include_raw_key(self, tmp_path):
+        params, _, path = self.roundtrip(tmp_path, "attention")
+        self.rewrite(path, lambda h: h["feature_config"].update(include_raw=True))
+        loaded, _, features = load_checkpoint(path)
+        assert features == SMALL_FEATURES
+        batch = np.random.default_rng(3).standard_normal(
+            (4, 12, SMALL_FEATURES.channel_count()))
+        np.testing.assert_array_equal(predict(loaded, batch),
+                                      predict(params, batch))
 
     def test_rejects_non_finite_parameters(self, tmp_path):
         params, _, path = self.roundtrip(tmp_path, "attention")
