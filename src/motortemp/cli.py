@@ -1,18 +1,23 @@
 """Command line interface.
 
-Subcommands: synth, featurize, train, evaluate, predict, inspect.  Flags
-override values from an optional JSON config file (--config), which in turn
-override the built-in defaults.  Every run that takes an output directory
-writes the fully resolved configuration there as config.json.
+Subcommands: synth, featurize, train, evaluate, predict, inspect.  Each
+setting is its flag, else its key in an optional JSON config file
+(--config), else the default.  Keys are flag names with "_" for "-", plus
+``standardize_targets``; a value must be of its flag's kind, and unknown
+keys are ignored.  FeatureConfig and TrainConfig own their defaults.  Every
+run with an output directory writes the resolved configuration there as
+config.json.
 
 Exit codes: 0 on success, 2 for usage errors (argparse), 1 for runtime
-failures such as unreadable files, schema violations or mismatched
-checkpoints.
+failures such as unreadable files, schema violations, config values of the
+wrong kind (naming the key and the file) or mismatched checkpoints.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -24,22 +29,36 @@ from . import dataio, evaluation, features, models, training
 
 __all__ = ["main", "build_parser"]
 
+# Defaults of the settings only the command line has.
+_SEED, _VARIANT, _HIDDEN, _HELD_OUT_ID = 0, "attention", 100, 65
+_SYNTH_PROFILES, _SYNTH_LENGTH = 3, 600
+
+
+def _int_list(text: str) -> list[int]:
+    """Parse a comma list of integers such as "2,4"; "" is []."""
+    with contextlib.suppress(json.JSONDecodeError):
+        values = json.loads(f"[{text}]")
+        if _KINDS["integers"][0](values):
+            return values
+    raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
+
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file with defaults for any flag")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    p.add_argument("--seed", type=int, default=None, help=f"master seed (default {_SEED})")
 
 
 def _add_feature_flags(p: argparse.ArgumentParser):
+    d = features.FeatureConfig
     p.add_argument("--window", type=int, default=None,
-                   help="input window length in samples (default 180)")
+                   help=f"input window length in samples (default {d.window})")
     p.add_argument("--stride", type=int, default=None,
-                   help="window stride in samples (default 1)")
-    p.add_argument("--spans", default=None,
-                   help="comma list of smoothing spans (default 1320,3360,6360,9480)")
+                   help=f"window stride in samples (default {d.stride})")
+    p.add_argument("--spans", type=_int_list, default=None, help="comma list of "
+                   f"smoothing spans (default {','.join(map(str, d.spans))})")
     p.add_argument("--synthetic-set", default=None,
-                   choices=sorted(features.SYNTHETIC_SETS),
-                   help="derived quantity selection (default imc-smc)")
+                   choices=sorted(features.SYNTHETIC_SETS), help="derived quantity "
+                   f"selection (default {features.DEFAULT_SYNTHETIC_SET})")
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -47,9 +66,9 @@ def _add_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--synth", action="store_true", default=None,
                    help="use a generated stand-in recording instead of --data")
     p.add_argument("--synth-profiles", type=int, default=None,
-                   help="profiles to generate with --synth (default 3)")
+                   help=f"profiles to generate with --synth (default {_SYNTH_PROFILES})")
     p.add_argument("--synth-length", type=int, default=None,
-                   help="samples per generated profile (default 600)")
+                   help=f"samples per generated profile (default {_SYNTH_LENGTH})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a stand-in recording CSV")
     _add_common(p)
     p.add_argument("--out", required=True, help="CSV file to write")
-    p.add_argument("--profiles", type=int, default=None, help="default 3")
+    p.add_argument("--profiles", type=int, default=None,
+                   help=f"default {_SYNTH_PROFILES}")
     p.add_argument("--length", type=int, default=None,
-                   help="samples per profile (default 600)")
+                   help=f"samples per profile (default {_SYNTH_LENGTH})")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("featurize", help="write feature tensors and stats")
@@ -81,20 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_feature_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--variant", default=None, choices=models.VARIANTS,
-                   help="architecture (default attention)")
-    p.add_argument("--test-profiles", default=None,
-                   help="comma list of held-out profile ids (default 65)")
+                   help=f"architecture (default {_VARIANT})")
+    p.add_argument("--test-profiles", type=_int_list, default=None,
+                   help=f"comma list of held-out profile ids (default {_HELD_OUT_ID})")
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--epochs-per-group", type=int, default=None)
-    p.add_argument("--groups", type=int, default=None,
-                   help="contiguous profile groups (default 4)")
+    p.add_argument("--groups", type=int, default=None, help="contiguous profile "
+                   f"groups (default {training.TrainConfig.group_count})")
     p.add_argument("--fine-tune-profiles", type=int, default=None)
     p.add_argument("--fine-tune-epochs", type=int, default=None)
     p.add_argument("--clip-norm", type=float, default=None,
-                   help="global gradient norm limit; 0 disables (default 5)")
+                   help="global gradient norm limit; 0 disables "
+                        f"(default {training.TrainConfig.clip_norm:g})")
     p.add_argument("--hidden", type=int, default=None,
-                   help="LSTM state width (default 100)")
+                   help=f"LSTM state width (default {_HIDDEN})")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on held-out profiles")
@@ -104,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--variant", default=None, choices=models.VARIANTS,
                    help="assert the checkpoint holds this architecture")
-    p.add_argument("--test-profiles", default=None,
-                   help="comma list of profile ids to score (default 65)")
+    p.add_argument("--test-profiles", type=_int_list, default=None,
+                   help=f"comma list of profile ids to score (default {_HELD_OUT_ID})")
     p.add_argument("--batch-size", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
@@ -123,71 +144,110 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_file_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise dataio.ConfigError(f"{path}: config file must hold a JSON object")
-    return cfg
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _merged(args, file_cfg: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+# The kinds a config value may be declared as: (test, what it must be).
+_KINDS = {
+    "integer": (_is_int, "an integer"),
+    "number": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "integers": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                 "a list of integers or a comma string of integers"),
+    "clip": (lambda v: v in (None, "none") or _KINDS["number"][0](v),
+             'a number, "none" or null'),
+}
+_UNSET = object()
 
 
-def _parse_int_list(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    text = str(value).strip()
-    if not text:
-        return []
-    return [int(part) for part in text.split(",")]
+class _Settings:
+    """Reads each setting as its flag, else its --config value, else a
+    default; the one place that checks a config value's kind."""
+
+    def __init__(self, args):
+        self.args, self.path, self.file = args, getattr(args, "config", None), {}
+        if self.path:
+            with open(self.path) as fh:
+                self.file = json.load(fh)
+            if not isinstance(self.file, dict):
+                raise dataio.ConfigError(
+                    f"{self.path}: config file must hold a JSON object")
+        self.seed = self.get("seed", "integer", _SEED)
+
+    def get(self, key: str, kind, default=None):
+        """The setting ``key``; its file value, used or not, must be ``kind``."""
+        flag = getattr(self.args, key, None)
+        if key not in self.file:
+            return default if flag is None else flag
+        value = self.file[key]
+        if kind == "integers" and isinstance(value, str):
+            with contextlib.suppress(argparse.ArgumentTypeError):
+                value = _int_list(value)
+        test, expected = _KINDS[kind]
+        if not test(value):
+            raise dataio.ConfigError(
+                f"{self.path}: {key} must be {expected}, got {value!r}")
+        return value if flag is None else flag
+
+    def pick(self, kinds: dict) -> dict:
+        """{key: value} for the keys of ``kinds`` that the user set."""
+        values = {key: self.get(key, kind, _UNSET) for key, kind in kinds.items()}
+        return {key: v for key, v in values.items() if v is not _UNSET}
 
 
-def _feature_config(args, file_cfg) -> features.FeatureConfig:
-    spans = _merged(args, file_cfg, "spans", features.DEFAULT_SPANS)
-    return features.FeatureConfig.with_synthetic_set(
-        _merged(args, file_cfg, "synthetic_set", "imc-smc"),
-        window=_merged(args, file_cfg, "window", 180),
-        stride=_merged(args, file_cfg, "stride", 1),
-        spans=tuple(_parse_int_list(spans)),
-        standardize_targets=bool(
-            _merged(args, file_cfg, "standardize_targets", True)
-        ),
-    )
+def _feature_config(settings: _Settings) -> features.FeatureConfig:
+    given = settings.pick({"window": "integer", "stride": "integer",
+                           "spans": "integers", "standardize_targets": "boolean"})
+    name = settings.get("synthetic_set", "string", features.DEFAULT_SYNTHETIC_SET)
+    return features.FeatureConfig.with_synthetic_set(name, **given)
 
 
-def _load_frames(args, file_cfg, parser_error, seed) -> list[dataio.ProfileFrame]:
-    data = _merged(args, file_cfg, "data", None)
-    use_synth = bool(_merged(args, file_cfg, "synth", False))
-    if data and use_synth:
+def _train_config(settings: _Settings) -> training.TrainConfig:
+    given = settings.pick({"batch_size": "integer", "learning_rate": "number",
+                           "epochs_per_group": "integer", "groups": "integer",
+                           "fine_tune_profiles": "integer",
+                           "fine_tune_epochs": "integer", "clip_norm": "clip"})
+    if "groups" in given:
+        given["group_count"] = given.pop("groups")
+    if "clip_norm" in given and given["clip_norm"] in (0, "none", None):
+        given["clip_norm"] = None  # 0, "none" and null disable clipping
+    return training.TrainConfig(seed=settings.seed, **given)
+
+
+def _load_frames(settings, parser_error) -> tuple[list[dataio.ProfileFrame], dict]:
+    """The recording and the data settings that chose it."""
+    source = {
+        "data": settings.get("data", "string"),
+        "synth": settings.get("synth", "boolean", False),
+        "synth_profiles": settings.get("synth_profiles", "integer", _SYNTH_PROFILES),
+        "synth_length": settings.get("synth_length", "integer", _SYNTH_LENGTH)}
+    if source["data"] and source["synth"]:
         parser_error("--data and --synth are mutually exclusive")
-    if data:
-        return dataio.load_csv(data)
-    if use_synth:
-        return dataio.synthesize(
-            seed=seed,
-            profiles=int(_merged(args, file_cfg, "synth_profiles", 3)),
-            length=int(_merged(args, file_cfg, "synth_length", 600)),
-        )
+    if source["data"]:
+        return dataio.load_csv(source["data"]), source
+    if source["synth"]:
+        return dataio.synthesize(seed=settings.seed, profiles=source["synth_profiles"],
+                                 length=source["synth_length"]), source
     parser_error("one of --data or --synth is required")
 
 
-def _resolve_test_ids(args, file_cfg, frames) -> tuple[list[int], bool]:
-    """Held-out profile ids and whether the user picked them explicitly."""
-    raw = _merged(args, file_cfg, "test_profiles", None)
-    if raw is None:
-        present = {f.profile_id for f in frames}
-        return ([65] if 65 in present else []), False
-    return _parse_int_list(raw), True
+def _test_ids(settings, frames) -> list[int]:
+    """The held-out profile ids: the user's, else the default id if present."""
+    present = {f.profile_id for f in frames}
+    default = [_HELD_OUT_ID] if _HELD_OUT_ID in present else []
+    return settings.get("test_profiles", "integers", default)
+
+
+def _load_pipeline(path, expect_variant=None):
+    """``load_checkpoint`` for commands that rebuild the input pipeline."""
+    params, stats, feature_config = ckpt.load_checkpoint(path, expect_variant)
+    if feature_config is None or stats is None:
+        raise ckpt.CheckpointError(
+            f"{path}: checkpoint lacks feature configuration or "
+            "statistics; cannot rebuild the input pipeline")
+    return params, stats, feature_config
 
 
 def _write_json(path, payload: dict):
@@ -204,19 +264,15 @@ def _windows(frames, config, stats) -> features.WindowedDataset:
         lengths = ", ".join(f"{f.profile_id}: {f.n_samples}" for f in frames)
         raise dataio.ConfigError(
             f"no windows: every profile is shorter than the window of "
-            f"{config.window} samples (samples per profile: {lengths})"
-        )
+            f"{config.window} samples (samples per profile: {lengths})")
     return dataset
 
 
 def cmd_synth(args, parser) -> int:
-    file_cfg = _load_file_config(args)
-    seed = int(_merged(args, file_cfg, "seed", 0))
+    settings = _Settings(args)
     frames = dataio.synthesize(
-        seed=seed,
-        profiles=int(_merged(args, file_cfg, "profiles", 3)),
-        length=int(_merged(args, file_cfg, "length", 600)),
-    )
+        seed=settings.seed, profiles=settings.get("profiles", "integer", _SYNTH_PROFILES),
+        length=settings.get("length", "integer", _SYNTH_LENGTH))
     dataio.save_csv(frames, args.out)
     print(f"wrote {sum(len(f) for f in frames)} rows "
           f"({len(frames)} profiles) to {args.out}")
@@ -224,10 +280,9 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_featurize(args, parser) -> int:
-    file_cfg = _load_file_config(args)
-    seed = int(_merged(args, file_cfg, "seed", 0))
-    config = _feature_config(args, file_cfg)
-    frames = _load_frames(args, file_cfg, parser.error, seed)
+    settings = _Settings(args)
+    config = _feature_config(settings)
+    frames, _ = _load_frames(settings, parser.error)
     stats = features.fit_standardization(frames, config)
     dataset = _windows(frames, config, stats)
     inputs, targets = dataset.gather(np.arange(dataset.n_windows))
@@ -236,8 +291,7 @@ def cmd_featurize(args, parser) -> int:
     np.save(os.path.join(args.out, "targets.npy"), targets)
     with open(os.path.join(args.out, "provenance.csv"), "w") as fh:
         fh.write("profile_id,end_index\n")
-        for pid, end in dataset.provenance():
-            fh.write(f"{pid},{end}\n")
+        fh.writelines(f"{pid},{end}\n" for pid, end in dataset.provenance())
     _write_json(os.path.join(args.out, "stats.json"), stats.to_dict())
     _write_json(os.path.join(args.out, "config.json"), config.to_dict())
     print(f"wrote {dataset.n_windows} windows x {config.channel_count()} "
@@ -246,65 +300,30 @@ def cmd_featurize(args, parser) -> int:
 
 
 def cmd_train(args, parser) -> int:
-    file_cfg = _load_file_config(args)
-    seed = int(_merged(args, file_cfg, "seed", 0))
-    variant = _merged(args, file_cfg, "variant", "attention")
-    feature_config = _feature_config(args, file_cfg)
-    frames = _load_frames(args, file_cfg, parser.error, seed)
-    test_ids, explicit = _resolve_test_ids(args, file_cfg, frames)
-    split = dataio.split(frames, test_ids) if (test_ids or explicit) \
-        else dataio.DatasetSplit(train=list(frames))
-
-    clip = _merged(args, file_cfg, "clip_norm", 5.0)
-    clip = None if clip in (0, 0.0, "none", None) else float(clip)
-    train_config = training.TrainConfig(
-        batch_size=int(_merged(args, file_cfg, "batch_size", 256)),
-        learning_rate=float(_merged(args, file_cfg, "learning_rate", 5e-4)),
-        epochs_per_group=int(_merged(args, file_cfg, "epochs_per_group", 25)),
-        group_count=int(_merged(args, file_cfg, "groups", 4)),
-        fine_tune_profiles=int(_merged(args, file_cfg, "fine_tune_profiles", 8)),
-        fine_tune_epochs=_merged(args, file_cfg, "fine_tune_epochs", None),
-        seed=seed,
-        clip_norm=clip,
-    )
-    hidden = int(_merged(args, file_cfg, "hidden", 100))
+    settings = _Settings(args)
+    variant = settings.get("variant", "string", _VARIANT)
+    feature_config = _feature_config(settings)
+    train_config = _train_config(settings)
+    hidden = settings.get("hidden", "integer", _HIDDEN)
+    frames, source = _load_frames(settings, parser.error)
+    test_ids = _test_ids(settings, frames)
+    split = dataio.split(frames, test_ids)
 
     os.makedirs(args.out, exist_ok=True)
-    effective = {
-        "command": "train",
-        "variant": variant,
-        "seed": seed,
-        "hidden": hidden,
-        "test_profiles": test_ids,
-        "data": _merged(args, file_cfg, "data", None),
-        "synth": bool(_merged(args, file_cfg, "synth", False)),
-        "synth_profiles": int(_merged(args, file_cfg, "synth_profiles", 3)),
-        "synth_length": int(_merged(args, file_cfg, "synth_length", 600)),
-        "features": feature_config.to_dict(),
-        "training": {
-            "batch_size": train_config.batch_size,
-            "learning_rate": train_config.learning_rate,
-            "beta1": train_config.beta1,
-            "beta2": train_config.beta2,
-            "eps": train_config.eps,
-            "epochs_per_group": train_config.epochs_per_group,
-            "group_count": train_config.group_count,
-            "fine_tune_profiles": train_config.fine_tune_profiles,
-            "fine_tune_epochs": train_config.fine_tune_epochs,
-            "clip_norm": train_config.clip_norm,
-        },
-    }
-    _write_json(os.path.join(args.out, "config.json"), effective)
+    training_block = dataclasses.asdict(train_config)
+    del training_block["seed"]
+    _write_json(os.path.join(args.out, "config.json"), {
+        "command": "train", "variant": variant, "seed": settings.seed,
+        "hidden": hidden, "test_profiles": test_ids, **source,
+        "features": feature_config.to_dict(), "training": training_block,
+    })
 
-    params, logs = training.train_grouped(
-        split, feature_config, variant, train_config, hidden=hidden
-    )
+    params, logs = training.train_grouped(split, feature_config, variant,
+                                          train_config, hidden=hidden)
 
     log_path = os.path.join(args.out, "train_log.jsonl")
     with open(log_path, "w") as fh:
-        for record in logs:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in logs)
 
     stats = features.fit_standardization(split.train, feature_config)
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
@@ -322,53 +341,33 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_evaluate(args, parser) -> int:
-    file_cfg = _load_file_config(args)
-    seed = int(_merged(args, file_cfg, "seed", 0))
-    expect = _merged(args, file_cfg, "variant", None)
-    params, stats, feature_config = ckpt.load_checkpoint(
-        args.checkpoint, expect_variant=expect
-    )
-    if feature_config is None or stats is None:
-        raise ckpt.CheckpointError(
-            f"{args.checkpoint}: checkpoint lacks feature configuration or "
-            "statistics; cannot rebuild the input pipeline"
-        )
-    frames = _load_frames(args, file_cfg, parser.error, seed)
-    test_ids, _ = _resolve_test_ids(args, file_cfg, frames)
+    settings = _Settings(args)
+    params, stats, feature_config = _load_pipeline(
+        args.checkpoint, settings.get("variant", "string"))
+    frames, _ = _load_frames(settings, parser.error)
+    test_ids = _test_ids(settings, frames)
     if not test_ids:
         available = ", ".join(str(f.profile_id) for f in frames)
-        raise dataio.ConfigError(
-            f"no held-out profiles selected; pass --test-profiles "
-            f"(available: {available})"
-        )
-    chosen = dataio.split(frames, test_ids).test
-    dataset = _windows(chosen, feature_config, stats)
-    batch_size = int(_merged(args, file_cfg, "batch_size", 256))
+        raise dataio.ConfigError("no held-out profiles selected; pass "
+                                 f"--test-profiles (available: {available})")
+    dataset = _windows(dataio.split(frames, test_ids).test, feature_config, stats)
     actual, predicted = evaluation.collect_predictions(
-        params, dataset, stats, batch_size=batch_size
-    )
+        params, dataset, stats, **settings.pick({"batch_size": "integer"}))
     report = evaluation.compute_metrics(actual, predicted)
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "report.json"), report.to_dict())
     with open(os.path.join(args.out, "report.txt"), "w") as fh:
-        fh.write(report.to_text())
-        fh.write("\n")
+        fh.write(report.to_text() + "\n")
     evaluation.write_traces(args.out, dataset.provenance(), actual, predicted)
     print(report.to_text())
     return 0
 
 
 def cmd_predict(args, parser) -> int:
-    file_cfg = _load_file_config(args)
-    seed = int(_merged(args, file_cfg, "seed", 0))
-    params, stats, feature_config = ckpt.load_checkpoint(args.checkpoint)
-    if feature_config is None or stats is None:
-        raise ckpt.CheckpointError(
-            f"{args.checkpoint}: checkpoint lacks feature configuration or "
-            "statistics; cannot rebuild the input pipeline"
-        )
-    frames = _load_frames(args, file_cfg, parser.error, seed)
+    settings = _Settings(args)
+    params, stats, feature_config = _load_pipeline(args.checkpoint)
+    frames, _ = _load_frames(settings, parser.error)
     dataset = _windows(frames, feature_config, stats)
     _, predicted = evaluation.collect_predictions(params, dataset, stats)
     prov = dataset.provenance()
@@ -384,7 +383,7 @@ def cmd_predict(args, parser) -> int:
 
 def cmd_inspect(args, parser) -> int:
     params, stats, feature_config = ckpt.load_checkpoint(args.checkpoint)
-    window = feature_config.window if feature_config else 180
+    window = (feature_config or features.FeatureConfig).window
     print(f"variant: {params.variant}")
     print(f"input channels: {params.input_dim}   hidden width: {params.hidden}   "
           f"outputs: {params.output_dim}")
@@ -404,11 +403,9 @@ def cmd_inspect(args, parser) -> int:
     return 0
 
 
-_RUNTIME_ERRORS = (
-    ValueError,          # shape/contract/schema/parse/config errors
-    RuntimeError,        # training and checkpoint errors
-    OSError,
-)
+# Shape, contract, schema, parse and config errors are ValueErrors; training
+# and checkpoint errors are RuntimeErrors.
+_RUNTIME_ERRORS = (ValueError, RuntimeError, OSError)
 
 
 def main(argv=None) -> int:

@@ -49,12 +49,17 @@ SYNTHETIC_SETS = {
     "all": ("U", "I", "S", "P", "IMM", "SMM", "IMC", "SMC"),
 }
 
-DEFAULT_SYNTHETIC = SYNTHETIC_SETS["imc-smc"]
+DEFAULT_SYNTHETIC_SET = "imc-smc"
+DEFAULT_SYNTHETIC = SYNTHETIC_SETS[DEFAULT_SYNTHETIC_SET]
 
 # Smoothing spans in samples (11, 28, 53 and 79 minutes at 2 Hz).
 DEFAULT_SPANS = (1320, 3360, 6360, 9480)
 
 _SYNTHETIC_SOURCES = ("u_d", "u_q", "i_d", "i_q", "motor_speed", "coolant")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class UndefinedCorrelationError(ValueError):
@@ -75,6 +80,9 @@ class FeatureConfig:
     def __post_init__(self):
         object.__setattr__(self, "predictors", tuple(self.predictors))
         object.__setattr__(self, "synthetic", tuple(self.synthetic))
+        if not all(_is_int(s) for s in self.spans):
+            raise ValueError(
+                f"spans must be integer numbers of samples, got {self.spans!r}")
         object.__setattr__(self, "spans", tuple(int(s) for s in self.spans))
         unknown = [s for s in self.synthetic if s not in SYNTHETIC_SETS["all"]]
         if unknown:
@@ -85,13 +93,16 @@ class FeatureConfig:
             raise ValueError(f"spans must be strictly increasing, got {self.spans}")
         for name in ("window", "stride"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(
                     f"{name} must be an integer number of samples, got {value!r}"
                 )
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
             object.__setattr__(self, name, int(value))
+        if not isinstance(self.standardize_targets, bool):
+            raise ValueError("standardize_targets must be true or false, "
+                             f"got {self.standardize_targets!r}")
 
     @classmethod
     def with_synthetic_set(cls, name: str, **kwargs) -> "FeatureConfig":

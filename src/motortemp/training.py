@@ -16,6 +16,7 @@ stderr themselves.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -65,6 +66,21 @@ class TrainConfig:
     clip_norm: float | None = 5.0
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs_per_group", "group_count",
+                     "fine_tune_profiles", "fine_tune_epochs", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "fine_tune_epochs":
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
+        for name in ("learning_rate", "beta1", "beta2", "eps", "clip_norm"):
+            value = getattr(self, name)
+            if value is None and name == "clip_norm":
+                continue
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            setattr(self, name, float(value))
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):

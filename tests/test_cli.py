@@ -1,5 +1,6 @@
 """End-to-end command line flows against generated recordings."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from motortemp.checkpoint import save_checkpoint
 from motortemp.dataio import synthesize
 from motortemp.features import FeatureConfig, build_dataset, fit_standardization
 from motortemp.models import init_params
+from motortemp.training import TrainConfig
 
 FAST_FEATURES = ["--window", "16", "--spans", "2,4"]
 FAST_TRAIN = FAST_FEATURES + [
@@ -84,7 +86,8 @@ class TestFeaturize:
 
     def test_flag_beats_config_file_beats_default(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"window": 24, "spans": [2, 4]}))
+        cfg_path.write_text(json.dumps({"window": 24, "spans": [2, 4],
+                                        "batch_size": 32, "learning_rate": 1}))
         out1 = tmp_path / "f1"
         run(["featurize", "--synth", "--synth-profiles", "1",
              "--synth-length", "40", "--config", str(cfg_path),
@@ -95,6 +98,24 @@ class TestFeaturize:
              "--synth-length", "40", "--config", str(cfg_path),
              "--window", "20", "--out", str(out2)])
         assert json.loads((out2 / "config.json").read_text())["window"] == 20
+
+        def training_block(name, *flags):
+            out = tmp_path / name
+            assert run(["train", "--out", str(out), "--hidden", "2",
+                        "--epochs-per-group", "1", "--groups", "1",
+                        "--fine-tune-profiles", "0", "--synth",
+                        "--synth-profiles", "1", "--synth-length", "40",
+                        *flags]) == 0
+            return json.loads((out / "config.json").read_text())["training"]
+
+        t = training_block("t0", *FAST_FEATURES)
+        assert (t["batch_size"], t["learning_rate"]) == (256, 5e-4)
+        t = training_block("t1", "--config", str(cfg_path))
+        assert (t["batch_size"], t["learning_rate"]) == (32, 1.0)
+        assert isinstance(t["learning_rate"], float)
+        t = training_block("t2", "--config", str(cfg_path), "--batch-size", "16",
+                           "--learning-rate", "0.01")
+        assert (t["batch_size"], t["learning_rate"]) == (16, 0.01)
 
     def test_matches_build_dataset_gather(self, tmp_path):
         out = tmp_path / "feat"
@@ -130,6 +151,78 @@ class TestFeaturize:
                     "--synth-length", "40", "--config", str(cfg_path),
                     "--out", str(tmp_path / "f")]) == 1
         assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    BASE = ["--window", "16", "--epochs-per-group", "1", "--groups", "1",
+            "--fine-tune-profiles", "0"]
+
+    @pytest.mark.parametrize("entry", [
+        {"hidden": 2.5},
+        {"standardize_targets": "false"},
+        {"spans": [2.7, 4.9]},
+        {"synth": "false"},
+        {"fine_tune_epochs": "2"},
+        {"learning_rate": None},
+        {"batch_size": "abc"},
+        {"seed": 1.5},
+        {"synth_profiles": "3"},
+        {"test_profiles": [2.5]},
+    ], ids=lambda entry: next(iter(entry)))
+    def test_wrong_kind_exits_1_naming_key_and_file(self, tmp_path, capsys,
+                                                    entry):
+        data = tmp_path / "rec.csv"
+        assert run(["synth", "--out", str(data), "--profiles", "2",
+                    "--length", "40"]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(entry))
+        (key,) = entry
+        assert run(["train", "--data", str(data), "--config", str(cfg_path),
+                    "--out", str(tmp_path / "run"), *self.BASE]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: {key} must be" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_checks_a_value_its_flag_overrides(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"batch_size": "abc"}))
+        assert run(["train", "--out", str(tmp_path / "run"), "--config",
+                    str(cfg_path), *FAST_TRAIN]) == 1
+        assert f"{cfg_path}: batch_size must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,written", [
+        (0, "null"), ("none", "null"), (None, "null"), (5, "5.0"), (0.5, "0.5")])
+    def test_clip_norm_spellings(self, tmp_path, value, written):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"clip_norm": value}))
+        out = tmp_path / "run"
+        assert run(["train", "--out", str(out), "--config", str(cfg_path),
+                    *FAST_TRAIN]) == 0
+        assert f'"clip_norm": {written},' in (out / "config.json").read_text()
+
+    def test_comma_string_lists(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"spans": "2,4", "test_profiles": "2"}))
+        out = tmp_path / "run"
+        assert run(["train", "--out", str(out), "--config", str(cfg_path),
+                    "--hidden", "2", "--synth", "--synth-profiles", "2",
+                    "--synth-length", "40", *self.BASE]) == 0
+        cfg = json.loads((out / "config.json").read_text())
+        assert cfg["features"]["spans"] == [2, 4]
+        assert cfg["test_profiles"] == [2]
+
+    def test_no_flags_writes_library_defaults(self, tmp_path):
+        # Four profiles of 181 samples give the default curriculum (four
+        # groups) two windows each at the default window of 180.
+        out = tmp_path / "run"
+        assert run(["train", "--out", str(out), "--hidden", "2", "--synth",
+                    "--synth-profiles", "4", "--synth-length", "181"]) == 0
+        cfg = json.loads((out / "config.json").read_text())
+        expected = dataclasses.asdict(TrainConfig())
+        del expected["seed"]
+        assert cfg["training"] == expected
+        assert cfg["features"] == FeatureConfig().to_dict()
 
 
 class TestUsageErrors:

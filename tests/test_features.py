@@ -218,11 +218,18 @@ class TestFeatureConfig:
         with pytest.raises(ValueError):
             FeatureConfig.with_synthetic_set("bogus")
 
-    @pytest.mark.parametrize("field", ["window", "stride"])
+    @pytest.mark.parametrize("field", ["window", "stride", "spans"])
     @pytest.mark.parametrize("value", ["16", 16.5, 16.0, True, None])
     def test_rejects_non_integer_window_and_stride(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        # A span is checked the same way, as one entry of the spans tuple.
+        if field == "spans":
+            value = (2, value)
+        with pytest.raises(ValueError, match=f"{field} must be (an )?integer"):
             FeatureConfig(**{field: value})
+
+    def test_rejects_non_boolean_standardize_targets(self):
+        with pytest.raises(ValueError, match="standardize_targets must be true"):
+            FeatureConfig(standardize_targets="false")
 
     def test_integer_like_window_is_stored_as_int(self):
         config = FeatureConfig(window=np.int64(16), stride=np.int32(2))

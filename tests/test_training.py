@@ -69,6 +69,15 @@ class TestTrainConfig:
         {"eps": float("nan")},
         {"eps": float("inf")},
         {"fine_tune_epochs": -1},
+        {"batch_size": 1.5},
+        {"batch_size": True},
+        {"epochs_per_group": 2.5},
+        {"group_count": "4"},
+        {"fine_tune_profiles": 1.0},
+        {"fine_tune_epochs": "2"},
+        {"seed": 1.5},
+        {"learning_rate": "0.1"},
+        {"clip_norm": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         (field,) = kwargs
@@ -77,6 +86,12 @@ class TestTrainConfig:
 
     def test_fine_tune_epochs_zero_allowed(self):
         assert TrainConfig(fine_tune_epochs=0).fine_tune_epochs == 0
+
+    def test_stores_numbers_as_float_and_integers_as_int(self):
+        cfg = TrainConfig(learning_rate=1, clip_norm=5, batch_size=np.int64(8))
+        assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+        assert type(cfg.clip_norm) is float and cfg.clip_norm == 5.0
+        assert type(cfg.batch_size) is int and cfg.batch_size == 8
 
 
 class TestMseLoss:
@@ -433,8 +448,15 @@ class TestCheckpoint:
         ("feature_config", lambda b: b.update(stride="2"),
          r"feature_config block is malformed \(ValueError: stride must be an "
          r"integer number of samples, got '2'\)"),
+        ("feature_config", lambda b: b.update(spans=[2.5, 4]),
+         r"feature_config block is malformed \(ValueError: spans must be "
+         r"integer numbers of samples, got \[2\.5, 4\]\)"),
+        ("feature_config", lambda b: b.update(standardize_targets="false"),
+         r"feature_config block is malformed \(ValueError: standardize_targets "
+         r"must be true or false, got 'false'\)"),
     ], ids=["spans", "no_target_std", "short_mean", "long_target_std",
-            "include_raw_false", "float_window", "string_stride"])
+            "include_raw_false", "float_window", "string_stride", "float_span",
+            "string_standardize_targets"])
     def test_rejects_malformed_header_block(self, tmp_path, block, edit,
                                             message):
         _, _, path = self.roundtrip(tmp_path, "vanilla")
