@@ -2,15 +2,16 @@
 
 Subcommands: synth, featurize, train, evaluate, predict, inspect.  Each
 setting is its flag, else its key in an optional JSON config file
-(--config), else the default.  Keys are flag names with "_" for "-", plus
-``standardize_targets``; a value must be of its flag's kind, and unknown
-keys are ignored.  FeatureConfig and TrainConfig own their defaults.  Every
-run with an output directory writes the resolved configuration there as
-config.json.
+(--config), else the default.  Keys are flag names with "_" for "-"; a
+value must be of its flag's kind (one of its choices, where it has them),
+and unknown keys are ignored.  FeatureConfig and TrainConfig own their
+defaults.  Every run with an output directory writes the resolved
+configuration there as config.json.
 
 Exit codes: 0 on success, 2 for usage errors (argparse), 1 for runtime
-failures such as unreadable files, schema violations, config values of the
-wrong kind (naming the key and the file) or mismatched checkpoints.
+failures such as unreadable files, schema violations, config files that
+are not JSON objects or hold values of the wrong kind (naming the key and
+the file) or mismatched checkpoints.
 """
 
 from __future__ import annotations
@@ -158,6 +159,9 @@ _KINDS = {
                  "a list of integers or a comma string of integers"),
     "clip": (lambda v: v in (None, "none") or _KINDS["number"][0](v),
              'a number, "none" or null'),
+    # Older config files may still hold the retired standardize_targets.
+    "retired": (lambda v: v is True, "true (targets are always standardized "
+                                     "for training)"),
 }
 _UNSET = object()
 
@@ -170,14 +174,20 @@ class _Settings:
         self.args, self.path, self.file = args, getattr(args, "config", None), {}
         if self.path:
             with open(self.path) as fh:
-                self.file = json.load(fh)
+                try:
+                    self.file = json.load(fh)
+                except ValueError as exc:  # bad JSON or bad UTF-8
+                    raise dataio.ConfigError(
+                        f"{self.path}: not valid JSON ({exc})") from None
             if not isinstance(self.file, dict):
                 raise dataio.ConfigError(
                     f"{self.path}: config file must hold a JSON object")
+        self.get("standardize_targets", "retired")
         self.seed = self.get("seed", "integer", _SEED)
 
     def get(self, key: str, kind, default=None):
-        """The setting ``key``; its file value, used or not, must be ``kind``."""
+        """The setting ``key``; its file value, used or not, must be ``kind``,
+        or one of ``kind`` when that is a tuple of choices."""
         flag = getattr(self.args, key, None)
         if key not in self.file:
             return default if flag is None else flag
@@ -185,7 +195,8 @@ class _Settings:
         if kind == "integers" and isinstance(value, str):
             with contextlib.suppress(argparse.ArgumentTypeError):
                 value = _int_list(value)
-        test, expected = _KINDS[kind]
+        test, expected = _KINDS[kind] if isinstance(kind, str) else (
+            lambda v: v in kind, f"one of {', '.join(kind)}")
         if not test(value):
             raise dataio.ConfigError(
                 f"{self.path}: {key} must be {expected}, got {value!r}")
@@ -199,8 +210,9 @@ class _Settings:
 
 def _feature_config(settings: _Settings) -> features.FeatureConfig:
     given = settings.pick({"window": "integer", "stride": "integer",
-                           "spans": "integers", "standardize_targets": "boolean"})
-    name = settings.get("synthetic_set", "string", features.DEFAULT_SYNTHETIC_SET)
+                           "spans": "integers"})
+    name = settings.get("synthetic_set", tuple(sorted(features.SYNTHETIC_SETS)),
+                        features.DEFAULT_SYNTHETIC_SET)
     return features.FeatureConfig.with_synthetic_set(name, **given)
 
 
@@ -301,7 +313,7 @@ def cmd_featurize(args, parser) -> int:
 
 def cmd_train(args, parser) -> int:
     settings = _Settings(args)
-    variant = settings.get("variant", "string", _VARIANT)
+    variant = settings.get("variant", models.VARIANTS, _VARIANT)
     feature_config = _feature_config(settings)
     train_config = _train_config(settings)
     hidden = settings.get("hidden", "integer", _HIDDEN)
@@ -343,7 +355,7 @@ def cmd_train(args, parser) -> int:
 def cmd_evaluate(args, parser) -> int:
     settings = _Settings(args)
     params, stats, feature_config = _load_pipeline(
-        args.checkpoint, settings.get("variant", "string"))
+        args.checkpoint, settings.get("variant", models.VARIANTS))
     frames, _ = _load_frames(settings, parser.error)
     test_ids = _test_ids(settings, frames)
     if not test_ids:
@@ -394,8 +406,8 @@ def cmd_inspect(args, parser) -> int:
         print(f"  {name:<{name_w}}  {kind:<{kind_w}}  {shape}")
     print(f"trainable parameters: {models.count_params(params)}")
     if stats is not None:
-        print(f"standardization: {len(stats.channel_names)} channels, targets "
-              + ("scaled" if stats.standardize_targets else "raw"))
+        print(f"standardization: {len(stats.channel_names)} channels, "
+              f"{len(stats.target_names)} targets")
     if feature_config is not None:
         print(f"features: window {feature_config.window}, stride "
               f"{feature_config.stride}, spans {list(feature_config.spans)}, "

@@ -9,6 +9,7 @@ since it bounds how far a derating controller could be misled.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -44,7 +45,6 @@ class EvalReport:
     overall_mse: float
     overall_max_abs_error: float
     n_windows: int
-    standardized_units: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -54,14 +54,12 @@ class EvalReport:
             "overall_mse": self.overall_mse,
             "overall_max_abs_error": self.overall_max_abs_error,
             "n_windows": self.n_windows,
-            "standardized_units": self.standardized_units,
         }
 
     def to_text(self) -> str:
-        unit = "std units" if self.standardized_units else "degC"
         width = max(len(t) for t in self.target_names)
         lines = [
-            f"evaluated {self.n_windows} windows ({unit})",
+            f"evaluated {self.n_windows} windows (degC)",
             f"{'target':<{width}}  {'mse':>12}  {'max |err|':>12}",
         ]
         for t in self.target_names:
@@ -76,8 +74,7 @@ class EvalReport:
 
 
 def compute_metrics(actual: np.ndarray, predicted: np.ndarray,
-                    target_names=TARGETS,
-                    standardized_units: bool = False) -> EvalReport:
+                    target_names=TARGETS) -> EvalReport:
     """Error metrics from aligned (n, targets) arrays.
 
     Per target: mean squared error and maximum absolute error.  Pooled
@@ -106,51 +103,41 @@ def compute_metrics(actual: np.ndarray, predicted: np.ndarray,
         overall_mse=float((err * err).mean()),
         overall_max_abs_error=float(np.abs(err).max()),
         n_windows=a.shape[0],
-        standardized_units=standardized_units,
     )
 
 
 def collect_predictions(params: ModelParams, dataset: WindowedDataset,
-                        stats: Standardization | None,
-                        batch_size: int = 256):
+                        stats: Standardization, batch_size: int = 256):
     """Run the model once over every window of ``dataset``, in batches.
 
     Returns (actual, predicted) in degrees Celsius, shape (n, targets)
-    each, row k belonging to ``dataset.provenance()[k]``.
+    each, row k belonging to ``dataset.provenance()[k]``; ``stats`` maps
+    the model's standardized outputs back.
     """
     n = dataset.n_windows
     if n == 0:
         raise EvaluationError("dataset holds no windows")
+    if (not isinstance(batch_size, numbers.Integral)
+            or isinstance(batch_size, bool) or batch_size < 1):
+        raise EvaluationError(
+            f"batch_size must be a positive integer, got {batch_size!r}")
     actual, predicted = [], []
     for at in range(0, n, batch_size):
         idx = np.arange(at, min(at + batch_size, n))
         inputs, raw = dataset.gather(idx)
         pred = predict(params, inputs).reshape(len(idx), -1)
-        if stats is not None:
-            pred = stats.untransform_predictions(pred)
         actual.append(raw.reshape(len(idx), -1))
-        predicted.append(pred)
+        predicted.append(stats.untransform_predictions(pred))
     return np.concatenate(actual), np.concatenate(predicted)
 
 
-def evaluate(params: ModelParams, dataset, stats: Standardization | None,
-             batch_size: int = 256, standardized_units: bool = False) -> EvalReport:
-    """Metrics for a model over held-out windows.
-
-    By default errors are in degrees Celsius (predictions are mapped back
-    through the target statistics).  With ``standardized_units`` both sides
-    are transformed into standardized space instead.
-    """
-    actual, predicted = collect_predictions(params, dataset, stats, batch_size)
-    if standardized_units:
-        if stats is None:
-            raise EvaluationError("standardized-unit metrics need statistics")
-        actual = stats.transform_targets(actual)
-        predicted = stats.transform_targets(predicted)
-    return compute_metrics(actual, predicted, standardized_units=standardized_units)
+def evaluate(params: ModelParams, dataset, stats: Standardization,
+             batch_size: int = 256) -> EvalReport:
+    """Metrics in degrees Celsius for a model over held-out windows."""
+    return compute_metrics(*collect_predictions(params, dataset, stats, batch_size))
 
 
-def emit_traces(params: ModelParams, dataset, stats: Standardization | None,
+def emit_traces(params: ModelParams, dataset, stats: Standardization,
                 out_dir, batch_size: int = 256) -> list[str]:
     """Predict every window of ``dataset`` and ``write_traces`` the result."""
     actual, predicted = collect_predictions(params, dataset, stats, batch_size)

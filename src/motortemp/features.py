@@ -75,7 +75,6 @@ class FeatureConfig:
     spans: tuple = DEFAULT_SPANS
     window: int = 180
     stride: int = 1
-    standardize_targets: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "predictors", tuple(self.predictors))
@@ -100,9 +99,6 @@ class FeatureConfig:
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
             object.__setattr__(self, name, int(value))
-        if not isinstance(self.standardize_targets, bool):
-            raise ValueError("standardize_targets must be true or false, "
-                             f"got {self.standardize_targets!r}")
 
     @classmethod
     def with_synthetic_set(cls, name: str, **kwargs) -> "FeatureConfig":
@@ -132,21 +128,31 @@ class FeatureConfig:
             "spans": list(self.spans),
             "window": self.window,
             "stride": self.stride,
-            "standardize_targets": self.standardize_targets,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":
-        """Rebuild from ``to_dict`` output.  Older files also carry an
-        ``include_raw`` key; only ``true`` describes this channel layout."""
-        d = dict(d)
-        include_raw = d.pop("include_raw", True)
-        if include_raw is not True:
-            raise ValueError(
-                f"include_raw {include_raw!r} is not supported: the raw "
-                "attributes are always the first channel block"
-            )
-        return cls(**d)
+        """Rebuild from ``to_dict`` output, older files' keys included."""
+        return cls(**_drop_retired(d))
+
+
+# Keys that older files may carry, with why ``true`` is their only value.
+_RETIRED_KEYS = {
+    "include_raw": "the raw attributes are always the first channel block",
+    "standardize_targets": "targets are always standardized for training "
+                           "and reported in degrees Celsius",
+}
+
+
+def _drop_retired(d: dict) -> dict:
+    """A copy of ``d`` without its retired keys; raises ValueError, naming
+    the key, when one holds anything but ``true``."""
+    d = dict(d)
+    for key, reason in _RETIRED_KEYS.items():
+        value = d.pop(key, True)
+        if value is not True:
+            raise ValueError(f"{key} {value!r} is not supported: {reason}")
+    return d
 
 
 def derive_synthetic(frame: ProfileFrame, selection=DEFAULT_SYNTHETIC) -> ProfileFrame:
@@ -274,19 +280,14 @@ class Standardization:
     target_names: tuple
     target_mean: np.ndarray
     target_std: np.ndarray
-    standardize_targets: bool = True
 
     def transform_channels(self, x: np.ndarray) -> np.ndarray:
         return (x - self.channel_mean) / self.channel_std
 
     def transform_targets(self, t: np.ndarray) -> np.ndarray:
-        if not self.standardize_targets:
-            return np.asarray(t, dtype=np.float64).copy()
         return (t - self.target_mean) / self.target_std
 
     def untransform_predictions(self, p: np.ndarray) -> np.ndarray:
-        if not self.standardize_targets:
-            return np.asarray(p, dtype=np.float64).copy()
         return p * self.target_std + self.target_mean
 
     def to_dict(self) -> dict:
@@ -297,13 +298,14 @@ class Standardization:
             "target_names": list(self.target_names),
             "target_mean": self.target_mean.tolist(),
             "target_std": self.target_std.tolist(),
-            "standardize_targets": self.standardize_targets,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardization":
         """Rebuild from ``to_dict`` output; raises ValueError, naming the
-        field, when a mean or std does not hold one entry per name."""
+        field, when a mean or std does not hold one entry per name or a
+        retired key is not ``true``."""
+        d = _drop_retired(d)
         out = cls(
             channel_names=tuple(d["channel_names"]),
             channel_mean=np.asarray(d["channel_mean"], dtype=np.float64),
@@ -311,7 +313,6 @@ class Standardization:
             target_names=tuple(d["target_names"]),
             target_mean=np.asarray(d["target_mean"], dtype=np.float64),
             target_std=np.asarray(d["target_std"], dtype=np.float64),
-            standardize_targets=bool(d.get("standardize_targets", True)),
         )
         for kind in ("channel", "target"):
             count = len(getattr(out, f"{kind}_names"))
@@ -344,7 +345,6 @@ def fit_standardization(frames, config: FeatureConfig) -> Standardization:
         target_names=TARGETS,
         target_mean=tgts.mean(axis=0),
         target_std=np.maximum(tgts.std(axis=0), STD_FLOOR),
-        standardize_targets=config.standardize_targets,
     )
 
 

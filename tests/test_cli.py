@@ -184,6 +184,53 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_unknown_variant_exits_1_naming_key_file_and_choices(
+            self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"variant": "foo"}))
+        assert run(["train", "--synth", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "run"), *self.BASE]) == 1
+        err = capsys.readouterr().err
+        assert (f"{cfg_path}: variant must be one of vanilla, bilstm, "
+                "attention, got 'foo'") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("content,position", [
+        (b'{"window": 16,', "line 1 column 15 (char 14)"),
+        (b'{"window": \xff}', "position 11")])
+    def test_invalid_json_exits_1_naming_file_and_position(
+            self, tmp_path, capsys, content, position):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(content)
+        assert run(["featurize", "--synth", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "f")]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: not valid JSON" in err
+        assert position in err
+        assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("value", [False, None])
+    def test_retired_standardize_targets_other_than_true_exits_1(
+            self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"standardize_targets": value}))
+        assert run(["featurize", "--synth", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "f"), *FAST_FEATURES]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: standardize_targets must be true" in err
+        assert not (tmp_path / "f").exists()
+
+    def test_retired_standardize_targets_true_changes_nothing(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"standardize_targets": True}))
+        outs = [tmp_path / "old", tmp_path / "new"]
+        for out, extra in zip(outs, (["--config", str(cfg_path)], [])):
+            assert run(["featurize", "--synth", "--synth-length", "40",
+                        "--out", str(out), *FAST_FEATURES, *extra]) == 0
+        for name in ("inputs.npy", "targets.npy", "stats.json", "config.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_checks_a_value_its_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"batch_size": "abc"}))
@@ -354,6 +401,21 @@ class TestTrainFlow:
         report = json.loads((ev / "report.json").read_text())
         assert report["n_windows"] == 2 * (80 - 16 + 1)
         assert sum(rows) == report["n_windows"]
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_evaluate_batch_size_zero_exits_1_naming_it(self, tmp_path, capsys,
+                                                         where):
+        out = self.train(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"batch_size": 0}))
+        extra = (["--batch-size", "0"] if where == "flag"
+                 else ["--config", str(cfg_path)])
+        assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                    "--synth", "--synth-profiles", "2", "--synth-length", "40",
+                    "--test-profiles", "2", "--out", str(tmp_path / "ev"),
+                    *extra]) == 1
+        err = capsys.readouterr().err
+        assert "batch_size must be a positive integer, got 0" in err
 
     def test_evaluate_needs_test_profiles_for_synth_ids(self, tmp_path, capsys):
         out = self.train(tmp_path)

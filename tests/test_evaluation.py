@@ -22,7 +22,7 @@ from motortemp.features import (
     build_dataset,
     fit_standardization,
 )
-from motortemp.models import init_params
+from motortemp.models import init_params, predict
 
 FEATURES = FeatureConfig(spans=(2, 4), window=16)
 
@@ -126,15 +126,25 @@ class TestEvaluate:
         params, dataset, stats = fitted_setup()
         report = evaluate(params, dataset, stats)
         assert report.n_windows == dataset.n_windows
-        assert not report.standardized_units
+        assert "(degC)" in report.to_text()
         assert all(np.isfinite(v) for v in report.mse.values())
+        inputs, raw = dataset.gather(np.arange(dataset.n_windows))
+        degc = stats.untransform_predictions(
+            predict(params, inputs).reshape(dataset.n_windows, -1))
+        expected = compute_metrics(raw.reshape(dataset.n_windows, -1), degc)
+        assert report.to_dict() == expected.to_dict()
 
     def test_standardized_units_round_trip(self):
+        # The target statistics map degrees to the model's units and back;
+        # per target, mse_std = mse_degc / sigma^2.
         params, dataset, stats = fitted_setup()
-        degc = evaluate(params, dataset, stats)
-        std = evaluate(params, dataset, stats, standardized_units=True)
-        assert std.standardized_units
-        # per-target: mse_std = mse_degc / sigma^2
+        actual, predicted = collect_predictions(params, dataset, stats)
+        np.testing.assert_allclose(
+            stats.untransform_predictions(stats.transform_targets(actual)),
+            actual, rtol=1e-12)
+        degc = compute_metrics(actual, predicted)
+        std = compute_metrics(stats.transform_targets(actual),
+                              stats.transform_targets(predicted))
         for i, t in enumerate(TARGETS):
             sigma = stats.target_std[i]
             assert std.mse[t] == pytest.approx(degc.mse[t] / sigma ** 2,
@@ -148,6 +158,15 @@ class TestEvaluate:
         report = evaluate(params, dataset, stats)
         assert report.overall_mse == 0.0
         assert report.overall_max_abs_error == 0.0
+
+    @pytest.mark.parametrize("batch_size", [0, -3, 2.5, True, "8"])
+    def test_rejects_batch_size_that_is_not_a_positive_integer(self,
+                                                               batch_size):
+        params, dataset, stats = fitted_setup()
+        with pytest.raises(EvaluationError,
+                           match=f"batch_size must be a positive integer, "
+                                 f"got {batch_size!r}"):
+            collect_predictions(params, dataset, stats, batch_size=batch_size)
 
     def test_collect_shapes_align(self):
         params, dataset, stats = fitted_setup()

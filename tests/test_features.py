@@ -228,8 +228,16 @@ class TestFeatureConfig:
             FeatureConfig(**{field: value})
 
     def test_rejects_non_boolean_standardize_targets(self):
-        with pytest.raises(ValueError, match="standardize_targets must be true"):
-            FeatureConfig(standardize_targets="false")
+        # The key is retired: older files still load with it as true, and
+        # any other value, "false" included, is refused by name.
+        d = FeatureConfig().to_dict()
+        assert "standardize_targets" not in d
+        assert FeatureConfig.from_dict(
+            {**d, "standardize_targets": True}) == FeatureConfig()
+        for value in (False, "false", "true", 1):
+            with pytest.raises(ValueError, match=f"standardize_targets "
+                                                 f"{value!r} is not supported"):
+                FeatureConfig.from_dict({**d, "standardize_targets": value})
 
     def test_integer_like_window_is_stored_as_int(self):
         config = FeatureConfig(window=np.int64(16), stride=np.int32(2))
@@ -331,6 +339,18 @@ class TestStandardize:
         np.testing.assert_array_equal(back.channel_mean, stats.channel_mean)
         np.testing.assert_array_equal(back.target_std, stats.target_std)
         assert back.channel_names == stats.channel_names
+
+    def test_stats_dict_retired_standardize_targets(self):
+        frames = synthesize(seed=1, profiles=1, length=60)
+        d = fit_standardization(frames, FeatureConfig(window=10, spans=(4,))).to_dict()
+        assert "standardize_targets" not in d
+        from motortemp.features import Standardization
+        old = Standardization.from_dict({**d, "standardize_targets": True})
+        np.testing.assert_array_equal(old.target_std, d["target_std"])
+        # bool("false") is True; the string must not pass for true.
+        for value in (False, "false"):
+            with pytest.raises(ValueError, match="standardize_targets"):
+                Standardization.from_dict({**d, "standardize_targets": value})
 
 
 class TestWindowize:

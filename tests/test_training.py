@@ -453,10 +453,17 @@ class TestCheckpoint:
          r"integer numbers of samples, got \[2\.5, 4\]\)"),
         ("feature_config", lambda b: b.update(standardize_targets="false"),
          r"feature_config block is malformed \(ValueError: standardize_targets "
-         r"must be true or false, got 'false'\)"),
+         r"'false' is not supported"),
+        ("feature_config", lambda b: b.update(standardize_targets=False),
+         r"feature_config block is malformed \(ValueError: standardize_targets "
+         r"False is not supported"),
+        ("stats", lambda b: b.update(standardize_targets=False),
+         r"stats block is malformed \(ValueError: standardize_targets "
+         r"False is not supported"),
     ], ids=["spans", "no_target_std", "short_mean", "long_target_std",
             "include_raw_false", "float_window", "string_stride", "float_span",
-            "string_standardize_targets"])
+            "string_standardize_targets", "false_standardize_targets",
+            "stats_false_standardize_targets"])
     def test_rejects_malformed_header_block(self, tmp_path, block, edit,
                                             message):
         _, _, path = self.roundtrip(tmp_path, "vanilla")
@@ -469,6 +476,22 @@ class TestCheckpoint:
         self.rewrite(path, lambda h: h["feature_config"].update(include_raw=True))
         loaded, _, features = load_checkpoint(path)
         assert features == SMALL_FEATURES
+        batch = np.random.default_rng(3).standard_normal(
+            (4, 12, SMALL_FEATURES.channel_count()))
+        np.testing.assert_array_equal(predict(loaded, batch),
+                                      predict(params, batch))
+
+    def test_loads_legacy_standardize_targets_key(self, tmp_path):
+        params, stats, path = self.roundtrip(tmp_path, "attention")
+
+        def legacy(header):
+            header["feature_config"]["standardize_targets"] = True
+            header["stats"]["standardize_targets"] = True
+
+        self.rewrite(path, legacy)
+        loaded, stats2, features = load_checkpoint(path)
+        assert features == SMALL_FEATURES
+        assert stats2.to_dict() == stats.to_dict()
         batch = np.random.default_rng(3).standard_normal(
             (4, 12, SMALL_FEATURES.channel_count()))
         np.testing.assert_array_equal(predict(loaded, batch),
