@@ -65,12 +65,20 @@ def _parse_block(path, key: str, block, parse):
         ) from exc
 
 
+def _is_shape_entry(entry) -> bool:
+    """Whether ``entry`` is [name, rows, cols] with counts that are ints >= 0."""
+    return (isinstance(entry, list) and len(entry) == 3
+            and isinstance(entry[0], str)
+            and all(type(n) is int and n >= 0 for n in entry[1:]))
+
+
 def load_checkpoint(path, expect_variant: str | None = None):
     """Read a checkpoint back.
 
     Returns (params, stats, feature_config); the latter two are None when
     the file was saved without them.  Raises CheckpointError for anything
-    that is not a well-formed checkpoint, including parameter blocks whose
+    that is not a well-formed checkpoint, including shape table entries
+    that are not [name, rows, cols] (named), parameter blocks whose
     shapes do not fit the variant, non-finite parameter values, header
     dimensions or channel counts that disagree with the parameters, and a
     ``stats`` or ``feature_config`` block that does not parse (named), and
@@ -113,13 +121,24 @@ def load_checkpoint(path, expect_variant: str | None = None):
     if zlib.crc32(blob) != crc:
         raise CheckpointError(f"{path}: checksum mismatch")
 
+    if not isinstance(shapes, list):
+        raise CheckpointError(f"{path}: shape table is {shapes!r}, not a list")
     mapping = {}
     offset = 0
-    for name, rows, cols in shapes:
-        count = int(rows) * int(cols)
+    for entry in shapes:
+        if not _is_shape_entry(entry):
+            raise CheckpointError(
+                f"{path}: shape table entry {entry!r} is not "
+                "[name, rows, cols] with non-negative integer rows and cols")
+        name, rows, cols = entry
+        count = rows * cols
+        if offset + count > n_values:
+            raise CheckpointError(
+                f"{path}: shape table entry {entry!r} runs past the "
+                f"{n_values} stored values")
         arr = np.frombuffer(
             blob, dtype="<f8", count=count, offset=offset * 8
-        ).astype(np.float64).reshape(int(rows), int(cols))
+        ).astype(np.float64).reshape(rows, cols)
         if not np.isfinite(arr).all():
             raise CheckpointError(
                 f"{path}: parameter block {name} holds non-finite values"

@@ -1,10 +1,12 @@
 """Command line interface.
 
-Subcommands: synth, featurize, train, evaluate, predict, inspect.  Each
-setting is its flag, else its key in an optional JSON config file
-(--config), else the default.  Keys are flag names with "_" for "-"; a
-value must be of its flag's kind (one of its choices, where it has them),
-and unknown keys are ignored.  FeatureConfig and TrainConfig own their
+Subcommands: synth, featurize, train, evaluate, predict, inspect.
+featurize, train, evaluate and predict read a recording CSV (--data);
+synth writes a stand-in one.  Only synth (the recording) and train (the
+weights and the shuffles) take --seed.  Each setting is its flag, else its
+key in an optional JSON config file (--config), else the default.  Keys
+are flag names with "_" for "-"; a value must be of its flag's kind (one
+of its choices, where it has them), and unknown keys are ignored.  FeatureConfig and TrainConfig own their
 defaults.  Every run with an output directory writes the resolved
 configuration there as config.json.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -33,6 +36,7 @@ __all__ = ["main", "build_parser"]
 # Defaults of the settings only the command line has.
 _SEED, _VARIANT, _HIDDEN, _HELD_OUT_ID = 0, "attention", 100, 65
 _SYNTH_PROFILES, _SYNTH_LENGTH = 3, 600
+_SYNTH_HINT = "motortemp synth --out FILE writes a stand-in"
 
 
 def _int_list(text: str) -> list[int]:
@@ -44,9 +48,12 @@ def _int_list(text: str) -> list[int]:
     raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, seeds: str | None = None):
+    """--config, and --seed when the command draws ``seeds``."""
     p.add_argument("--config", help="JSON file with defaults for any flag")
-    p.add_argument("--seed", type=int, default=None, help=f"master seed (default {_SEED})")
+    if seeds:
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"seed of {seeds} (default {_SEED})")
 
 
 def _add_feature_flags(p: argparse.ArgumentParser):
@@ -62,26 +69,21 @@ def _add_feature_flags(p: argparse.ArgumentParser):
                    f"selection (default {features.DEFAULT_SYNTHETIC_SET})")
 
 
-def _add_data_flags(p: argparse.ArgumentParser):
-    p.add_argument("--data", default=None, help="recording CSV to load")
-    p.add_argument("--synth", action="store_true", default=None,
-                   help="use a generated stand-in recording instead of --data")
-    p.add_argument("--synth-profiles", type=int, default=None,
-                   help=f"profiles to generate with --synth (default {_SYNTH_PROFILES})")
-    p.add_argument("--synth-length", type=int, default=None,
-                   help=f"samples per generated profile (default {_SYNTH_LENGTH})")
+def _add_data_flag(p: argparse.ArgumentParser):
+    p.add_argument("--data", default=None, help=f"recording CSV to read ({_SYNTH_HINT})")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="motortemp",
+        prog="motortemp", allow_abbrev=False,
         description="Temperature estimation for PMSM drives with "
                     "encoder-decoder LSTM models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("synth", help="generate a stand-in recording CSV")
-    _add_common(p)
+    p = command("synth", help="generate a stand-in recording CSV")
+    _add_common(p, seeds="the recording")
     p.add_argument("--out", required=True, help="CSV file to write")
     p.add_argument("--profiles", type=int, default=None,
                    help=f"default {_SYNTH_PROFILES}")
@@ -89,16 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"samples per profile (default {_SYNTH_LENGTH})")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("featurize", help="write feature tensors and stats")
+    p = command("featurize", help="write feature tensors and stats")
     _add_common(p)
-    _add_data_flags(p)
+    _add_data_flag(p)
     _add_feature_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train", help="train a model")
-    _add_common(p)
-    _add_data_flags(p)
+    p = command("train", help="train a model")
+    _add_common(p, seeds="the initial weights and the shuffles")
+    _add_data_flag(p)
     _add_feature_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--variant", default=None, choices=models.VARIANTS,
@@ -119,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"LSTM state width (default {_HIDDEN})")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on held-out profiles")
+    p = command("evaluate", help="evaluate a checkpoint on held-out profiles")
     _add_common(p)
-    _add_data_flags(p)
+    _add_data_flag(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--variant", default=None, choices=models.VARIANTS,
@@ -131,14 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="write temperature predictions for a recording")
+    p = command("predict", help="write temperature predictions for a recording")
     _add_common(p)
-    _add_data_flags(p)
+    _add_data_flag(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="CSV file to write")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("inspect", help="describe a checkpoint")
+    p = command("inspect", help="describe a checkpoint")
     p.add_argument("checkpoint")
     p.set_defaults(func=cmd_inspect)
 
@@ -153,7 +155,6 @@ def _is_int(value) -> bool:
 _KINDS = {
     "integer": (_is_int, "an integer"),
     "number": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "boolean": (lambda v: isinstance(v, bool), "true or false"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "integers": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
                  "a list of integers or a comma string of integers"),
@@ -183,7 +184,6 @@ class _Settings:
                 raise dataio.ConfigError(
                     f"{self.path}: config file must hold a JSON object")
         self.get("standardize_targets", "retired")
-        self.seed = self.get("seed", "integer", _SEED)
 
     def get(self, key: str, kind, default=None):
         """The setting ``key``; its file value, used or not, must be ``kind``,
@@ -225,24 +225,15 @@ def _train_config(settings: _Settings) -> training.TrainConfig:
         given["group_count"] = given.pop("groups")
     if "clip_norm" in given and given["clip_norm"] in (0, "none", None):
         given["clip_norm"] = None  # 0, "none" and null disable clipping
-    return training.TrainConfig(seed=settings.seed, **given)
+    return training.TrainConfig(seed=settings.get("seed", "integer", _SEED), **given)
 
 
-def _load_frames(settings, parser_error) -> tuple[list[dataio.ProfileFrame], dict]:
-    """The recording and the data settings that chose it."""
-    source = {
-        "data": settings.get("data", "string"),
-        "synth": settings.get("synth", "boolean", False),
-        "synth_profiles": settings.get("synth_profiles", "integer", _SYNTH_PROFILES),
-        "synth_length": settings.get("synth_length", "integer", _SYNTH_LENGTH)}
-    if source["data"] and source["synth"]:
-        parser_error("--data and --synth are mutually exclusive")
-    if source["data"]:
-        return dataio.load_csv(source["data"]), source
-    if source["synth"]:
-        return dataio.synthesize(seed=settings.seed, profiles=source["synth_profiles"],
-                                 length=source["synth_length"]), source
-    parser_error("one of --data or --synth is required")
+def _load_frames(settings, parser_error) -> tuple[list[dataio.ProfileFrame], str]:
+    """The recording and the path it was read from."""
+    path = settings.get("data", "string")
+    if not path:
+        parser_error(f"--data is required: a recording CSV ({_SYNTH_HINT})")
+    return dataio.load_csv(path), path
 
 
 def _test_ids(settings, frames) -> list[int]:
@@ -283,7 +274,8 @@ def _windows(frames, config, stats) -> features.WindowedDataset:
 def cmd_synth(args, parser) -> int:
     settings = _Settings(args)
     frames = dataio.synthesize(
-        seed=settings.seed, profiles=settings.get("profiles", "integer", _SYNTH_PROFILES),
+        seed=settings.get("seed", "integer", _SEED),
+        profiles=settings.get("profiles", "integer", _SYNTH_PROFILES),
         length=settings.get("length", "integer", _SYNTH_LENGTH))
     dataio.save_csv(frames, args.out)
     print(f"wrote {sum(len(f) for f in frames)} rows "
@@ -317,16 +309,18 @@ def cmd_train(args, parser) -> int:
     feature_config = _feature_config(settings)
     train_config = _train_config(settings)
     hidden = settings.get("hidden", "integer", _HIDDEN)
-    frames, source = _load_frames(settings, parser.error)
+    frames, data = _load_frames(settings, parser.error)
     test_ids = _test_ids(settings, frames)
     split = dataio.split(frames, test_ids)
+    # Too few profiles for the groups fail here, before --out is made.
+    training.partition_groups(split.train, train_config.group_count)
 
     os.makedirs(args.out, exist_ok=True)
     training_block = dataclasses.asdict(train_config)
     del training_block["seed"]
     _write_json(os.path.join(args.out, "config.json"), {
-        "command": "train", "variant": variant, "seed": settings.seed,
-        "hidden": hidden, "test_profiles": test_ids, **source,
+        "command": "train", "variant": variant, "seed": train_config.seed,
+        "hidden": hidden, "test_profiles": test_ids, "data": data,
         "features": feature_config.to_dict(), "training": training_block,
     })
 

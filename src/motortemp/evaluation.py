@@ -114,6 +114,10 @@ def collect_predictions(params: ModelParams, dataset: WindowedDataset,
     each, row k belonging to ``dataset.provenance()[k]``; ``stats`` maps
     the model's standardized outputs back.
     """
+    if not isinstance(stats, Standardization):
+        raise EvaluationError(
+            "stats must be the fitted Standardization that maps predictions "
+            f"back to degrees Celsius, got {type(stats).__name__}")
     n = dataset.n_windows
     if n == 0:
         raise EvaluationError("dataset holds no windows")

@@ -162,10 +162,12 @@ def test_05_overfit_smoke():
 
 
 def test_06_training_runs_are_byte_identical(tmp_path):
+    data = tmp_path / "recording.csv"
+    assert cli.main(["synth", "--out", str(data), "--profiles", "2",
+                     "--length", "80", "--seed", "13"]) == 0
     argv_for = lambda out: [
-        "train", "--out", str(out), "--synth", "--synth-profiles", "2",
-        "--synth-length", "80", "--seed", "13", "--window", "16",
-        "--spans", "2,4", "--hidden", "4", "--batch-size", "64",
+        "train", "--out", str(out), "--data", str(data), "--seed", "13",
+        "--window", "16", "--spans", "2,4", "--hidden", "4", "--batch-size", "64",
         "--epochs-per-group", "2", "--groups", "1",
         "--fine-tune-profiles", "0", "--test-profiles", "2",
     ]

@@ -21,12 +21,20 @@ FAST_FEATURES = ["--window", "16", "--spans", "2,4"]
 FAST_TRAIN = FAST_FEATURES + [
     "--hidden", "4", "--batch-size", "64", "--epochs-per-group", "1",
     "--groups", "1", "--fine-tune-profiles", "0",
-    "--synth", "--synth-profiles", "2", "--synth-length", "80",
 ]
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def recording(tmp_path, profiles=2, length=80, seed=0) -> str:
+    """A stand-in recording CSV written by ``motortemp synth``."""
+    path = tmp_path / f"rec-{profiles}x{length}-seed{seed}.csv"
+    if not path.exists():
+        assert run(["synth", "--out", str(path), "--profiles", str(profiles),
+                    "--length", str(length), "--seed", str(seed)]) == 0
+    return str(path)
 
 
 def test_import_leaves_scipy_unloaded():
@@ -68,9 +76,8 @@ class TestSynth:
 class TestFeaturize:
     def test_writes_tensors_and_metadata(self, tmp_path):
         out = tmp_path / "feat"
-        assert run(["featurize", "--synth", "--synth-profiles", "2",
-                    "--synth-length", "40", "--out", str(out)]
-                   + FAST_FEATURES) == 0
+        assert run(["featurize", "--data", recording(tmp_path, 2, 40),
+                    "--out", str(out)] + FAST_FEATURES) == 0
         inputs = np.load(out / "inputs.npy")
         targets = np.load(out / "targets.npy")
         # 13 base quantities, raw plus two smoothing spans
@@ -89,23 +96,20 @@ class TestFeaturize:
         cfg_path.write_text(json.dumps({"window": 24, "spans": [2, 4],
                                         "batch_size": 32, "learning_rate": 1}))
         out1 = tmp_path / "f1"
-        run(["featurize", "--synth", "--synth-profiles", "1",
-             "--synth-length", "40", "--config", str(cfg_path),
-             "--out", str(out1)])
+        run(["featurize", "--data", recording(tmp_path, 1, 40),
+             "--config", str(cfg_path), "--out", str(out1)])
         assert json.loads((out1 / "config.json").read_text())["window"] == 24
         out2 = tmp_path / "f2"
-        run(["featurize", "--synth", "--synth-profiles", "1",
-             "--synth-length", "40", "--config", str(cfg_path),
-             "--window", "20", "--out", str(out2)])
+        run(["featurize", "--data", recording(tmp_path, 1, 40),
+             "--config", str(cfg_path), "--window", "20", "--out", str(out2)])
         assert json.loads((out2 / "config.json").read_text())["window"] == 20
 
         def training_block(name, *flags):
             out = tmp_path / name
             assert run(["train", "--out", str(out), "--hidden", "2",
                         "--epochs-per-group", "1", "--groups", "1",
-                        "--fine-tune-profiles", "0", "--synth",
-                        "--synth-profiles", "1", "--synth-length", "40",
-                        *flags]) == 0
+                        "--fine-tune-profiles", "0",
+                        "--data", recording(tmp_path, 1, 40), *flags]) == 0
             return json.loads((out / "config.json").read_text())["training"]
 
         t = training_block("t0", *FAST_FEATURES)
@@ -119,9 +123,8 @@ class TestFeaturize:
 
     def test_matches_build_dataset_gather(self, tmp_path):
         out = tmp_path / "feat"
-        assert run(["featurize", "--synth", "--synth-profiles", "3",
-                    "--synth-length", "40", "--seed", "4", "--stride", "3",
-                    "--out", str(out)] + FAST_FEATURES) == 0
+        assert run(["featurize", "--data", recording(tmp_path, 3, 40, seed=4),
+                    "--stride", "3", "--out", str(out)] + FAST_FEATURES) == 0
         frames = synthesize(seed=4, profiles=3, length=40)
         config = FeatureConfig(window=16, stride=3, spans=(2, 4))
         stats = fit_standardization(frames, config)
@@ -134,8 +137,8 @@ class TestFeaturize:
 
     def test_profiles_shorter_than_window_exit_1(self, tmp_path, capsys):
         with pytest.warns(UserWarning, match="shorter than window"):
-            code = run(["featurize", "--synth", "--synth-profiles", "2",
-                        "--synth-length", "100", "--out", str(tmp_path / "d")])
+            code = run(["featurize", "--data", recording(tmp_path, 2, 100),
+                        "--out", str(tmp_path / "d")])
         assert code == 1
         err = capsys.readouterr().err
         assert "window of 180 samples" in err
@@ -147,9 +150,8 @@ class TestFeaturize:
                                               field, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"spans": [2, 4], field: value}))
-        assert run(["featurize", "--synth", "--synth-profiles", "1",
-                    "--synth-length", "40", "--config", str(cfg_path),
-                    "--out", str(tmp_path / "f")]) == 1
+        assert run(["featurize", "--data", recording(tmp_path, 1, 40),
+                    "--config", str(cfg_path), "--out", str(tmp_path / "f")]) == 1
         assert f"{field} must be an integer" in capsys.readouterr().err
 
 
@@ -161,23 +163,19 @@ class TestConfigFile:
         {"hidden": 2.5},
         {"standardize_targets": "false"},
         {"spans": [2.7, 4.9]},
-        {"synth": "false"},
         {"fine_tune_epochs": "2"},
         {"learning_rate": None},
         {"batch_size": "abc"},
         {"seed": 1.5},
-        {"synth_profiles": "3"},
         {"test_profiles": [2.5]},
     ], ids=lambda entry: next(iter(entry)))
     def test_wrong_kind_exits_1_naming_key_and_file(self, tmp_path, capsys,
                                                     entry):
-        data = tmp_path / "rec.csv"
-        assert run(["synth", "--out", str(data), "--profiles", "2",
-                    "--length", "40"]) == 0
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(entry))
         (key,) = entry
-        assert run(["train", "--data", str(data), "--config", str(cfg_path),
+        assert run(["train", "--data", recording(tmp_path, 2, 40),
+                    "--config", str(cfg_path),
                     "--out", str(tmp_path / "run"), *self.BASE]) == 1
         err = capsys.readouterr().err
         assert f"{cfg_path}: {key} must be" in err
@@ -188,11 +186,22 @@ class TestConfigFile:
             self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"variant": "foo"}))
-        assert run(["train", "--synth", "--config", str(cfg_path),
-                    "--out", str(tmp_path / "run"), *self.BASE]) == 1
+        assert run(["train", "--data", recording(tmp_path), "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run"),
+                    *self.BASE]) == 1
         err = capsys.readouterr().err
         assert (f"{cfg_path}: variant must be one of vanilla, bilstm, "
                 "attention, got 'foo'") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_too_few_training_profiles_for_groups_exits_1_before_out(
+            self, tmp_path, capsys):
+        assert run(["train", "--data", recording(tmp_path, 3, 40),
+                    "--test-profiles", "3", "--groups", "5",
+                    "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "cannot split 2 profiles into 5 non-empty groups" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
@@ -203,8 +212,8 @@ class TestConfigFile:
             self, tmp_path, capsys, content, position):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_bytes(content)
-        assert run(["featurize", "--synth", "--config", str(cfg_path),
-                    "--out", str(tmp_path / "f")]) == 1
+        assert run(["featurize", "--data", recording(tmp_path), "--config",
+                    str(cfg_path), "--out", str(tmp_path / "f")]) == 1
         err = capsys.readouterr().err
         assert f"{cfg_path}: not valid JSON" in err
         assert position in err
@@ -215,8 +224,9 @@ class TestConfigFile:
             self, tmp_path, capsys, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"standardize_targets": value}))
-        assert run(["featurize", "--synth", "--config", str(cfg_path),
-                    "--out", str(tmp_path / "f"), *FAST_FEATURES]) == 1
+        assert run(["featurize", "--data", recording(tmp_path), "--config",
+                    str(cfg_path), "--out", str(tmp_path / "f"),
+                    *FAST_FEATURES]) == 1
         err = capsys.readouterr().err
         assert f"{cfg_path}: standardize_targets must be true" in err
         assert not (tmp_path / "f").exists()
@@ -226,7 +236,7 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({"standardize_targets": True}))
         outs = [tmp_path / "old", tmp_path / "new"]
         for out, extra in zip(outs, (["--config", str(cfg_path)], [])):
-            assert run(["featurize", "--synth", "--synth-length", "40",
+            assert run(["featurize", "--data", recording(tmp_path, 3, 40),
                         "--out", str(out), *FAST_FEATURES, *extra]) == 0
         for name in ("inputs.npy", "targets.npy", "stats.json", "config.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -235,7 +245,8 @@ class TestConfigFile:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"batch_size": "abc"}))
         assert run(["train", "--out", str(tmp_path / "run"), "--config",
-                    str(cfg_path), *FAST_TRAIN]) == 1
+                    str(cfg_path), "--data", recording(tmp_path),
+                    *FAST_TRAIN]) == 1
         assert f"{cfg_path}: batch_size must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value,written", [
@@ -245,7 +256,7 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({"clip_norm": value}))
         out = tmp_path / "run"
         assert run(["train", "--out", str(out), "--config", str(cfg_path),
-                    *FAST_TRAIN]) == 0
+                    "--data", recording(tmp_path), *FAST_TRAIN]) == 0
         assert f'"clip_norm": {written},' in (out / "config.json").read_text()
 
     def test_comma_string_lists(self, tmp_path):
@@ -253,8 +264,8 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({"spans": "2,4", "test_profiles": "2"}))
         out = tmp_path / "run"
         assert run(["train", "--out", str(out), "--config", str(cfg_path),
-                    "--hidden", "2", "--synth", "--synth-profiles", "2",
-                    "--synth-length", "40", *self.BASE]) == 0
+                    "--hidden", "2", "--data", recording(tmp_path, 2, 40),
+                    *self.BASE]) == 0
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["features"]["spans"] == [2, 4]
         assert cfg["test_profiles"] == [2]
@@ -263,8 +274,8 @@ class TestConfigFile:
         # Four profiles of 181 samples give the default curriculum (four
         # groups) two windows each at the default window of 180.
         out = tmp_path / "run"
-        assert run(["train", "--out", str(out), "--hidden", "2", "--synth",
-                    "--synth-profiles", "4", "--synth-length", "181"]) == 0
+        assert run(["train", "--out", str(out), "--hidden", "2",
+                    "--data", recording(tmp_path, 4, 181)]) == 0
         cfg = json.loads((out / "config.json").read_text())
         expected = dataclasses.asdict(TrainConfig())
         del expected["seed"]
@@ -273,16 +284,34 @@ class TestConfigFile:
 
 
 class TestUsageErrors:
-    def test_missing_data_source_exits_2(self, tmp_path):
+    def test_missing_data_source_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             run(["train", "--out", str(tmp_path / "run")])
         assert err.value.code == 2
+        assert ("--data is required: a recording CSV (motortemp synth --out "
+                "FILE writes a stand-in)") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
-    def test_data_and_synth_conflict(self, tmp_path):
+    @pytest.mark.parametrize("command,flag,value", [
+        ("featurize", "synth", []),
+        ("train", "synth-profiles", ["2"]),
+        ("train", "hid", ["4"]),
+        ("featurize", "seed", ["1"]),
+        ("evaluate", "seed", ["1"]),
+        ("predict", "seed", ["1"]),
+    ], ids=["featurize_synth", "train_synth_option", "train_abbreviation",
+            "featurize_seed", "evaluate_seed", "predict_seed"])
+    def test_retired_or_abbreviated_flag_exits_2_naming_it(
+            self, tmp_path, capsys, command, flag, value):
+        needs = {"evaluate": ["--checkpoint", "c.bin"],
+                 "predict": ["--checkpoint", "c.bin"]}.get(command, [])
         with pytest.raises(SystemExit) as err:
-            run(["train", "--out", str(tmp_path / "run"), "--synth",
-                 "--data", "x.csv"])
+            run([command, f"--{flag}", *value, "--data", "r.csv",
+                 "--out", str(tmp_path / "out"), *needs])
         assert err.value.code == 2
+        assert (f"unrecognized arguments: {' '.join([f'--{flag}', *value])}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as err:
@@ -291,7 +320,7 @@ class TestUsageErrors:
 
     def test_bad_variant_choice(self, tmp_path):
         with pytest.raises(SystemExit) as err:
-            run(["train", "--out", str(tmp_path / "run"), "--synth",
+            run(["train", "--out", str(tmp_path / "run"), "--data", "x.csv",
                  "--variant", "transformer"])
         assert err.value.code == 2
 
@@ -338,7 +367,8 @@ class TestTrainFlow:
     def train(self, tmp_path, extra=()):
         out = tmp_path / "run"
         code = run(["train", "--out", str(out), "--test-profiles", "2",
-                    "--seed", "5", *FAST_TRAIN, *extra])
+                    "--data", recording(tmp_path, seed=5), "--seed", "5",
+                    *FAST_TRAIN, *extra])
         assert code == 0
         return out
 
@@ -356,12 +386,10 @@ class TestTrainFlow:
 
     def test_evaluate_and_predict_from_checkpoint(self, tmp_path, capsys):
         out = self.train(tmp_path)
-        data = tmp_path / "rec.csv"
-        run(["synth", "--out", str(data), "--profiles", "2", "--length", "80",
-             "--seed", "5"])
+        data = recording(tmp_path, seed=5)
         ev = tmp_path / "ev"
         assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
-                    "--data", str(data), "--test-profiles", "2",
+                    "--data", data, "--test-profiles", "2",
                     "--out", str(ev)]) == 0
         report = json.loads((ev / "report.json").read_text())
         assert report["n_windows"] > 0
@@ -373,7 +401,7 @@ class TestTrainFlow:
 
         pred = tmp_path / "pred.csv"
         assert run(["predict", "--checkpoint", str(out / "checkpoint.bin"),
-                    "--data", str(data), "--out", str(pred)]) == 0
+                    "--data", data, "--out", str(pred)]) == 0
         lines = pred.read_text().splitlines()
         assert lines[0] == ("profile_id,end_index,pred_stator_winding,"
                             "pred_stator_tooth,pred_stator_yoke,pred_pm")
@@ -383,9 +411,7 @@ class TestTrainFlow:
 
     def test_evaluate_predicts_each_window_once(self, tmp_path, monkeypatch):
         out = self.train(tmp_path)
-        data = tmp_path / "rec.csv"
-        run(["synth", "--out", str(data), "--profiles", "2", "--length", "80",
-             "--seed", "5"])
+        data = recording(tmp_path, seed=5)
         rows = []
         real_predict = evaluation.predict
 
@@ -396,7 +422,7 @@ class TestTrainFlow:
         monkeypatch.setattr(evaluation, "predict", counting_predict)
         ev = tmp_path / "ev"
         assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
-                    "--data", str(data), "--test-profiles", "1,2",
+                    "--data", data, "--test-profiles", "1,2",
                     "--batch-size", "50", "--out", str(ev)]) == 0
         report = json.loads((ev / "report.json").read_text())
         assert report["n_windows"] == 2 * (80 - 16 + 1)
@@ -411,7 +437,7 @@ class TestTrainFlow:
         extra = (["--batch-size", "0"] if where == "flag"
                  else ["--config", str(cfg_path)])
         assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
-                    "--synth", "--synth-profiles", "2", "--synth-length", "40",
+                    "--data", recording(tmp_path, 2, 40),
                     "--test-profiles", "2", "--out", str(tmp_path / "ev"),
                     *extra]) == 1
         err = capsys.readouterr().err
@@ -419,11 +445,10 @@ class TestTrainFlow:
 
     def test_evaluate_needs_test_profiles_for_synth_ids(self, tmp_path, capsys):
         out = self.train(tmp_path)
-        data = tmp_path / "rec.csv"
-        run(["synth", "--out", str(data), "--profiles", "2", "--length", "80"])
         # generated ids are 1..n, so the default held-out id is absent
         assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
-                    "--data", str(data), "--out", str(tmp_path / "ev")]) == 1
+                    "--data", recording(tmp_path), "--out",
+                    str(tmp_path / "ev")]) == 1
         assert "no held-out profiles" in capsys.readouterr().err
 
 

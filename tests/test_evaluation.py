@@ -168,6 +168,18 @@ class TestEvaluate:
                                  f"got {batch_size!r}"):
             collect_predictions(params, dataset, stats, batch_size=batch_size)
 
+    @pytest.mark.parametrize("given", ["none", "dict"])
+    def test_rejects_missing_statistics_before_predicting(self, monkeypatch,
+                                                          given):
+        params, dataset, stats = fitted_setup()
+        bad = None if given == "none" else stats.to_dict()
+        monkeypatch.setattr("motortemp.evaluation.predict",
+                            lambda *a: pytest.fail("predicted without stats"))
+        with pytest.raises(EvaluationError,
+                           match="stats must be the fitted Standardization .* "
+                                 f"got {type(bad).__name__}"):
+            evaluate(params, dataset, bad)
+
     def test_collect_shapes_align(self):
         params, dataset, stats = fitted_setup()
         actual, predicted = collect_predictions(params, dataset, stats,

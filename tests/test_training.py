@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import zlib
 
 import numpy as np
@@ -469,6 +470,28 @@ class TestCheckpoint:
         _, _, path = self.roundtrip(tmp_path, "vanilla")
         self.rewrite(path, lambda h: edit(h[block]))
         with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h.update(shapes=None), r"shape table is None, not a list"),
+        (lambda h: h["shapes"][0].__setitem__(1, "x"),
+         r"shape table entry \['encoder\.w_xi', 'x', 5\] is not \[name, rows, "
+         r"cols\] with non-negative integer rows and cols"),
+        (lambda h: h["shapes"][0].pop(),
+         r"shape table entry \['encoder\.w_xi', 39\] is not \[name, rows, cols\]"),
+        (lambda h: h["shapes"][0].__setitem__(1, -39),
+         r"shape table entry \['encoder\.w_xi', -39, 5\] is not \[name, rows, "
+         r"cols\] with non-negative"),
+        (lambda h: h["shapes"][0].__setitem__(1, 10 ** 6),
+         r"shape table entry \['encoder\.w_xi', 1000000, 5\] runs past the "
+         r"\d+ stored values"),
+    ], ids=["null_table", "string_rows", "two_fields", "negative_rows",
+            "past_blob"])
+    def test_rejects_malformed_shape_table_naming_entry(self, tmp_path, edit,
+                                                        message):
+        _, _, path = self.roundtrip(tmp_path, "vanilla")
+        self.rewrite(path, edit)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {message}"):
             load_checkpoint(path)
 
     def test_loads_legacy_include_raw_key(self, tmp_path):
