@@ -11,10 +11,11 @@ graph reuse and no graph optimizer.  Each thread has its own stack of open
 tapes, so threads that record at the same time never share one.
 
 The fused nodes keep what their hand-written backward rules need beside
-their output: lstm_sequence keeps the activated gates, the cell states and
-the hidden states of every step, time-major as (steps, width, batch), and
-recomputes tanh of the cell states on the way back; attend keeps nothing
-beyond its output, which already holds the alignment.
+their output: lstm_sequence keeps the activated gates and the cell states
+of every step, time-major as (steps, width, batch), and on the way back
+rebuilds each hidden state h = o * tanh(c) from them, bit for bit, with
+the one tanh per step it needs anyway; attend keeps nothing beyond its
+output, which already holds the alignment.
 
 lstm_sequence runs each step as one matrix product.  Its weights and bias
 are stacked into W = [wx; wh; b]^T, shape (4H, D + H + 1), and each step
@@ -382,12 +383,12 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     # States are kept feature-major, (width, batch) per step, so each gate
     # block is one contiguous run for the elementwise updates.  Off tape
     # only the latest step is needed (plus the hidden sequence when kept),
-    # so one slot is reused in place of a per-step history, and the hidden
-    # state lives only in the operand.
+    # so one slot is reused in place of a per-step history.  The hidden
+    # state lives only in the operand: the backward pass rebuilds it from
+    # the kept gates and cells.
     slots = steps if taped else 1
     gates = np.empty((slots, width, rows))
     cells = np.empty((slots, n, rows))
-    hidden = np.empty((steps, n, rows)) if taped else None
     out = np.empty((rows, (2 + (steps if keep_sequence else 0)) * n))
     # Splitting the trailing axis of a row-major block is always a view.
     seq = out[:, 2 * n:].reshape(rows, steps, n) if keep_sequence else None
@@ -416,15 +417,13 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
         # h_{t-1} has been read; the new state overwrites it in place.
         np.tanh(c, out=h)
         h *= z[2 * n:3 * n]
-        if taped:
-            hidden[s] = h
         if seq is not None:
             seq[:, s] = h.T
         c_prev = c
 
     out[:, :n] = h.T
     out[:, n:2 * n] = c_prev.T
-    ctx = (gates, cells, hidden, w, reverse, h_init, c_init) if taped else ()
+    ctx = (gates, cells, w, reverse, h_init, c_init) if taped else ()
     return _maybe_record("lstm_sequence", (x, wx, wh, b) + states,
                          Matrix._wrap(out), ctx)
 
@@ -538,7 +537,7 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     # and the factor 0.2 between z' and the unfolded z is applied once to
     # the gate rows of the finished weight gradient.
     ix, iwx, iwh, ib = nd.inputs[:4]
-    gates, cells, hidden, w, reverse, h_init, c_init = nd.ctx
+    gates, cells, w, reverse, h_init, c_init = nd.ctx
     steps, width, rows = gates.shape
     n = width // 4
     d = w.shape[1] - n - 1
@@ -549,7 +548,8 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     dx = np.zeros((rows, steps, d)) if need[ix] else None
     if dw is not None:
         # The operand [x_t; h_{t-1}; 1] of each step, rebuilt from the
-        # input and the kept hidden states.
+        # input and, for h_{t-1} = o_{t-1} * tanh(c_{t-1}), the kept gates
+        # and cells.
         operand = np.empty((d + n + 1, rows))
         operand[d + n] = 1.0
         dw_step = np.empty(w.shape)
@@ -560,7 +560,10 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     dz = np.empty((width, rows))
     dh = np.ascontiguousarray(g[:, :n].T)
     dc = np.ascontiguousarray(g[:, n:2 * n].T)
-    tc = np.empty((n, rows))
+    # tanh of the cells runs one step ahead: step s computes tanh(c_{s-1})
+    # for h_{s-1} and hands it on as step s-1's tanh(c).
+    tc = np.tanh(cells[steps - 1])
+    tc_prev = np.empty((n, rows))
     tmp = np.empty((n, rows))
     inside = np.empty((3 * n, rows), dtype=bool)
     below = np.empty((3 * n, rows), dtype=bool)
@@ -573,7 +576,8 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
             dh += seq_g[:, s].T
         z = gates[s]
         gi, gf, go, gc = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-        np.tanh(cells[s], out=tc)
+        if s:
+            np.tanh(cells[s - 1], out=tc_prev)
         np.multiply(dh, tc, out=dz[2 * n:3 * n])
         # dc += dh * o * (1 - tanh(c)^2)
         np.multiply(tc, tc, out=tmp)
@@ -596,13 +600,20 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
         dc *= gf
         if dw is not None:
             operand[:d] = xs[:, t].T
-            operand[d:d + n] = hidden[s - 1] if s else h_init
+            if s:
+                # Bit-identical to the forward's tanh(c) * o: IEEE
+                # multiplication commutes.
+                np.multiply(gates[s - 1, 2 * n:3 * n], tc_prev,
+                            out=operand[d:d + n])
+            else:
+                operand[d:d + n] = h_init
             np.matmul(dz, operand.T, out=dw_step)
             dw += dw_step
         if dx is not None:
             np.matmul(wx_t, dz, out=dx_step)
             dx[:, t] = dx_step.T
         np.matmul(wh_t, dz, out=dh)
+        tc, tc_prev = tc_prev, tc
 
     if dx is not None:
         _acc(grads, need, ix, dx.reshape(rows, steps * d))

@@ -228,12 +228,13 @@ def _train_config(settings: _Settings) -> training.TrainConfig:
     return training.TrainConfig(seed=settings.get("seed", "integer", _SEED), **given)
 
 
-def _load_frames(settings, parser_error) -> tuple[list[dataio.ProfileFrame], str]:
-    """The recording and the path it was read from."""
+def _data_path(settings, parser_error) -> str:
+    """The recording CSV to read; a usage error when none is given, raised
+    before any file is opened."""
     path = settings.get("data", "string")
     if not path:
         parser_error(f"--data is required: a recording CSV ({_SYNTH_HINT})")
-    return dataio.load_csv(path), path
+    return path
 
 
 def _test_ids(settings, frames) -> list[int]:
@@ -286,7 +287,7 @@ def cmd_synth(args, parser) -> int:
 def cmd_featurize(args, parser) -> int:
     settings = _Settings(args)
     config = _feature_config(settings)
-    frames, _ = _load_frames(settings, parser.error)
+    frames = dataio.load_csv(_data_path(settings, parser.error))
     stats = features.fit_standardization(frames, config)
     dataset = _windows(frames, config, stats)
     inputs, targets = dataset.gather(np.arange(dataset.n_windows))
@@ -309,7 +310,8 @@ def cmd_train(args, parser) -> int:
     feature_config = _feature_config(settings)
     train_config = _train_config(settings)
     hidden = settings.get("hidden", "integer", _HIDDEN)
-    frames, data = _load_frames(settings, parser.error)
+    data = _data_path(settings, parser.error)
+    frames = dataio.load_csv(data)
     test_ids = _test_ids(settings, frames)
     split = dataio.split(frames, test_ids)
     # Too few profiles for the groups fail here, before --out is made.
@@ -348,9 +350,10 @@ def cmd_train(args, parser) -> int:
 
 def cmd_evaluate(args, parser) -> int:
     settings = _Settings(args)
+    data = _data_path(settings, parser.error)
     params, stats, feature_config = _load_pipeline(
         args.checkpoint, settings.get("variant", models.VARIANTS))
-    frames, _ = _load_frames(settings, parser.error)
+    frames = dataio.load_csv(data)
     test_ids = _test_ids(settings, frames)
     if not test_ids:
         available = ", ".join(str(f.profile_id) for f in frames)
@@ -372,8 +375,9 @@ def cmd_evaluate(args, parser) -> int:
 
 def cmd_predict(args, parser) -> int:
     settings = _Settings(args)
+    data = _data_path(settings, parser.error)
     params, stats, feature_config = _load_pipeline(args.checkpoint)
-    frames, _ = _load_frames(settings, parser.error)
+    frames = dataio.load_csv(data)
     dataset = _windows(frames, feature_config, stats)
     _, predicted = evaluation.collect_predictions(params, dataset, stats)
     prov = dataset.provenance()

@@ -21,6 +21,11 @@ use tanh.  The gate order everywhere is input, forget, output, candidate.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -206,8 +211,54 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
     return Matrix._wrap(rng.uniform(-limit, limit, size=(rows, cols)))
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """The (get, set) thread-count entry points of the OpenBLAS bundled with
+    numpy, or None when there is no such library or entry point."""
+    root = os.path.dirname(np.__file__)
+    paths = (glob.glob(os.path.join(root + ".libs", "*openblas*"))
+             + glob.glob(os.path.join(root, ".dylibs", "*openblas*")))
+    for path in sorted(paths):
+        try:
+            # Opening a loaded library again returns the loaded instance.
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS at one thread, then restore its count.
+
+    In some processes every small LAPACK call stalls while OpenBLAS runs
+    more than one thread: a 100x100 QR then takes 0.14 s instead of 1 ms.
+    One thread gives the same factors.  Without OpenBLAS this does nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _orthogonal(rng: np.random.Generator, n: int) -> Matrix:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    with _one_blas_thread():
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
     # Fix the sign ambiguity of the factorization so the draw is unique.
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return Matrix._wrap(np.ascontiguousarray(q * signs))

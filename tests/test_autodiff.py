@@ -427,3 +427,56 @@ def test_lstm_sequence_shape_errors():
     with pytest.raises(ShapeError):
         attend(Matrix.zeros(2, 4), Matrix.zeros(3, 8))
 
+
+
+
+def _taped_lstm(reverse, keep_sequence):
+    """Five 4-wide steps, hidden width 3, seven windows, recorded with a
+    weighted-sum loss; spread 3 clips some gates.  Returns the inputs, the
+    loss, the tape and the lstm_sequence node."""
+    rng = np.random.default_rng(81)
+    inputs = [_r(rng, 7, 20, 3.0), _r(rng, 4, 12), _r(rng, 3, 12),
+              _r(rng, 1, 12)]
+    with Tape() as tape:
+        out = lstm_sequence(*inputs, reverse=reverse, keep_sequence=keep_sequence)
+        loss = sum_reduce(hadamard(out, _r(rng, *out.shape)))
+    return inputs, loss, tape, tape.nodes[tape.node_id(out)]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("keep_sequence", [False, True])
+def test_lstm_sequence_keeps_gates_and_cells_only(reverse, keep_sequence):
+    # Per step the node keeps the 4H gates and the H cells, nothing else:
+    # hidden states are rebuilt from them on the way back.
+    *_, node = _taped_lstm(reverse, keep_sequence)
+    steps, d, n, rows = 5, 4, 3, 7
+    kept = sum(a.nbytes for a in node.ctx if isinstance(a, np.ndarray))
+    history = steps * 5 * n * rows
+    weight = 4 * n * (d + n + 1)
+    initial_states = 2 * n * rows
+    assert kept == 8 * (history + weight + initial_states)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_hidden_states_rebuild_bitwise_from_kept_gates_and_cells(reverse):
+    *_, node = _taped_lstm(reverse, keep_sequence=True)
+    gates, cells = [a for a in node.ctx
+                    if isinstance(a, np.ndarray) and a.ndim == 3]
+    n = cells.shape[1]
+    rebuilt = gates[:, 2 * n:3 * n] * np.tanh(cells)
+    out = node.out.values
+    seq = out[:, 2 * n:].reshape(out.shape[0], -1, n).transpose(1, 2, 0)
+    np.testing.assert_array_equal(rebuilt, seq)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("keep_sequence", [False, True])
+def test_backward_twice_on_one_tape_gives_identical_gradients(
+        reverse, keep_sequence):
+    # The backward pass must leave the kept context as it found it.
+    inputs, loss, tape, _ = _taped_lstm(reverse, keep_sequence)
+    first = tape.backward(loss, wrt=inputs)
+    second = tape.backward(loss, wrt=inputs)
+    for m in inputs:
+        np.testing.assert_array_equal(first[tape.node_id(m)].values,
+                                      second[tape.node_id(m)].values)

@@ -292,6 +292,15 @@ class TestUsageErrors:
                 "FILE writes a stand-in)") in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_missing_data_is_reported_before_the_checkpoint_is_read(
+            self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            run([command, "--checkpoint", str(tmp_path / "absent.bin"),
+                 "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert "--data is required" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,flag,value", [
         ("featurize", "synth", []),
         ("train", "synth-profiles", ["2"]),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import check_model_gradients, zero_params
+from motortemp import models
 from motortemp.autodiff import (
     ContractError,
     Matrix,
@@ -77,6 +78,29 @@ class TestInit:
         params = init_params("vanilla", seed=4, input_dim=4, hidden=16)
         w = params.encoder.w_hi.values
         np.testing.assert_allclose(w.T @ w, np.eye(16), rtol=0, atol=1e-10)
+
+    def test_orthogonal_draw_runs_blas_at_one_thread_and_restores_it(
+            self, monkeypatch):
+        calls = models._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy has no bundled OpenBLAS with thread controls")
+        get, _ = calls
+        before = get()
+        seen = []
+        real_qr = np.linalg.qr
+
+        def spy(a):
+            seen.append(get())
+            return real_qr(a)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        init_params("vanilla", seed=0, input_dim=4, hidden=3)
+        assert seen == [1] * 8  # four gates in the encoder and the decoder
+        assert get() == before
+        with pytest.raises(RuntimeError):
+            with models._one_blas_thread():
+                raise RuntimeError
+        assert get() == before
 
     def test_glorot_limits(self):
         params = init_params("vanilla", seed=5, input_dim=30, hidden=20)
