@@ -272,6 +272,23 @@ def _windows(frames, config, stats) -> features.WindowedDataset:
     return dataset
 
 
+def _save_windows(dataset, inputs_path, targets_path) -> None:
+    """The .npy files np.save writes for the whole ``gather``, written as each
+    header and then one appended batch of 256 windows at a time."""
+    n = dataset.n_windows
+    shapes = ((n, dataset.window, dataset.channels.shape[1]),
+              (n, 1, dataset.targets.shape[1]))
+    with open(inputs_path, "wb") as fi, open(targets_path, "wb") as ft:
+        for fh, shape in zip((fi, ft), shapes):
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(dataset.channels.dtype),
+                "fortran_order": False, "shape": shape})
+        for at in range(0, n, 256):
+            inputs, targets = dataset.gather(np.arange(at, min(at + 256, n)))
+            inputs.tofile(fi)
+            targets.tofile(ft)
+
+
 def cmd_synth(args, parser) -> int:
     settings = _Settings(args)
     frames = dataio.synthesize(
@@ -290,13 +307,11 @@ def cmd_featurize(args, parser) -> int:
     frames = dataio.load_csv(_data_path(settings, parser.error))
     stats = features.fit_standardization(frames, config)
     dataset = _windows(frames, config, stats)
-    inputs, targets = dataset.gather(np.arange(dataset.n_windows))
     os.makedirs(args.out, exist_ok=True)
-    np.save(os.path.join(args.out, "inputs.npy"), inputs)
-    np.save(os.path.join(args.out, "targets.npy"), targets)
-    with open(os.path.join(args.out, "provenance.csv"), "w") as fh:
-        fh.write("profile_id,end_index\n")
-        fh.writelines(f"{pid},{end}\n" for pid, end in dataset.provenance())
+    _save_windows(dataset, os.path.join(args.out, "inputs.npy"),
+                  os.path.join(args.out, "targets.npy"))
+    dataio.write_csv(os.path.join(args.out, "provenance.csv"),
+                     ["profile_id", "end_index"], dataset.provenance())
     _write_json(os.path.join(args.out, "stats.json"), stats.to_dict())
     _write_json(os.path.join(args.out, "config.json"), config.to_dict())
     print(f"wrote {dataset.n_windows} windows x {config.channel_count()} "
@@ -380,14 +395,10 @@ def cmd_predict(args, parser) -> int:
     frames = dataio.load_csv(data)
     dataset = _windows(frames, feature_config, stats)
     _, predicted = evaluation.collect_predictions(params, dataset, stats)
-    prov = dataset.provenance()
-    with open(args.out, "w") as fh:
-        fh.write("profile_id,end_index,"
-                 + ",".join(f"pred_{t}" for t in features.TARGETS) + "\n")
-        for k, (pid, end) in enumerate(prov):
-            vals = ",".join(repr(float(v)) for v in predicted[k])
-            fh.write(f"{pid},{end},{vals}\n")
-    print(f"wrote {len(prov)} predictions to {args.out}")
+    dataio.write_csv(
+        args.out, ["profile_id", "end_index", *(f"pred_{t}" for t in features.TARGETS)],
+        [*dataset.provenance(), *predicted.T])
+    print(f"wrote {dataset.n_windows} predictions to {args.out}")
     return 0
 
 

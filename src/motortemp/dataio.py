@@ -25,6 +25,7 @@ __all__ = [
     "ConfigError",
     "load_csv",
     "save_csv",
+    "write_csv",
     "split",
     "synthesize",
     "one_pole",
@@ -198,16 +199,34 @@ def save_csv(frames, path, schema=ATTRIBUTES) -> None:
 
     Floats are serialized with repr so a round trip is exact.
     """
+    frames = list(frames)
+    for frame in frames:
+        frame.require(schema)
+    pids = np.repeat([f.profile_id for f in frames], [f.n_samples for f in frames])
+    write_csv(path, [PROFILE_COLUMN, *schema], [pids, *(
+        np.concatenate([np.empty(0), *(f.columns[name] for f in frames)])
+        for name in schema)])
+
+
+_CSV_CHUNK = 1 << 16  # rows per pass: bounds the Python objects alive at once
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length 1-D ``columns`` under ``header``: the package's one
+    CSV writer.  Floats are written with repr, so they parse back exactly,
+    integers in decimal and strings as given; every line ends with ``\\n``.
+    Raises ValueError before opening the file when the lengths differ."""
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path}: columns differ in length: {lengths}")
+    n = lengths[0] if lengths else 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([PROFILE_COLUMN, *schema])
-        for frame in frames:
-            frame.require(schema)
-            cols = [frame.columns[name] for name in schema]
-            for i in range(frame.n_samples):
-                writer.writerow(
-                    [frame.profile_id, *[repr(float(c[i])) for c in cols]]
-                )
+        fh.write(",".join(header) + "\n")
+        for at in range(0, n, _CSV_CHUNK):
+            cells = [map(repr if c.dtype.kind == "f" else str,
+                         c[at:at + _CSV_CHUNK].tolist()) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def split(frames, test_ids) -> DatasetSplit:

@@ -8,7 +8,6 @@ since it bounds how far a derating controller could be misled.
 
 from __future__ import annotations
 
-import csv
 import numbers
 import os
 import time
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_csv
 from .features import TARGETS, Standardization, WindowedDataset
 from .models import ModelParams, predict
 
@@ -111,8 +111,8 @@ def collect_predictions(params: ModelParams, dataset: WindowedDataset,
     """Run the model once over every window of ``dataset``, in batches.
 
     Returns (actual, predicted) in degrees Celsius, shape (n, targets)
-    each, row k belonging to ``dataset.provenance()[k]``; ``stats`` maps
-    the model's standardized outputs back.
+    each, row k belonging to window k of ``dataset``; ``stats`` maps the
+    model's standardized outputs back.
     """
     if not isinstance(stats, Standardization):
         raise EvaluationError(
@@ -153,31 +153,24 @@ def write_traces(out_dir, provenance, actual: np.ndarray,
     """Write per-target prediction and error traces as CSV files.
 
     Row k of the (n, targets) ``actual`` and ``predicted`` arrays (degrees
-    Celsius) gets the sample id ``<profile_id>:<end_index>`` of
-    ``provenance[k]``.  For each target two files appear in ``out_dir``:
-    ``<target>_trace.csv`` with (sample_id, actual_c, predicted_c) and
-    ``<target>_error.csv`` with (sample_id, error_c), error = actual -
-    predicted.  Floats are written with repr so the files parse back
-    exactly.  Returns the paths written.
+    Celsius) gets the sample id ``<profile_id>:<end_index>`` of entry k of
+    the ``provenance`` pair (profile_ids, end_index).  For each target two
+    files appear in ``out_dir``: ``<target>_trace.csv`` with (sample_id,
+    actual_c, predicted_c) and ``<target>_error.csv`` with (sample_id,
+    error_c), error = actual - predicted.  Floats are written with repr so
+    the files parse back exactly.  Returns the paths written.
     """
-    ids = [f"{pid}:{end}" for pid, end in provenance]
+    pids, ends = (np.asarray(a).astype(str) for a in provenance)
+    ids = np.char.add(np.char.add(pids, ":"), ends)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, target in enumerate(TARGETS):
         trace_path = os.path.join(out_dir, f"{target}_trace.csv")
         error_path = os.path.join(out_dir, f"{target}_error.csv")
-        with open(trace_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sample_id", "actual_c", "predicted_c"])
-            for sid, a, p in zip(ids, actual[:, i], predicted[:, i],
-                                 strict=True):
-                w.writerow([sid, repr(float(a)), repr(float(p))])
-        with open(error_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sample_id", "error_c"])
-            for sid, a, p in zip(ids, actual[:, i], predicted[:, i],
-                                 strict=True):
-                w.writerow([sid, repr(float(a - p))])
+        write_csv(trace_path, ["sample_id", "actual_c", "predicted_c"],
+                  [ids, actual[:, i], predicted[:, i]])
+        write_csv(error_path, ["sample_id", "error_c"],
+                  [ids, actual[:, i] - predicted[:, i]])
         paths.extend([trace_path, error_path])
     return paths
 

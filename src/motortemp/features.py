@@ -11,10 +11,12 @@ profiles only; targets stay in degrees Celsius until the training loop.
 from __future__ import annotations
 
 import numbers
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import ProfileFrame, SchemaError, one_pole
 
@@ -78,6 +80,9 @@ class FeatureConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "predictors", tuple(self.predictors))
+        if not all(isinstance(p, str) for p in self.predictors):
+            raise ValueError(
+                f"predictors must be attribute names, got {self.predictors!r}")
         object.__setattr__(self, "synthetic", tuple(self.synthetic))
         if not all(_is_int(s) for s in self.spans):
             raise ValueError(
@@ -86,8 +91,9 @@ class FeatureConfig:
         unknown = [s for s in self.synthetic if s not in SYNTHETIC_SETS["all"]]
         if unknown:
             raise ValueError(f"unknown synthetic quantities: {unknown}")
-        if any(s < 1 for s in self.spans):
-            raise ValueError(f"spans must be positive, got {self.spans}")
+        # Sample counts index int64 arrays, so each must fit one.
+        if not all(1 <= s < 2 ** 63 for s in self.spans):
+            raise ValueError(f"spans must be positive and below 2**63, got {self.spans}")
         if list(self.spans) != sorted(set(self.spans)):
             raise ValueError(f"spans must be strictly increasing, got {self.spans}")
         for name in ("window", "stride"):
@@ -96,8 +102,8 @@ class FeatureConfig:
                 raise ValueError(
                     f"{name} must be an integer number of samples, got {value!r}"
                 )
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
+            if not 1 <= value < 2 ** 63:
+                raise ValueError(f"{name} must be at least 1 and below 2**63, got {value}")
             object.__setattr__(self, name, int(value))
 
     @classmethod
@@ -132,8 +138,13 @@ class FeatureConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureConfig":
-        """Rebuild from ``to_dict`` output, older files' keys included."""
-        return cls(**_drop_retired(d))
+        """Rebuild from ``to_dict`` output, older files' keys included;
+        raises ValueError naming any key ``to_dict`` writes that is missing."""
+        d = _drop_retired(d)
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise ValueError(f"missing keys: {', '.join(missing)}")
+        return cls(**d)
 
 
 # Keys that older files may carry, with why ``true`` is their only value.
@@ -303,27 +314,31 @@ class Standardization:
     @classmethod
     def from_dict(cls, d: dict) -> "Standardization":
         """Rebuild from ``to_dict`` output; raises ValueError, naming the
-        field, when a mean or std does not hold one entry per name or a
-        retired key is not ``true``."""
+        field, when a mean or std is not one finite number per name (a std
+        at least ``STD_FLOOR``) or a retired key is not ``true``."""
         d = _drop_retired(d)
-        out = cls(
-            channel_names=tuple(d["channel_names"]),
-            channel_mean=np.asarray(d["channel_mean"], dtype=np.float64),
-            channel_std=np.asarray(d["channel_std"], dtype=np.float64),
-            target_names=tuple(d["target_names"]),
-            target_mean=np.asarray(d["target_mean"], dtype=np.float64),
-            target_std=np.asarray(d["target_std"], dtype=np.float64),
-        )
+        arrays = {}
         for kind in ("channel", "target"):
-            count = len(getattr(out, f"{kind}_names"))
-            for field in (f"{kind}_mean", f"{kind}_std"):
-                values = getattr(out, field)
-                if values.shape != (count,):
+            count = len(d[f"{kind}_names"])
+            for name, least in ((f"{kind}_mean", ""),
+                                (f"{kind}_std", f" of at least {STD_FLOOR:g}")):
+                shape = np.shape(d[name])
+                if shape != (count,):
                     raise ValueError(
-                        f"{field} has shape {values.shape}, expected one "
+                        f"{name} has shape {shape}, expected one "
                         f"entry for each of the {count} {kind}_names"
                     )
-        return out
+                # Checked before asarray, which reads null as nan, true as 1,
+                # "2" as 2 and raises OverflowError for a 400-digit integer.
+                for i, value in enumerate(d[name]):
+                    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                            or not abs(value) <= sys.float_info.max
+                            or (least and value < STD_FLOOR)):
+                        raise ValueError(
+                            f"{name}[{i}] is {value!r}, not a finite number{least}")
+                arrays[name] = np.asarray(d[name], dtype=np.float64)
+        return cls(channel_names=tuple(d["channel_names"]),
+                   target_names=tuple(d["target_names"]), **arrays)
 
 
 # Constant channels would otherwise divide by zero; anything below this
@@ -350,73 +365,72 @@ def fit_standardization(frames, config: FeatureConfig) -> Standardization:
 
 @dataclass
 class WindowedDataset:
-    """Window index over per-profile channel matrices.
-
-    Windows are gathered on demand, so a long recording never has to hold
-    every (window, channels) slice in memory at once.
+    """Each kept profile's rows in turn in one table, and per-window arrays:
+    window k is the ``window`` rows from ``starts[k]`` and ends at sample
+    ``end_index[k]`` of profile ``profile_ids[k]``.  Windows are gathered
+    on demand, so no (window, channels) slice is held before it is asked for.
     """
 
-    channels: list          # per frame: (n_i, channels)
-    targets: list           # per frame: (n_i, len(TARGETS)), degrees Celsius
-    profile_ids: list
+    channels: np.ndarray     # (samples, channels), standardized when fitted
+    targets: np.ndarray      # (samples, len(TARGETS)), degrees Celsius
     window: int
-    index: np.ndarray       # (windows, 2): frame index, start offset
+    starts: np.ndarray       # (windows,) first table row of each window
+    profile_ids: np.ndarray  # (windows,)
+    end_index: np.ndarray    # (windows,) last sample, counted in its profile
 
     @property
     def n_windows(self) -> int:
-        return len(self.index)
+        return len(self.starts)
 
     def gather(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """Materialize the requested windows as (inputs, targets) arrays."""
-        idx = np.asarray(idx, dtype=np.intp)
-        w = self.window
-        inputs = np.empty((len(idx), w, self.channels[0].shape[1]))
-        targets = np.empty((len(idx), 1, self.targets[0].shape[1]))
-        for k, row in enumerate(idx):
-            fi, start = self.index[row]
-            inputs[k] = self.channels[fi][start:start + w]
-            targets[k, 0] = self.targets[fi][start + w - 1]
-        return inputs, targets
+        starts = self.starts[np.asarray(idx, dtype=np.intp)]
+        # A read-only view whose entry s is table rows s:s + window; each
+        # window is one contiguous block of the table, copied as such.
+        windows = sliding_window_view(self.channels, (self.window, self.channels.shape[1]))
+        inputs = windows[starts, 0]
+        targets = self.targets[starts + (self.window - 1)]
+        return inputs, targets[:, None, :]
 
-    def provenance(self) -> list:
-        """(profile_id, end_index) of every window, in index order."""
-        return [
-            (self.profile_ids[fi], int(start) + self.window - 1)
-            for fi, start in self.index
-        ]
+    def provenance(self) -> tuple[np.ndarray, np.ndarray]:
+        """(profile_ids, end_index) of every window, in window order."""
+        return self.profile_ids, self.end_index
 
 
 def build_dataset(frames, config: FeatureConfig,
                   stats: Standardization = None) -> WindowedDataset:
-    """Featurize frames into a window index, optionally standardized.
+    """Featurize frames into one window table, optionally standardized.
 
     Frames shorter than the window are skipped with a warning.  When
     ``stats`` is given the channel transform is applied; targets are always
     kept in degrees Celsius.
     """
-    channels, targets, pids, index_rows = [], [], [], []
+    kept = []
     for frame in frames:
-        n = frame.n_samples
-        if n < config.window:
-            warnings.warn(
-                f"profile {frame.profile_id}: {n} samples is shorter than "
-                f"window {config.window}; skipped",
-                stacklevel=2,
-            )
-            continue
-        chan = channel_matrix(frame, config)
-        if stats is not None:
-            chan = stats.transform_channels(chan)
-        fi = len(channels)
-        channels.append(chan)
-        targets.append(target_matrix(frame))
-        pids.append(frame.profile_id)
-        starts = np.arange(0, n - config.window + 1, config.stride)
-        index_rows.append(
-            np.column_stack([np.full(len(starts), fi), starts])
-        )
-    index = (
-        np.concatenate(index_rows, axis=0)
-        if index_rows else np.empty((0, 2), dtype=np.intp)
-    ).astype(np.intp)
-    return WindowedDataset(channels, targets, pids, config.window, index)
+        if frame.n_samples >= config.window:
+            kept.append(frame)
+        else:
+            warnings.warn(f"profile {frame.profile_id}: {frame.n_samples} samples is "
+                          f"shorter than window {config.window}; skipped", stacklevel=2)
+    lengths = [f.n_samples for f in kept]
+    offsets = np.cumsum([0, *lengths])
+    channels = np.empty((offsets[-1], config.channel_count()))
+    targets = np.empty((offsets[-1], len(TARGETS)))
+    for frame, at, n in zip(kept, offsets, lengths):
+        rows = channels[at:at + n]
+        if stats is None:
+            rows[:] = channel_matrix(frame, config)
+        else:
+            np.subtract(channel_matrix(frame, config), stats.channel_mean, out=rows)
+            rows /= stats.channel_std
+        targets[at:at + n] = target_matrix(frame)
+    # Window start offsets within each profile, then for the whole table.
+    local = [np.arange(0, n - config.window + 1, config.stride) for n in lengths]
+    counts = [len(s) for s in local]
+    local = np.concatenate([np.empty(0, dtype=np.intp), *local])
+    return WindowedDataset(
+        channels, targets, config.window,
+        starts=local + np.repeat(offsets[:-1], counts),
+        profile_ids=np.repeat([f.profile_id for f in kept], counts),
+        end_index=local + (config.window - 1),
+    )

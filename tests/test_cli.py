@@ -1,6 +1,7 @@
 """End-to-end command line flows against generated recordings."""
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -133,7 +134,21 @@ class TestFeaturize:
         np.testing.assert_array_equal(np.load(out / "inputs.npy"), inputs)
         np.testing.assert_array_equal(np.load(out / "targets.npy"), targets)
         rows = (out / "provenance.csv").read_text().splitlines()[1:]
-        assert rows == [f"{pid},{end}" for pid, end in dataset.provenance()]
+        pids, ends = dataset.provenance()
+        assert rows == [f"{pid},{end}" for pid, end in zip(pids, ends, strict=True)]
+
+    def test_tensors_are_the_bytes_np_save_writes(self, tmp_path):
+        # 600 windows: two full batches of 256 and a part batch
+        out = tmp_path / "feat"
+        assert run(["featurize", "--data", recording(tmp_path, 2, 315),
+                    "--out", str(out)] + FAST_FEATURES) == 0
+        inputs = np.load(out / "inputs.npy")
+        assert inputs.shape == (600, 16, 39)
+        for name, array in (("inputs", inputs),
+                            ("targets", np.load(out / "targets.npy"))):
+            buf = io.BytesIO()
+            np.save(buf, array)
+            assert (out / f"{name}.npy").read_bytes() == buf.getvalue()
 
     def test_profiles_shorter_than_window_exit_1(self, tmp_path, capsys):
         with pytest.warns(UserWarning, match="shorter than window"):
@@ -143,6 +158,14 @@ class TestFeaturize:
         err = capsys.readouterr().err
         assert "window of 180 samples" in err
         assert "1: 100, 2: 100" in err
+
+    @pytest.mark.parametrize("flag", ["--window", "--stride"])
+    def test_sample_count_beyond_int64_exits_1_naming_it(self, tmp_path, capsys,
+                                                          flag):
+        assert run(["featurize", "--data", recording(tmp_path, 1, 40),
+                    flag, str(10 ** 23), "--out", str(tmp_path / "f")]) == 1
+        assert (f"{flag[2:]} must be at least 1 and below 2**63, got {10 ** 23}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("field,value", [
         ("window", "16"), ("window", 16.5), ("stride", 2.0)])
@@ -417,6 +440,24 @@ class TestTrainFlow:
         first = lines[1].split(",")
         assert first[0] == "1"
         float(first[2])  # numeric payload parses
+
+    def test_every_csv_written_ends_its_lines_with_lf(self, tmp_path):
+        out = self.train(tmp_path)
+        data = recording(tmp_path, seed=5)
+        assert run(["featurize", "--data", data, "--out", str(tmp_path / "feat"),
+                    *FAST_FEATURES]) == 0
+        assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                    "--data", data, "--test-profiles", "2",
+                    "--out", str(tmp_path / "ev")]) == 0
+        assert run(["predict", "--checkpoint", str(out / "checkpoint.bin"),
+                    "--data", data, "--out", str(tmp_path / "pred.csv")]) == 0
+        written = sorted(tmp_path.rglob("*.csv"))
+        # the recording, provenance, eight traces and the predictions
+        assert len(written) == 11
+        for path in written:
+            text = path.read_bytes()
+            assert b"\r" not in text, path
+            assert text.endswith(b"\n"), path
 
     def test_evaluate_predicts_each_window_once(self, tmp_path, monkeypatch):
         out = self.train(tmp_path)

@@ -16,6 +16,7 @@ from motortemp.dataio import (
     save_csv,
     split,
     synthesize,
+    write_csv,
 )
 
 
@@ -178,6 +179,42 @@ class TestLoadCsv:
                 np.testing.assert_array_equal(
                     orig.columns[name], back.columns[name]
                 )
+
+
+class TestWriteCsv:
+    EDGE = [0.1 + 0.2, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-310]
+
+    def test_floats_parse_back_bitwise(self, tmp_path):
+        path = tmp_path / "f.csv"
+        values = np.array(self.EDGE)
+        write_csv(path, ["x"], [values])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x"
+        back = np.array([float(v) for v in lines[1:]])
+        assert back.tobytes() == values.tobytes()  # -0.0 keeps its sign
+        assert lines[1] == "0.30000000000000004"
+
+    def test_integer_and_string_columns(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_csv(path, ["id", "tag", "v"],
+                  [np.array([3, -12], dtype=np.int64), np.array(["a:1", "b:2"]),
+                   [1.5, 2.0]])
+        assert path.read_bytes() == b"id,tag,v\n3,a:1,1.5\n-12,b:2,2.0\n"
+
+    def test_unequal_lengths_raise_before_writing(self, tmp_path):
+        path = tmp_path / "u.csv"
+        with pytest.raises(ValueError, match=r"columns differ in length: \[2, 3\]"):
+            write_csv(path, ["a", "b"], [np.zeros(2), np.zeros(3)])
+        assert not path.exists()
+
+    def test_chunking_does_not_change_bytes(self, tmp_path, monkeypatch):
+        frames = synthesize(seed=2, profiles=2, length=7)
+        save_csv(frames, tmp_path / "one.csv")
+        monkeypatch.setattr("motortemp.dataio._CSV_CHUNK", 3)
+        save_csv(frames, tmp_path / "chunked.csv")
+        text = (tmp_path / "one.csv").read_bytes()
+        assert (tmp_path / "chunked.csv").read_bytes() == text
+        assert b"\r" not in text and text.count(b"\n") == 15
 
 
 class TestProfileFrame:

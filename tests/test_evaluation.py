@@ -153,8 +153,7 @@ class TestEvaluate:
     def test_zero_error_when_targets_equal_predictions(self):
         params, dataset, stats = fitted_setup()
         _, predicted = collect_predictions(params, dataset, stats)
-        for k, (fi, start) in enumerate(dataset.index):
-            dataset.targets[fi][start + dataset.window - 1] = predicted[k]
+        dataset.targets[dataset.starts + dataset.window - 1] = predicted
         report = evaluate(params, dataset, stats)
         assert report.overall_mse == 0.0
         assert report.overall_max_abs_error == 0.0
@@ -223,14 +222,15 @@ class TestTraces:
         params, dataset, stats = fitted_setup()
         emit_traces(params, dataset, stats, tmp_path)
         _, rows = self.read_csv(tmp_path / f"{TARGETS[0]}_trace.csv")
-        prov = dataset.provenance()
-        assert rows[0][0] == f"{prov[0][0]}:{prov[0][1]}"
-        assert rows[-1][0] == f"{prov[-1][0]}:{prov[-1][1]}"
+        pids, ends = dataset.provenance()
+        assert rows[0][0] == f"{pids[0]}:{ends[0]}"
+        assert rows[-1][0] == f"{pids[-1]}:{ends[-1]}"
 
     def test_rejects_provenance_of_another_length(self, tmp_path):
         rows = np.zeros((3, len(TARGETS)))
         with pytest.raises(ValueError):
-            write_traces(tmp_path, [(1, 9), (1, 10)], rows, rows)
+            write_traces(tmp_path, (np.array([1, 1]), np.array([9, 10])),
+                         rows, rows)
 
 
 class TestTiming:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_frame
-from motortemp.dataio import SchemaError, synthesize
+from motortemp.dataio import ProfileFrame, SchemaError, synthesize
 from motortemp.features import (
     DEFAULT_SPANS,
     PREDICTORS,
@@ -372,8 +372,8 @@ class TestWindowize:
         frames = synthesize(seed=2, profiles=1, length=200)
         ds = build_dataset(frames, FeatureConfig(window=180, stride=5, spans=(4,)))
         assert ds.n_windows == 5
-        ends = [end for _, end in ds.provenance()]
-        assert ends == [179, 184, 189, 194, 199]
+        _, ends = ds.provenance()
+        assert ends.tolist() == [179, 184, 189, 194, 199]
 
     def test_short_profile_skipped_with_warning(self):
         frames = synthesize(seed=2, profiles=2, length=100)
@@ -381,7 +381,8 @@ class TestWindowize:
         long_frame = synthesize(seed=5, profiles=1, length=200)[0]
         with pytest.warns(UserWarning, match="shorter than window"):
             ds = build_dataset([frames[0], long_frame], config)
-        assert all(pid == 1 for pid, _ in ds.provenance())
+        pids, _ = ds.provenance()
+        assert (pids == 1).all()
         assert ds.n_windows == 51
 
     def test_provenance_inverts_to_raw_slices(self):
@@ -391,7 +392,7 @@ class TestWindowize:
         inputs, targets = self.gather_all(ds)
         mats = {f.profile_id: channel_matrix(f, config) for f in frames}
         tgts = {f.profile_id: target_matrix(f) for f in frames}
-        for k, (pid, end) in enumerate(ds.provenance()):
+        for k, (pid, end) in enumerate(zip(*ds.provenance(), strict=True)):
             start = end - config.window + 1
             np.testing.assert_array_equal(inputs[k], mats[pid][start:end + 1])
             np.testing.assert_array_equal(targets[k, 0], tgts[pid][end])
@@ -405,9 +406,31 @@ class TestWindowize:
         # raw degC magnitudes, not standardized ones
         assert targets.mean() > 5.0
         # while the inputs are the standardized channel slices
-        pid, end = ds.provenance()[-1]
+        _, ends = ds.provenance()
+        end = ends[-1]
         raw = channel_matrix(frames[0], config)[end - config.window + 1:end + 1]
         np.testing.assert_array_equal(inputs[-1], stats.transform_channels(raw))
+
+    def test_gather_equals_slices_of_each_standardized_profile(self):
+        frames = [ProfileFrame(pid, synthesize(seed=pid, profiles=1, length=n)[0].columns)
+                  for pid, n in ((4, 61), (5, 40), (6, 75))]
+        config = FeatureConfig(window=12, stride=4, spans=(3, 9))
+        stats = fit_standardization(frames, config)
+        ds = build_dataset(frames, config, stats=stats)
+        pids, ends = ds.provenance()
+        last = [np.flatnonzero(pids == f.profile_id)[-1] for f in frames]
+        idx = np.concatenate([
+            np.random.default_rng(0).integers(0, ds.n_windows, 40), last])
+        inputs, targets = ds.gather(idx)
+        blocks = {f.profile_id: (stats.transform_channels(channel_matrix(f, config)),
+                                 target_matrix(f)) for f in frames}
+        for k, row in enumerate(idx):
+            chans, tgts = blocks[pids[row]]
+            end = ends[row]
+            np.testing.assert_array_equal(
+                inputs[k], chans[end - config.window + 1:end + 1])
+            np.testing.assert_array_equal(targets[k, 0], tgts[end])
+        assert [ends[i] for i in last] == [59, 39, 71]
 
     def test_gather_subset_matches_full_gather(self):
         frames = synthesize(seed=9, profiles=2, length=70)

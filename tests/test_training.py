@@ -461,10 +461,57 @@ class TestCheckpoint:
         ("stats", lambda b: b.update(standardize_targets=False),
          r"stats block is malformed \(ValueError: standardize_targets "
          r"False is not supported"),
+        ("stats", lambda b: b["target_mean"].__setitem__(0, None),
+         r"stats block is malformed \(ValueError: target_mean\[0\] is None, "
+         r"not a finite number\)"),
+        ("stats", lambda b: b["channel_mean"].__setitem__(3, None),
+         r"stats block is malformed \(ValueError: channel_mean\[3\] is None, "
+         r"not a finite number\)"),
+        ("stats", lambda b: b["channel_mean"].__setitem__(0, True),
+         r"stats block is malformed \(ValueError: channel_mean\[0\] is True, "
+         r"not a finite number\)"),
+        ("stats", lambda b: b["target_mean"].__setitem__(1, "2.5"),
+         r"stats block is malformed \(ValueError: target_mean\[1\] is '2\.5', "
+         r"not a finite number\)"),
+        ("stats", lambda b: b["channel_std"].__setitem__(0, 0),
+         r"stats block is malformed \(ValueError: channel_std\[0\] is 0, "
+         r"not a finite number of at least 1e-08\)"),
+        ("stats", lambda b: b["channel_std"].__setitem__(5, -1),
+         r"stats block is malformed \(ValueError: channel_std\[5\] is -1, "
+         r"not a finite number of at least 1e-08\)"),
+        ("stats", lambda b: b["target_std"].__setitem__(2, 0.0),
+         r"stats block is malformed \(ValueError: target_std\[2\] is 0\.0, "
+         r"not a finite number of at least 1e-08\)"),
+        ("stats", lambda b: b["channel_mean"].__setitem__(0, 10 ** 400),
+         r"stats block is malformed \(ValueError: channel_mean\[0\] is 1000+, "
+         r"not a finite number\)"),
+        ("stats", lambda b: b["target_std"].__setitem__(0, float("inf")),
+         r"stats block is malformed \(ValueError: target_std\[0\] is inf, "
+         r"not a finite number of at least 1e-08\)"),
+        ("feature_config", lambda b: b.update(spans=[2, 10 ** 400]),
+         r"feature_config block is malformed \(ValueError: spans must be "
+         r"positive and below 2\*\*63"),
+        ("feature_config", lambda b: b.update(stride=2 ** 63),
+         r"feature_config block is malformed \(ValueError: stride must be at "
+         r"least 1 and below 2\*\*63, got 9223372036854775808\)"),
+        ("feature_config", lambda b: b.pop("window"),
+         r"feature_config block is malformed \(ValueError: missing keys: "
+         r"window\)"),
+        ("feature_config", lambda b: b.pop("predictors"),
+         r"feature_config block is malformed \(ValueError: missing keys: "
+         r"predictors\)"),
+        ("feature_config", lambda b: b["predictors"].__setitem__(0, 7),
+         r"feature_config block is malformed \(ValueError: predictors must be "
+         r"attribute names, got \(7, "),
     ], ids=["spans", "no_target_std", "short_mean", "long_target_std",
             "include_raw_false", "float_window", "string_stride", "float_span",
             "string_standardize_targets", "false_standardize_targets",
-            "stats_false_standardize_targets"])
+            "stats_false_standardize_targets", "null_target_mean",
+            "null_channel_mean", "true_channel_mean", "string_target_mean",
+            "zero_channel_std", "negative_channel_std", "zero_target_std",
+            "huge_integer_channel_mean", "infinite_target_std", "huge_span",
+            "huge_stride",
+            "no_window", "no_predictors", "integer_predictor"])
     def test_rejects_malformed_header_block(self, tmp_path, block, edit,
                                             message):
         _, _, path = self.roundtrip(tmp_path, "vanilla")
