@@ -106,19 +106,6 @@ class Matrix:
     def ones(cls, rows: int, cols: int) -> "Matrix":
         return cls._wrap(np.ones((rows, cols)))
 
-    @classmethod
-    def eye(cls, n: int) -> "Matrix":
-        return cls._wrap(np.eye(n))
-
-    @classmethod
-    def from_flat(cls, rows: int, cols: int, flat) -> "Matrix":
-        arr = np.asarray(flat, dtype=np.float64).reshape(-1)
-        if arr.size != rows * cols:
-            raise ShapeError(
-                f"from_flat: need {rows * cols} values for {rows}x{cols}, got {arr.size}"
-            )
-        return cls._wrap(arr.reshape(rows, cols).copy())
-
     @property
     def rows(self) -> int:
         return self.values.shape[0]
@@ -130,11 +117,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """The entries flattened in row-major order (a view when contiguous)."""
-        return self.values.reshape(-1)
 
     def copy(self) -> "Matrix":
         return Matrix._wrap(self.values.copy())

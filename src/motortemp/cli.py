@@ -354,12 +354,11 @@ def cmd_train(args, parser) -> int:
     print(f"checkpoint: {ckpt_path}")
     print(f"training log: {log_path}")
 
-    if split.test:
-        dataset = features.build_dataset(split.test, feature_config, stats=stats)
-        if dataset.n_windows > 0:
-            report = evaluation.evaluate(params, dataset, stats,
-                                         batch_size=train_config.batch_size)
-            print(report.to_text())
+    dataset = features.build_dataset(split.test, feature_config, stats=stats)
+    if dataset.n_windows > 0:
+        report = evaluation.evaluate(params, dataset, stats,
+                                     batch_size=train_config.batch_size)
+        print(report.to_text())
     return 0
 
 
@@ -425,8 +424,9 @@ def cmd_inspect(args, parser) -> int:
 
 
 # Shape, contract, schema, parse and config errors are ValueErrors; training
-# and checkpoint errors are RuntimeErrors.
-_RUNTIME_ERRORS = (ValueError, RuntimeError, OSError)
+# and checkpoint errors are RuntimeErrors; numpy reports a table too large
+# for memory as a MemoryError ("Unable to allocate ...").
+_RUNTIME_ERRORS = (ValueError, RuntimeError, OSError, MemoryError)
 
 
 def main(argv=None) -> int:

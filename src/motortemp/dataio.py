@@ -110,15 +110,28 @@ class DatasetSplit:
     test: list[ProfileFrame] = field(default_factory=list)
 
 
+def _profile_id(cell: str) -> int:
+    """``int(cell)``; float text such as "4.0" or "1e3" only when it is a
+    whole number that a float holds exactly.  Anything else is ValueError."""
+    try:
+        return int(cell)
+    except ValueError:
+        value = float(cell)
+    if not (value.is_integer() and abs(value) <= 2 ** 53):
+        raise ValueError(cell)
+    return int(value)
+
+
 def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
     """Read a combined recording CSV into one ProfileFrame per session.
 
     The file must carry a ``profile_id`` column plus every attribute in
     ``schema``.  Extra columns are ignored with a warning.  Frames come back
     in order of first appearance, rows in file order.  Each profile's rows
-    must be one contiguous run.  A cell that is not a finite number, a row
-    too short to hold every column and a profile that resumes after another
-    one started raise CsvParseError with the rows at fault.
+    must be one contiguous run.  A cell that is not a finite number, a
+    profile_id that is not a whole number held exactly, a row too short to
+    hold every column and a profile that resumes after another one started
+    raise CsvParseError with the rows at fault.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -151,11 +164,13 @@ def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
                     f"{path}: row {row_no} has {len(row)} cells, so column "
                     f"{header[first]!r} is missing"
                 )
+            cell = row[col_idx[PROFILE_COLUMN]]
             try:
-                pid = int(float(row[col_idx[PROFILE_COLUMN]]))
-            except (ValueError, OverflowError):
+                pid = _profile_id(cell)
+            except ValueError:
                 raise CsvParseError(
-                    f"{path}: bad profile_id at row {row_no}"
+                    f"{path}: bad profile_id at row {row_no}: {cell!r} is not an "
+                    f"integer, nor a whole number of at most 2**53 in magnitude"
                 )
             if pid in buckets and pid != order[-1]:
                 raise CsvParseError(

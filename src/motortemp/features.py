@@ -13,12 +13,13 @@ from __future__ import annotations
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataio import ProfileFrame, SchemaError, one_pole
+from .dataio import ConfigError, ProfileFrame, SchemaError, one_pole
 
 __all__ = [
     "PREDICTORS",
@@ -346,13 +347,24 @@ class Standardization:
 STD_FLOOR = 1e-8
 
 
+def _tables(frames, config: FeatureConfig):
+    """(channels, targets, offsets): each frame's rows in turn in one channel
+    and one target table; frame i holds rows ``offsets[i]:offsets[i + 1]``."""
+    offsets = np.cumsum([0, *(f.n_samples for f in frames)])
+    channels = np.empty((offsets[-1], config.channel_count()))
+    targets = np.empty((offsets[-1], len(TARGETS)))
+    for frame, at, end in zip(frames, offsets, offsets[1:]):
+        channels[at:end] = channel_matrix(frame, config)
+        targets[at:end] = target_matrix(frame)
+    return channels, targets, offsets
+
+
 def fit_standardization(frames, config: FeatureConfig) -> Standardization:
     """Fit per-channel and per-target statistics over the given frames."""
     frames = list(frames)
     if not frames:
         raise ValueError("fit_standardization: no frames given")
-    chans = np.concatenate([channel_matrix(f, config) for f in frames], axis=0)
-    tgts = np.concatenate([target_matrix(f) for f in frames], axis=0)
+    chans, tgts, _ = _tables(frames, config)
     return Standardization(
         channel_names=tuple(config.channel_names()),
         channel_mean=chans.mean(axis=0),
@@ -371,7 +383,7 @@ class WindowedDataset:
     on demand, so no (window, channels) slice is held before it is asked for.
     """
 
-    channels: np.ndarray     # (samples, channels), standardized when fitted
+    channels: np.ndarray     # (samples, channels), standardized
     targets: np.ndarray      # (samples, len(TARGETS)), degrees Celsius
     window: int
     starts: np.ndarray       # (windows,) first table row of each window
@@ -396,15 +408,25 @@ class WindowedDataset:
         """(profile_ids, end_index) of every window, in window order."""
         return self.profile_ids, self.end_index
 
+    def select(self, profile_ids) -> "WindowedDataset":
+        """The windows of the given profiles, in window order, over the
+        same tables."""
+        keep = np.isin(self.profile_ids, list(profile_ids))
+        return replace(self, starts=self.starts[keep],
+                       profile_ids=self.profile_ids[keep],
+                       end_index=self.end_index[keep])
+
 
 def build_dataset(frames, config: FeatureConfig,
-                  stats: Standardization = None) -> WindowedDataset:
-    """Featurize frames into one window table, optionally standardized.
-
-    Frames shorter than the window are skipped with a warning.  When
-    ``stats`` is given the channel transform is applied; targets are always
-    kept in degrees Celsius.
+                  stats: Standardization) -> WindowedDataset:
+    """Featurize frames into one window table, channels standardized with
+    ``stats`` and targets in degrees Celsius.  Frames shorter than the window
+    are skipped with a warning; a profile id given twice is a ConfigError.
     """
+    frames = list(frames)
+    repeated = [pid for pid, n in Counter(f.profile_id for f in frames).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"profile ids given more than once: {repeated}")
     kept = []
     for frame in frames:
         if frame.n_samples >= config.window:
@@ -412,20 +434,11 @@ def build_dataset(frames, config: FeatureConfig,
         else:
             warnings.warn(f"profile {frame.profile_id}: {frame.n_samples} samples is "
                           f"shorter than window {config.window}; skipped", stacklevel=2)
-    lengths = [f.n_samples for f in kept]
-    offsets = np.cumsum([0, *lengths])
-    channels = np.empty((offsets[-1], config.channel_count()))
-    targets = np.empty((offsets[-1], len(TARGETS)))
-    for frame, at, n in zip(kept, offsets, lengths):
-        rows = channels[at:at + n]
-        if stats is None:
-            rows[:] = channel_matrix(frame, config)
-        else:
-            np.subtract(channel_matrix(frame, config), stats.channel_mean, out=rows)
-            rows /= stats.channel_std
-        targets[at:at + n] = target_matrix(frame)
+    channels, targets, offsets = _tables(kept, config)
+    channels -= stats.channel_mean
+    channels /= stats.channel_std
     # Window start offsets within each profile, then for the whole table.
-    local = [np.arange(0, n - config.window + 1, config.stride) for n in lengths]
+    local = [np.arange(0, n - config.window + 1, config.stride) for n in np.diff(offsets)]
     counts = [len(s) for s in local]
     local = np.concatenate([np.empty(0, dtype=np.intp), *local])
     return WindowedDataset(

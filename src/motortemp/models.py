@@ -111,9 +111,6 @@ class LstmCellParams:
                 name = f"{kind}{gate}"
                 yield f"{prefix}.{name}", getattr(self, name)
 
-    def param_count(self) -> int:
-        return sum(m.rows * m.cols for _, m in self.items("cell"))
-
     def check(self, prefix: str, input_dim: int, hidden: int) -> None:
         """Raise ContractError naming the first block that is not
         input_dim x hidden (``w_x*``), hidden x hidden (``w_h*``) or

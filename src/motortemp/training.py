@@ -246,9 +246,9 @@ def _dataset_loss(params, dataset: WindowedDataset, stats, batch_size: int) -> f
 
 
 def _run_phase(params, state, cfg, stats, dataset, heldout, label, epochs,
-               rng, logs, epoch_offset, stop_below=None):
+               rng, logs, stop_below=None):
     for _ in range(epochs):
-        epoch_offset += 1
+        epoch = len(logs) + 1
         started = time.perf_counter()
         total, count = 0.0, 0
         for idx in epoch_batches(dataset.n_windows, cfg.batch_size, rng):
@@ -259,23 +259,22 @@ def _run_phase(params, state, cfg, stats, dataset, heldout, label, epochs,
         train_loss = total / count
         eval_loss = (
             _dataset_loss(params, heldout, stats, cfg.batch_size)
-            if heldout is not None and heldout.n_windows > 0 else None
+            if heldout.n_windows > 0 else None
         )
         logs.append({
-            "epoch": epoch_offset,
+            "epoch": epoch,
             "group": label,
             "train_loss": train_loss,
             "eval_loss": eval_loss,
         })
         print(
-            f"[{label}] epoch {epoch_offset}: train {train_loss:.6f}"
+            f"[{label}] epoch {epoch}: train {train_loss:.6f}"
             + (f" eval {eval_loss:.6f}" if eval_loss is not None else "")
             + f" ({time.perf_counter() - started:.1f}s)",
             file=sys.stderr,
         )
         if stop_below is not None and train_loss < stop_below:
             break
-    return epoch_offset
 
 
 def train_grouped(split: DatasetSplit, feature_config: FeatureConfig,
@@ -286,8 +285,10 @@ def train_grouped(split: DatasetSplit, feature_config: FeatureConfig,
     The training profiles are walked in ``group_count`` contiguous groups
     for ``epochs_per_group`` epochs each, followed by a fine-tuning phase on
     a seeded random sample of ``fine_tune_profiles`` training profiles.
-    Standardization statistics are fitted once on all training profiles and
-    reused everywhere, including the held-out evaluation after each epoch.
+    Standardization statistics and one window table are built once from all
+    training profiles; each group and the fine-tuning sample select their
+    windows from that table, and the held-out evaluation after each epoch
+    reuses the statistics.
 
     ``stop_below`` optionally ends a phase early once its epoch training
     loss falls under the threshold (useful for smoke runs); the default is
@@ -301,12 +302,8 @@ def train_grouped(split: DatasetSplit, feature_config: FeatureConfig,
     groups = partition_groups(split.train, config.group_count)
 
     stats = fit_standardization(split.train, feature_config)
-    heldout = (
-        build_dataset(split.test, feature_config, stats=stats)
-        if split.test else None
-    )
-    if heldout is not None and heldout.n_windows == 0:
-        heldout = None
+    heldout = build_dataset(split.test, feature_config, stats=stats)
+    table = build_dataset(split.train, feature_config, stats=stats)
 
     params = init_params(
         variant, config.seed,
@@ -315,20 +312,17 @@ def train_grouped(split: DatasetSplit, feature_config: FeatureConfig,
     state = AdamState.for_params(params)
     rng = np.random.default_rng(config.seed)
     logs: list[dict] = []
-    epoch = 0
 
     for gi, group in enumerate(groups, start=1):
-        dataset = build_dataset(group, feature_config, stats=stats)
+        dataset = table.select(f.profile_id for f in group)
         if dataset.n_windows == 0:
             raise ConfigError(
                 f"group {gi} has no windows; profiles shorter than the "
                 f"window {feature_config.window}?"
             )
-        epoch = _run_phase(
-            params, state, config, stats, dataset, heldout,
-            f"group-{gi}", config.epochs_per_group, rng, logs, epoch,
-            stop_below=stop_below,
-        )
+        _run_phase(params, state, config, stats, dataset, heldout,
+                   f"group-{gi}", config.epochs_per_group, rng, logs,
+                   stop_below=stop_below)
 
     ft_epochs = (
         config.fine_tune_epochs
@@ -336,15 +330,11 @@ def train_grouped(split: DatasetSplit, feature_config: FeatureConfig,
     )
     n_sample = min(config.fine_tune_profiles, len(split.train))
     if n_sample > 0 and ft_epochs > 0:
-        picked = sorted(rng.choice(len(split.train), size=n_sample, replace=False))
-        sample = [split.train[i] for i in picked]
-        dataset = build_dataset(sample, feature_config, stats=stats)
+        picked = rng.choice(len(split.train), size=n_sample, replace=False)
+        dataset = table.select(split.train[i].profile_id for i in picked)
         if dataset.n_windows > 0:
-            epoch = _run_phase(
-                params, state, config, stats, dataset, heldout,
-                "finetune", ft_epochs, rng, logs, epoch,
-                stop_below=stop_below,
-            )
+            _run_phase(params, state, config, stats, dataset, heldout,
+                       "finetune", ft_epochs, rng, logs, stop_below=stop_below)
 
     print(
         f"trained {variant}: {count_params(params)} parameters, "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import motortemp
-from motortemp import cli, evaluation
+from motortemp import cli, evaluation, features
 from motortemp.checkpoint import save_checkpoint
 from motortemp.dataio import synthesize
 from motortemp.features import FeatureConfig, build_dataset, fit_standardization
@@ -176,6 +176,19 @@ class TestFeaturize:
         assert run(["featurize", "--data", recording(tmp_path, 1, 40),
                     "--config", str(cfg_path), "--out", str(tmp_path / "f")]) == 1
         assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_memory_error_exits_1_with_its_message(self, tmp_path, capsys,
+                                                   monkeypatch):
+        message = ("Unable to allocate 123. GiB for an array with shape "
+                   "(1319349, 180, 65) and data type float64")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(features, "build_dataset", out_of_memory)
+        assert run(["featurize", "--data", recording(tmp_path, 1, 40),
+                    *FAST_FEATURES, "--out", str(tmp_path / "f")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestConfigFile:

@@ -138,6 +138,28 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="profile_id at row 4"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cells,ids", [
+        (["4.0", "5"], [4, 5]),
+        (["1e3", "5"], [1000, 5]),
+        (["9007199254740993", "9007199254740992"],
+         [9007199254740993, 9007199254740992]),
+    ])
+    def test_profile_ids_read_exactly(self, tmp_path, cells, ids):
+        path = tmp_path / "rec.csv"
+        rows = _rows(cells[0], 5) + _rows(cells[1], 5, base=5.0)
+        _write_csv(path, ["profile_id", *ATTRIBUTES], rows)
+        frames = load_csv(path)
+        assert [f.profile_id for f in frames] == ids
+        assert [len(f) for f in frames] == [5, 5]
+
+    @pytest.mark.parametrize("cell", ["4.7", "1e20"])
+    def test_inexact_profile_id_names_path_row_and_cell(self, tmp_path, cell):
+        path = tmp_path / "rec.csv"
+        _write_csv(path, ["profile_id", *ATTRIBUTES], _rows(cell, 2) + _rows(5, 2))
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        assert f"{path}: bad profile_id at row 2: {cell!r}" in str(info.value)
+
     def test_short_row_names_row_and_missing_column(self, tmp_path):
         path = tmp_path / "rec.csv"
         header = ["profile_id", *ATTRIBUTES]

@@ -1,10 +1,12 @@
 """Feature pipeline: derived quantities, EWMA, standardization, windows."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import make_frame
-from motortemp.dataio import ProfileFrame, SchemaError, synthesize
+from motortemp.dataio import ConfigError, ProfileFrame, SchemaError, synthesize
 from motortemp.features import (
     DEFAULT_SPANS,
     PREDICTORS,
@@ -360,9 +362,13 @@ class TestWindowize:
     def gather_all(dataset):
         return dataset.gather(np.arange(dataset.n_windows))
 
+    @staticmethod
+    def fitted(frames, config):
+        return build_dataset(frames, config, fit_standardization(frames, config))
+
     def test_window_count_stride_one(self):
         frames = synthesize(seed=2, profiles=1, length=200)
-        ds = build_dataset(frames, FeatureConfig(window=180, spans=(4,)))
+        ds = self.fitted(frames, FeatureConfig(window=180, spans=(4,)))
         assert ds.n_windows == 21
         inputs, targets = self.gather_all(ds)
         assert inputs.shape == (21, 180, 26)
@@ -370,32 +376,21 @@ class TestWindowize:
 
     def test_window_count_with_stride(self):
         frames = synthesize(seed=2, profiles=1, length=200)
-        ds = build_dataset(frames, FeatureConfig(window=180, stride=5, spans=(4,)))
+        ds = self.fitted(frames, FeatureConfig(window=180, stride=5, spans=(4,)))
         assert ds.n_windows == 5
         _, ends = ds.provenance()
         assert ends.tolist() == [179, 184, 189, 194, 199]
 
     def test_short_profile_skipped_with_warning(self):
-        frames = synthesize(seed=2, profiles=2, length=100)
+        short = synthesize(seed=2, profiles=1, length=100)[0]
         config = FeatureConfig(window=150, spans=(4,))
-        long_frame = synthesize(seed=5, profiles=1, length=200)[0]
-        with pytest.warns(UserWarning, match="shorter than window"):
-            ds = build_dataset([frames[0], long_frame], config)
+        long_frame = ProfileFrame(2, synthesize(seed=5, profiles=1, length=200)[0].columns)
+        stats = fit_standardization([short, long_frame], config)
+        with pytest.warns(UserWarning, match="profile 1: 100 samples is shorter than window"):
+            ds = build_dataset([short, long_frame], config, stats)
         pids, _ = ds.provenance()
-        assert (pids == 1).all()
+        assert (pids == 2).all()
         assert ds.n_windows == 51
-
-    def test_provenance_inverts_to_raw_slices(self):
-        frames = synthesize(seed=3, profiles=2, length=60)
-        config = FeatureConfig(window=20, stride=7, spans=(4, 8))
-        ds = build_dataset(frames, config)  # no stats: raw channels
-        inputs, targets = self.gather_all(ds)
-        mats = {f.profile_id: channel_matrix(f, config) for f in frames}
-        tgts = {f.profile_id: target_matrix(f) for f in frames}
-        for k, (pid, end) in enumerate(zip(*ds.provenance(), strict=True)):
-            start = end - config.window + 1
-            np.testing.assert_array_equal(inputs[k], mats[pid][start:end + 1])
-            np.testing.assert_array_equal(targets[k, 0], tgts[pid][end])
 
     def test_targets_stay_in_degrees(self):
         frames = synthesize(seed=3, profiles=1, length=80)
@@ -435,12 +430,40 @@ class TestWindowize:
     def test_gather_subset_matches_full_gather(self):
         frames = synthesize(seed=9, profiles=2, length=70)
         config = FeatureConfig(window=25, stride=3, spans=(4,))
-        ds = build_dataset(frames, config)
+        ds = self.fitted(frames, config)
         all_inputs, all_targets = self.gather_all(ds)
         idx = np.array([0, 5, ds.n_windows - 1])
         inputs, targets = ds.gather(idx)
         np.testing.assert_array_equal(inputs, all_inputs[idx])
         np.testing.assert_array_equal(targets, all_targets[idx])
+
+    @pytest.mark.parametrize("picked", [(0, 1), (0, 2, 3)])
+    def test_select_equals_dataset_of_the_subset(self, picked):
+        # (0, 1) is a group holding a profile too short for one window;
+        # (0, 2, 3) is a fine-tuning sample that skips a profile.
+        frames = [ProfileFrame(pid, synthesize(seed=pid, profiles=1, length=n)[0].columns)
+                  for pid, n in ((4, 61), (5, 10), (6, 75), (7, 40))]
+        config = FeatureConfig(window=12, stride=4, spans=(3, 9))
+        stats = fit_standardization(frames, config)
+        subset = [frames[i] for i in picked]
+        with pytest.warns(UserWarning, match="profile 5"):
+            table = build_dataset(frames, config, stats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = build_dataset(subset, config, stats)
+        got = table.select(f.profile_id for f in subset)
+        assert got.n_windows == want.n_windows > 0
+        for a, b in zip((*self.gather_all(got), *got.provenance()),
+                        (*self.gather_all(want), *want.provenance())):
+            np.testing.assert_array_equal(a, b)
+
+    def test_repeated_profile_id_is_config_error(self):
+        frames = synthesize(seed=1, profiles=2, length=40)
+        twin = ProfileFrame(2, frames[0].columns)
+        config = FeatureConfig(window=8, spans=(3,))
+        stats = fit_standardization(frames, config)
+        with pytest.raises(ConfigError, match=r"given more than once: \[2\]"):
+            build_dataset([*frames, twin], config, stats)
 
     def test_default_spans_are_documented_values(self):
         assert DEFAULT_SPANS == (1320, 3360, 6360, 9480)

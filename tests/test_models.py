@@ -40,12 +40,6 @@ class TestParameterCounts:
             params = init_params(variant, seed=0)
             assert count_params(params) == total
 
-    def test_cell_count_formula(self):
-        params = init_params("vanilla", seed=0)
-        # 4 * (hidden * (input + hidden) + hidden) with input 65, hidden 100
-        assert params.encoder.param_count() == 4 * (100 * (65 + 100) + 100)
-        assert params.encoder.param_count() == 66_400
-
     def test_attention_head_is_only_difference(self):
         vanilla = init_params("vanilla", seed=0)
         attention = init_params("attention", seed=0)

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from motortemp import features
 from motortemp.autodiff import Matrix, ShapeError
 from motortemp.checkpoint import (
     CheckpointError,
@@ -305,6 +306,22 @@ class TestTrainGrouped:
         losses = [_train_step(params, state, cfg, stats, inputs, raw)
                   for _ in range(6)]
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
+
+    def test_each_training_profile_featurized_twice(self, monkeypatch):
+        # once for the statistics and once for the one training table that
+        # every group and the fine-tuning sample select from
+        calls = []
+        real = features.channel_matrix
+
+        def counting(frame, config):
+            calls.append(frame.profile_id)
+            return real(frame, config)
+
+        monkeypatch.setattr(features, "channel_matrix", counting)
+        ds = small_split(test=(4,))
+        train_grouped(ds, SMALL_FEATURES, "vanilla",
+                      quick_config(group_count=2, fine_tune_profiles=3), hidden=3)
+        assert sorted(calls) == [1, 1, 2, 2, 3, 3, 4]
 
     def test_no_training_profiles(self):
         ds = small_split(profiles=2)
