@@ -11,11 +11,13 @@ graph reuse and no graph optimizer.  Each thread has its own stack of open
 tapes, so threads that record at the same time never share one.
 
 The fused nodes keep what their hand-written backward rules need beside
-their output: lstm_sequence keeps the activated gates and the cell states
-of every step, time-major as (steps, width, batch), and on the way back
-rebuilds each hidden state h = o * tanh(c) from them, bit for bit, with
-the one tanh per step it needs anyway; attend keeps nothing beyond its
-output, which already holds the alignment.
+their output: lstm_sequence keeps the activated gates of every step,
+time-major as (steps, width, batch), and of the cell states only the one
+that starts each span of isqrt(steps) steps after the first.  On the way
+back it rebuilds one span's cells at a time from those, c = f * c + i * g
+with the forward's own ops, and each hidden state h = o * tanh(c) with the
+one tanh per step it needs anyway, all bit for bit; attend keeps nothing
+beyond its output, which already holds the alignment.
 
 lstm_sequence runs each step as one matrix product.  Its weights and bias
 are stacked into W = [wx; wh; b]^T, shape (4H, D + H + 1), and each step
@@ -38,6 +40,7 @@ Backward pass conventions:
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -334,6 +337,11 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     Each step is one matrix product of the folded weight (see
     ``_folded_weight``) with the stacked operand [x_t; h; 1] (D + H + 1 x B),
     followed by the clip, the two tanh and the cell and hidden products.
+
+    On a tape the node keeps the gates of every step and, of the cell
+    states, only the one that starts each span of isqrt(T) steps after the
+    first: 13 (H x B) states instead of 180 at T = 180.  The backward pass
+    rebuilds the rest one span at a time.
     """
     d, width = wx.shape
     n = width // 4
@@ -365,12 +373,17 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     # States are kept feature-major, (width, batch) per step, so each gate
     # block is one contiguous run for the elementwise updates.  Off tape
     # only the latest step is needed (plus the hidden sequence when kept),
-    # so one slot is reused in place of a per-step history.  The hidden
-    # state lives only in the operand: the backward pass rebuilds it from
-    # the kept gates and cells.
+    # so one slot is reused in place of a per-step history.  The cell state
+    # has one slot in either case; on tape a copy is kept of the state that
+    # starts each span of isqrt(T) steps after the first.  The hidden state
+    # lives only in the operand.  The backward pass rebuilds each span's
+    # cells from the kept gates and the span's starting state, and the
+    # hidden states from those.
     slots = steps if taped else 1
+    span = math.isqrt(steps)
     gates = np.empty((slots, width, rows))
-    cells = np.empty((slots, n, rows))
+    starts = np.empty((-(-steps // span) - 1 if taped else 0, n, rows))
+    c = np.empty((n, rows))
     out = np.empty((rows, (2 + (steps if keep_sequence else 0)) * n))
     # Splitting the trailing axis of a row-major block is always a view.
     seq = out[:, 2 * n:].reshape(rows, steps, n) if keep_sequence else None
@@ -392,7 +405,6 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
         ifo = z[:3 * n]
         np.clip(ifo, 0.0, 1.0, out=ifo)
         np.tanh(z[3 * n:], out=z[3 * n:])
-        c = cells[s % slots]
         np.multiply(z[n:2 * n], c_prev, out=c)
         np.multiply(z[:n], z[3 * n:], out=prod)
         c += prod
@@ -402,10 +414,12 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
         if seq is not None:
             seq[:, s] = h.T
         c_prev = c
+        if taped and s + 1 < steps and (s + 1) % span == 0:
+            starts[(s + 1) // span - 1] = c
 
     out[:, :n] = h.T
-    out[:, n:2 * n] = c_prev.T
-    ctx = (gates, cells, w, reverse, h_init, c_init) if taped else ()
+    out[:, n:2 * n] = c.T
+    ctx = (gates, starts, w, reverse, h_init, c_init) if taped else ()
     return _maybe_record("lstm_sequence", (x, wx, wh, b) + states,
                          Matrix._wrap(out), ctx)
 
@@ -513,15 +527,29 @@ def _bw_sum_reduce(nd, nodes, g, grads, need):
         _acc(grads, need, j, np.full(nodes[j].out.shape, g[0, 0]))
 
 
+def _rebuild_cells(gates, c_prev, cells, prod):
+    """Write into ``cells`` the cell states of the steps whose kept gates
+    ``gates`` holds, from the state ``c_prev`` before the first of them,
+    with the forward's ops in the forward's order, so bit for bit.  ``prod``
+    is (H, B) scratch."""
+    n = cells.shape[1]
+    for z, c in zip(gates, cells):
+        np.multiply(z[n:2 * n], c_prev, out=c)
+        np.multiply(z[:n], z[3 * n:], out=prod)
+        c += prod
+        c_prev = c
+
+
 def _bw_lstm_sequence(nd, nodes, g, grads, need):
     # Works in the folded parameterisation of the forward: with z' = W op,
     # the i/f/o gates are clip(z') and have slope 1 strictly inside (0, 1),
     # and the factor 0.2 between z' and the unfolded z is applied once to
     # the gate rows of the finished weight gradient.
     ix, iwx, iwh, ib = nd.inputs[:4]
-    gates, cells, w, reverse, h_init, c_init = nd.ctx
+    gates, starts, w, reverse, h_init, c_init = nd.ctx
     steps, width, rows = gates.shape
     n = width // 4
+    span = math.isqrt(steps)
     d = w.shape[1] - n - 1
     xs = nodes[ix].out.values.reshape(rows, steps, d)
     seq_g = g[:, 2 * n:].reshape(rows, steps, n) if g.shape[1] > 2 * n else None
@@ -531,7 +559,7 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     if dw is not None:
         # The operand [x_t; h_{t-1}; 1] of each step, rebuilt from the
         # input and, for h_{t-1} = o_{t-1} * tanh(c_{t-1}), the kept gates
-        # and cells.
+        # and the rebuilt cells.
         operand = np.empty((d + n + 1, rows))
         operand[d + n] = 1.0
         dw_step = np.empty(w.shape)
@@ -542,9 +570,11 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     dz = np.empty((width, rows))
     dh = np.ascontiguousarray(g[:, :n].T)
     dc = np.ascontiguousarray(g[:, n:2 * n].T)
+    # The cells of the span being walked; cells[j] is c_{k*span+j} in span k.
+    cells = np.empty((span, n, rows))
     # tanh of the cells runs one step ahead: step s computes tanh(c_{s-1})
     # for h_{s-1} and hands it on as step s-1's tanh(c).
-    tc = np.tanh(cells[steps - 1])
+    tc = np.empty((n, rows))
     tc_prev = np.empty((n, rows))
     tmp = np.empty((n, rows))
     inside = np.empty((3 * n, rows), dtype=bool)
@@ -556,10 +586,18 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
         t = steps - 1 - s if reverse else s
         if seq_g is not None:
             dh += seq_g[:, s].T
+        # Step s is entry j of span k, which starts from c_{k*span-1}.
+        k, j = divmod(s, span)
+        c_start = starts[k - 1] if k else c_init
+        if j == span - 1 or s == steps - 1:
+            _rebuild_cells(gates[k * span:s + 1], c_start, cells[:j + 1], tmp)
+            if s == steps - 1:
+                np.tanh(cells[j], out=tc)
+        c_prev = cells[j - 1] if j else c_start
         z = gates[s]
         gi, gf, go, gc = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
         if s:
-            np.tanh(cells[s - 1], out=tc_prev)
+            np.tanh(c_prev, out=tc_prev)
         np.multiply(dh, tc, out=dz[2 * n:3 * n])
         # dc += dh * o * (1 - tanh(c)^2)
         np.multiply(tc, tc, out=tmp)
@@ -568,7 +606,7 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
         tmp *= dh
         dc += tmp
         np.multiply(dc, gc, out=dz[:n])
-        np.multiply(dc, cells[s - 1] if s else c_init, out=dz[n:2 * n])
+        np.multiply(dc, c_prev, out=dz[n:2 * n])
         np.multiply(dc, gi, out=dz[3 * n:])
         np.multiply(gc, gc, out=tmp)
         np.subtract(1.0, tmp, out=tmp)

@@ -22,8 +22,11 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import io
 import json
+import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -274,15 +277,34 @@ def _windows(frames, config, stats) -> features.WindowedDataset:
 
 def _save_windows(dataset, inputs_path, targets_path) -> None:
     """The .npy files np.save writes for the whole ``gather``, written as each
-    header and then one appended batch of 256 windows at a time."""
+    header and then one appended batch of 256 windows at a time.  Raises
+    OSError before opening either file when the two would not fit in the
+    free space of their directory (counting any files they replace)."""
     n = dataset.n_windows
+    dtype = dataset.channels.dtype
     shapes = ((n, dataset.window, dataset.channels.shape[1]),
               (n, 1, dataset.targets.shape[1]))
+    headers = []
+    for shape in shapes:
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(buf, {
+            "descr": np.lib.format.dtype_to_descr(dtype),
+            "fortran_order": False, "shape": shape})
+        headers.append(buf.getvalue())
+    need = sum(len(h) + math.prod(shape) * dtype.itemsize
+               for h, shape in zip(headers, shapes))
+    paths = (inputs_path, targets_path)
+    out = os.path.dirname(inputs_path) or "."
+    free = shutil.disk_usage(out).free + sum(
+        os.path.getsize(p) for p in paths if os.path.isfile(p))
+    if need > free:
+        raise OSError(
+            f"{n} windows need {need} bytes ({need / 1e9:.1f} GB) of .npy "
+            f"files in {out}, but only {free} bytes are free; a larger "
+            f"--stride writes fewer windows")
     with open(inputs_path, "wb") as fi, open(targets_path, "wb") as ft:
-        for fh, shape in zip((fi, ft), shapes):
-            np.lib.format.write_array_header_1_0(fh, {
-                "descr": np.lib.format.dtype_to_descr(dataset.channels.dtype),
-                "fortran_order": False, "shape": shape})
+        fi.write(headers[0])
+        ft.write(headers[1])
         for at in range(0, n, 256):
             inputs, targets = dataset.gather(np.arange(at, min(at + 256, n)))
             inputs.tofile(fi)

@@ -266,17 +266,18 @@ def _r(rng, rows, cols, spread=1.0):
     return Matrix(rng.standard_normal((rows, cols)) * spread)
 
 
-def _lstm_inputs(rng):
-    # Two windows of four 3-wide steps, hidden width 2.  Small weights keep
-    # every gate pre-activation well inside the hard sigmoid's kinks, where
-    # the subgradient and the difference quotient legitimately disagree.
-    return [_r(rng, 2, 12, 0.5), _r(rng, 3, 8, 0.4), _r(rng, 2, 8, 0.4),
+def _lstm_inputs(rng, steps=4):
+    # Two windows of ``steps`` 3-wide steps, hidden width 2.  Small weights
+    # keep every gate pre-activation well inside the hard sigmoid's kinks,
+    # where the subgradient and the difference quotient legitimately
+    # disagree.
+    return [_r(rng, 2, 3 * steps, 0.5), _r(rng, 3, 8, 0.4), _r(rng, 2, 8, 0.4),
             _r(rng, 1, 8, 0.4)]
 
 
-def _lstm_state_inputs(rng):
+def _lstm_state_inputs(rng, steps=4):
     # The same, plus initial states h0 and c0.
-    return _lstm_inputs(rng) + [_r(rng, 2, 2, 0.5), _r(rng, 2, 2)]
+    return _lstm_inputs(rng, steps) + [_r(rng, 2, 2, 0.5), _r(rng, 2, 2)]
 
 
 def _decoder_inputs(rng):
@@ -321,6 +322,26 @@ PRIMITIVES = [
                                                 h0=h0, c0=c0)),
     ("lstm_sequence_decoder_step", _decoder_inputs,
      lambda x, wx, wh, b, c0: lstm_sequence(x, wx, wh, b, h0=x, c0=c0)),
+    # The backward rebuilds the cells span by span, isqrt(T) steps each:
+    # 4 steps split into two whole spans, while 5 and 10 steps end on a
+    # partial span of one step.
+    *[case for steps in (5, 10) for case in (
+        (f"lstm_sequence_{steps}_steps",
+         lambda rng, _s=steps: _lstm_inputs(rng, _s),
+         lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b)),
+        (f"lstm_sequence_reverse_kept_{steps}_steps",
+         lambda rng, _s=steps: _lstm_inputs(rng, _s),
+         lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b, reverse=True,
+                                            keep_sequence=True)),
+        (f"lstm_sequence_kept_states_{steps}_steps",
+         lambda rng, _s=steps: _lstm_state_inputs(rng, _s),
+         lambda x, wx, wh, b, h0, c0: lstm_sequence(
+             x, wx, wh, b, keep_sequence=True, h0=h0, c0=c0)),
+        (f"lstm_sequence_reverse_states_{steps}_steps",
+         lambda rng, _s=steps: _lstm_state_inputs(rng, _s),
+         lambda x, wx, wh, b, h0, c0: lstm_sequence(
+             x, wx, wh, b, reverse=True, h0=h0, c0=c0)),
+    )],
     ("attend", lambda rng: [_r(rng, 3, 4), _r(rng, 3, 20)],
      lambda q, k: attend(q, k)),
 ]
@@ -425,12 +446,12 @@ def test_lstm_sequence_shape_errors():
 
 
 
-def _taped_lstm(reverse, keep_sequence):
-    """Five 4-wide steps, hidden width 3, seven windows, recorded with a
-    weighted-sum loss; spread 3 clips some gates.  Returns the inputs, the
+def _taped_lstm(reverse, keep_sequence, steps=5):
+    """``steps`` 4-wide steps, hidden width 3, seven windows, recorded with
+    a weighted-sum loss; spread 3 clips some gates.  Returns the inputs, the
     loss, the tape and the lstm_sequence node."""
     rng = np.random.default_rng(81)
-    inputs = [_r(rng, 7, 20, 3.0), _r(rng, 4, 12), _r(rng, 3, 12),
+    inputs = [_r(rng, 7, 4 * steps, 3.0), _r(rng, 4, 12), _r(rng, 3, 12),
               _r(rng, 1, 12)]
     with Tape() as tape:
         out = lstm_sequence(*inputs, reverse=reverse, keep_sequence=keep_sequence)
@@ -440,24 +461,40 @@ def _taped_lstm(reverse, keep_sequence):
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("keep_sequence", [False, True])
-def test_lstm_sequence_keeps_gates_and_cells_only(reverse, keep_sequence):
-    # Per step the node keeps the 4H gates and the H cells, nothing else:
-    # hidden states are rebuilt from them on the way back.
+def test_lstm_sequence_keeps_gates_and_span_starts_only(reverse, keep_sequence):
+    # Per step the node keeps the 4H gates; of the cells only the state
+    # that starts each span of isqrt(T) steps after the first, nothing
+    # else: the other cells and the hidden states are rebuilt on the way
+    # back.  Five steps make spans of 2, 2 and 1 steps.
     *_, node = _taped_lstm(reverse, keep_sequence)
     steps, d, n, rows = 5, 4, 3, 7
     kept = sum(a.nbytes for a in node.ctx if isinstance(a, np.ndarray))
-    history = steps * 5 * n * rows
+    gates = steps * 4 * n * rows
+    span_starts = (3 - 1) * n * rows
     weight = 4 * n * (d + n + 1)
     initial_states = 2 * n * rows
-    assert kept == 8 * (history + weight + initial_states)
+    assert kept == 8 * (gates + span_starts + weight + initial_states)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_hidden_states_rebuild_bitwise_from_kept_gates_and_cells(reverse):
+    # c_s = f_s * c_{s-1} + i_s * g_s from the kept gates, starting each
+    # span from its kept state (span 0 from zero), gives cells whose
+    # o * tanh(c) is the kept hidden sequence bit for bit.
     *_, node = _taped_lstm(reverse, keep_sequence=True)
-    gates, cells = [a for a in node.ctx
-                    if isinstance(a, np.ndarray) and a.ndim == 3]
-    n = cells.shape[1]
+    gates, starts = [a for a in node.ctx
+                     if isinstance(a, np.ndarray) and a.ndim == 3]
+    steps, n, rows = gates.shape[0], starts.shape[1], starts.shape[2]
+    span = 2
+    assert len(starts) == 2
+    cells = np.empty((steps, n, rows))
+    c_prev = np.zeros((n, rows))
+    for s in range(steps):
+        if s and s % span == 0:
+            c_prev = starts[s // span - 1]
+        i, f, g = gates[s, :n], gates[s, n:2 * n], gates[s, 3 * n:]
+        cells[s] = f * c_prev + i * g
+        c_prev = cells[s]
     rebuilt = gates[:, 2 * n:3 * n] * np.tanh(cells)
     out = node.out.values
     seq = out[:, 2 * n:].reshape(out.shape[0], -1, n).transpose(1, 2, 0)
@@ -475,3 +512,20 @@ def test_backward_twice_on_one_tape_gives_identical_gradients(
     for m in inputs:
         np.testing.assert_array_equal(first[tape.node_id(m)].values,
                                       second[tape.node_id(m)].values)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_backward_twice_over_a_partial_last_span(reverse):
+    # Ten steps make spans of 3, 3, 3 and 1: the rebuild buffer is reused
+    # across spans of two lengths, and must never write into the kept
+    # span starts.
+    inputs, loss, tape, node = _taped_lstm(reverse, keep_sequence=True,
+                                           steps=10)
+    kept = [a.copy() for a in node.ctx if isinstance(a, np.ndarray)]
+    first = tape.backward(loss, wrt=inputs)
+    second = tape.backward(loss, wrt=inputs)
+    for m in inputs:
+        np.testing.assert_array_equal(first[tape.node_id(m)].values,
+                                      second[tape.node_id(m)].values)
+    for was, now in zip(kept, [a for a in node.ctx if isinstance(a, np.ndarray)]):
+        np.testing.assert_array_equal(was, now)

@@ -4,8 +4,10 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -91,6 +93,33 @@ class TestFeaturize:
         assert cfg["window"] == 16 and cfg["spans"] == [2, 4]
         stats = json.loads((out / "stats.json").read_text())
         assert len(stats["channel_mean"]) == 39
+
+    def test_refuses_output_that_cannot_fit(self, tmp_path, monkeypatch, capsys):
+        data = recording(tmp_path, 2, 40)
+        argv = ["featurize", "--data", data, *FAST_FEATURES, "--out"]
+        sized = tmp_path / "sized"
+        assert run(argv + [str(sized)]) == 0
+        need = sum((sized / f).stat().st_size
+                   for f in ("inputs.npy", "targets.npy"))
+        windows = len((sized / "provenance.csv").read_text().splitlines()) - 1
+        capsys.readouterr()
+
+        free = need - 1
+        monkeypatch.setattr(shutil, "disk_usage",
+                            lambda path: types.SimpleNamespace(free=free))
+        out = tmp_path / "full"
+        assert run(argv + [str(out)]) == 1
+        err = capsys.readouterr().err
+        for part in (f"{windows} windows", f"{need} bytes",
+                     f"only {need - 1} bytes are free", "--stride"):
+            assert part in err, err
+        assert not list(out.glob("*.npy"))
+        # Exactly enough room is enough, and so is a rerun over its own
+        # files when the disk is otherwise full.
+        free = need
+        assert run(argv + [str(out)]) == 0
+        free = 0
+        assert run(argv + [str(out)]) == 0
 
     def test_flag_beats_config_file_beats_default(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -333,6 +333,21 @@ class TestStandardize:
         stats = fit_standardization([frame], FeatureConfig(window=5, spans=(2,)))
         assert stats.target_std[TARGETS.index("pm")] == 1e-8
 
+    def test_fit_equals_numpy_mean_and_std_bitwise(self):
+        # 3 x 9,000 rows span four of the fit's 8,192-row blocks, the last
+        # one partial; the blockwise sum must add the rows in numpy's order.
+        frames = synthesize(seed=2, profiles=3, length=9000)
+        config = FeatureConfig(window=10, spans=(4, 64))
+        stats = fit_standardization(frames, config)
+        for table, mean, std in (
+                (np.concatenate([channel_matrix(f, config) for f in frames]),
+                 stats.channel_mean, stats.channel_std),
+                (np.concatenate([target_matrix(f) for f in frames]),
+                 stats.target_mean, stats.target_std)):
+            np.testing.assert_array_equal(mean, table.mean(axis=0))
+            np.testing.assert_array_equal(
+                std, np.maximum(table.std(axis=0), 1e-8))
+
     def test_stats_dict_roundtrip(self):
         frames = synthesize(seed=1, profiles=1, length=60)
         stats = fit_standardization(frames, FeatureConfig(window=10, spans=(4,)))
