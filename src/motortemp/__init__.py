@@ -55,7 +55,6 @@ from .models import (
     count_params,
     forward_attention,
     init_params,
-    lstm_step,
     predict,
 )
 from .training import (

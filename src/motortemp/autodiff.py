@@ -1,14 +1,15 @@
 """Dense 64-bit matrices and a minimal reverse-mode differentiation tape.
 
 Everything the recurrent models need is expressed through a small, closed set
-of seven primitives: matmul, add, hadamard, concat_cols, slice_cols, scale
-and sum_reduce, plus two fused layers, lstm_sequence (one LSTM over a whole
-window, from zero or from given initial states) and attend (dot-product
-attention: scores, softmax and context in one node).  Each primitive
-evaluates eagerly with numpy and, while a tape is open, records its inputs
-so the exact (sub)gradient can be replayed later.  Tapes are define-by-run and rebuilt per batch; there is no
-graph reuse and no graph optimizer.  Each thread has its own stack of open
-tapes, so threads that record at the same time never share one.
+of primitives: matmul, add, concat_cols and slice_cols, two fused layers,
+lstm_sequence (one LSTM over a whole window, from zero or from given initial
+states) and attend (dot-product attention: scores, softmax and context in one
+node), and the training loss mse (the mean of squared errors, one node).
+Each primitive evaluates eagerly with numpy and, while a tape is open,
+records its inputs so the exact (sub)gradient can be replayed later.  Tapes
+are define-by-run and rebuilt per batch; there is no graph reuse and no
+graph optimizer.  Each thread has its own stack of open tapes, so threads
+that record at the same time never share one.
 
 The fused nodes keep what their hand-written backward rules need beside
 their output: lstm_sequence keeps the activated gates of every step,
@@ -53,13 +54,11 @@ __all__ = [
     "active_tape",
     "matmul",
     "add",
-    "hadamard",
     "concat_cols",
     "slice_cols",
-    "scale",
-    "sum_reduce",
     "lstm_sequence",
     "attend",
+    "mse",
     "backward",
 ]
 
@@ -162,7 +161,7 @@ class Tape:
 
         with Tape() as tape:
             y = matmul(w, x)
-            loss = sum_reduce(hadamard(y, y))
+            loss = mse(y, target)
         grads = tape.backward(loss, wrt=[w])
 
     Node ids increase with recording order, so every node's inputs appear
@@ -240,19 +239,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     return _maybe_record("add", (a, b), out)
 
 
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise product; an Rx1 operand broadcasts across the columns of an RxC one."""
-    if a.shape != b.shape:
-        col_a = a.cols == 1 and a.rows == b.rows
-        col_b = b.cols == 1 and b.rows == a.rows
-        if not (col_a or col_b):
-            raise ShapeError(
-                f"hadamard: shapes {a.rows}x{a.cols} and {b.rows}x{b.cols} do not conform"
-            )
-    out = Matrix._wrap(a.values * b.values)
-    return _maybe_record("hadamard", (a, b), out)
-
-
 def concat_cols(parts) -> Matrix:
     """Concatenate matrices with equal row counts side by side."""
     parts = list(parts)
@@ -281,19 +267,6 @@ def slice_cols(x: Matrix, start: int, stop: int) -> Matrix:
         )
     out = Matrix._wrap(x.values[:, start:stop])
     return _maybe_record("slice_cols", (x,), out, (start, stop))
-
-
-def scale(x: Matrix, factor: float) -> Matrix:
-    """Multiply every entry by a python scalar."""
-    k = float(factor)
-    out = Matrix._wrap(k * x.values)
-    return _maybe_record("scale", (x,), out, (k,))
-
-
-def sum_reduce(x: Matrix) -> Matrix:
-    """Sum of all entries, as a 1x1 matrix."""
-    out = Matrix._wrap(np.array([[x.values.sum()]]))
-    return _maybe_record("sum_reduce", (x,), out)
 
 
 def _folded_weight(wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -449,6 +422,22 @@ def attend(query: Matrix, keys: Matrix) -> Matrix:
     return _maybe_record("attend", (query, keys), Matrix._wrap(out))
 
 
+def mse(pred: Matrix, target: Matrix) -> Matrix:
+    """Mean of the squared differences over every entry, as a 1x1 matrix.
+
+    ``target`` is data: it gets no gradient.
+    """
+    if pred.shape != target.shape:
+        raise ShapeError(
+            f"mse: shapes {pred.rows}x{pred.cols} and "
+            f"{target.rows}x{target.cols} differ"
+        )
+    diff = pred.values - target.values
+    k = 1.0 / diff.size
+    out = Matrix._wrap(np.array([[k * (diff * diff).sum()]]))
+    return _maybe_record("mse", (pred, target), out, (diff, k))
+
+
 def _acc(grads: dict, need, nid: int, val: np.ndarray):
     # Backward rules hand over freshly allocated arrays, so accumulating
     # in place here never aliases another node's stored gradient.
@@ -479,22 +468,6 @@ def _bw_add(nd, nodes, g, grads, need):
             _acc(grads, need, j, g.sum(axis=0, keepdims=True))
 
 
-def _bw_hadamard(nd, nodes, g, grads, need):
-    ia, ib = nd.inputs
-    a = nodes[ia].out.values
-    b = nodes[ib].out.values
-    if need[ia]:
-        full = g * b
-        if full.shape != a.shape:
-            full = full.sum(axis=1, keepdims=True)
-        _acc(grads, need, ia, full)
-    if need[ib]:
-        full = g * a
-        if full.shape != b.shape:
-            full = full.sum(axis=1, keepdims=True)
-        _acc(grads, need, ib, full)
-
-
 def _bw_concat_cols(nd, nodes, g, grads, need):
     offset = 0
     for j, width in zip(nd.inputs, nd.ctx):
@@ -513,18 +486,6 @@ def _bw_slice_cols(nd, nodes, g, grads, need):
         if cur is None:
             cur = grads[j] = np.zeros(nodes[j].out.shape)
         cur[:, start:stop] += g
-
-
-def _bw_scale(nd, nodes, g, grads, need):
-    j = nd.inputs[0]
-    if need[j]:
-        _acc(grads, need, j, nd.ctx[0] * g)
-
-
-def _bw_sum_reduce(nd, nodes, g, grads, need):
-    j = nd.inputs[0]
-    if need[j]:
-        _acc(grads, need, j, np.full(nodes[j].out.shape, g[0, 0]))
 
 
 def _rebuild_cells(gates, c_prev, cells, prod):
@@ -666,16 +627,23 @@ def _bw_attend(nd, nodes, g, grads, need):
         _acc(grads, need, ik, dk.reshape(rows, steps * n))
 
 
+def _bw_mse(nd, nodes, g, grads, need):
+    # The gradient 2 k diff, as k diff + k diff.
+    j = nd.inputs[0]
+    if need[j]:
+        diff, k = nd.ctx
+        half = (g[0, 0] * k) * diff
+        _acc(grads, need, j, half + half)
+
+
 _BACKWARD = {
     "matmul": _bw_matmul,
     "add": _bw_add,
-    "hadamard": _bw_hadamard,
     "concat_cols": _bw_concat_cols,
     "slice_cols": _bw_slice_cols,
-    "scale": _bw_scale,
-    "sum_reduce": _bw_sum_reduce,
     "lstm_sequence": _bw_lstm_sequence,
     "attend": _bw_attend,
+    "mse": _bw_mse,
 }
 
 

@@ -28,6 +28,7 @@ import glob
 import os
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +49,6 @@ __all__ = [
     "LstmCellParams",
     "ModelParams",
     "AttentionTrace",
-    "lstm_step",
     "forward_attention",
     "forward_for_training",
     "predict",
@@ -61,6 +61,8 @@ __all__ = [
 VARIANTS = ("vanilla", "bilstm", "attention")
 
 GATES = ("i", "f", "o", "c")
+# Per-gate block names are {cell}.{kind}{gate}, e.g. encoder.w_xi or decoder.b_f.
+KINDS = ("w_x", "w_h", "b_")
 
 
 def _widths(variant: str, hidden: int) -> tuple[int, int]:
@@ -69,56 +71,65 @@ def _widths(variant: str, hidden: int) -> tuple[int, int]:
             hidden if variant == "vanilla" else 2 * hidden)
 
 
-def _expect_shape(name: str, m: Matrix, rows: int, cols: int) -> None:
-    if m.shape != (rows, cols):
+def _cell_names(variant: str) -> tuple[str, ...]:
+    """The LSTM cells of ``variant``, in serialization order."""
+    if variant not in VARIANTS:
         raise ContractError(
-            f"parameter block {name} is {m.rows}x{m.cols}, expected {rows}x{cols}"
+            f"unknown variant {variant!r}; choose from {VARIANTS}"
         )
+    return (("encoder", "encoder_back", "decoder") if variant == "bilstm"
+            else ("encoder", "decoder"))
 
 
-@dataclass
-class LstmCellParams:
-    """Weights of one LSTM cell, one matrix per gate.
+def _check_blocks(variant: str, blocks: list) -> None:
+    """Raise ContractError naming the first of the per-gate ``blocks``
+    ((name, Matrix) pairs in ``ModelParams.items()`` order) whose shape
+    does not fit: ``w_x*`` input_dim x hidden, ``w_h*`` hidden x hidden,
+    ``b_*`` 1 x hidden (the decoder's at its width), and the output map."""
+    shapes = dict((name, m.shape) for name, m in blocks)
+    # Read the encoder's widths from what most of its blocks agree on,
+    # so that a single malformed block is the one the error names.
+    dim = Counter(shapes[f"encoder.w_x{g}"][0]
+                  for g in GATES).most_common(1)[0][0]
+    hidden = Counter(cols for name, (_, cols) in shapes.items()
+                     if name.startswith("encoder.")).most_common(1)[0][0]
+    wide, head_in = _widths(variant, hidden)
+    outputs = shapes["output.w"][1]
+    want = {"output.w": (head_in, outputs), "output.b": (1, outputs)}
+    for prefix, rows, cols in (("encoder", dim, hidden),
+                               ("encoder_back", dim, hidden),
+                               ("decoder", wide, wide)):
+        for kind, r in zip(KINDS, (rows, cols, 1)):
+            want.update((f"{prefix}.{kind}{g}", (r, cols)) for g in GATES)
+    for name, shape in shapes.items():
+        if shape != want[name]:
+            raise ContractError(
+                f"parameter block {name} is {shape[0]}x{shape[1]}, "
+                f"expected {want[name][0]}x{want[name][1]}"
+            )
 
-    ``w_x*`` are input-to-gate (input_dim x hidden), ``w_h*`` are
-    hidden-to-hidden (hidden x hidden), ``b_*`` are 1 x hidden biases.
+
+class LstmCellParams(NamedTuple):
+    """Weights of one LSTM cell, in the three blocks ``lstm_sequence`` takes.
+
+    ``wx`` is input-to-gate (input_dim x 4 hidden), ``wh`` hidden-to-gate
+    (hidden x 4 hidden) and ``b`` the 1 x 4 hidden bias; each holds its
+    gate blocks side by side in the order i, f, o, c.  Checkpoints and
+    ``ModelParams.items()`` name each gate block on its own (``w_xi`` ...
+    ``w_hc``, ``b_i`` ... ``b_c``).
     """
 
-    w_xi: Matrix
-    w_xf: Matrix
-    w_xo: Matrix
-    w_xc: Matrix
-    w_hi: Matrix
-    w_hf: Matrix
-    w_ho: Matrix
-    w_hc: Matrix
-    b_i: Matrix
-    b_f: Matrix
-    b_o: Matrix
-    b_c: Matrix
+    wx: Matrix
+    wh: Matrix
+    b: Matrix
 
     @property
     def input_dim(self) -> int:
-        return self.w_xi.rows
+        return self.wx.rows
 
     @property
     def hidden(self) -> int:
-        return self.w_xi.cols
-
-    def items(self, prefix: str):
-        for kind in ("w_x", "w_h", "b_"):
-            for gate in GATES:
-                name = f"{kind}{gate}"
-                yield f"{prefix}.{name}", getattr(self, name)
-
-    def check(self, prefix: str, input_dim: int, hidden: int) -> None:
-        """Raise ContractError naming the first block that is not
-        input_dim x hidden (``w_x*``), hidden x hidden (``w_h*``) or
-        1 x hidden (``b_*``)."""
-        for kind, rows in (("w_x", input_dim), ("w_h", hidden), ("b_", 1)):
-            for gate in GATES:
-                _expect_shape(f"{prefix}.{kind}{gate}",
-                              getattr(self, f"{kind}{gate}"), rows, hidden)
+        return self.wh.rows
 
 
 @dataclass
@@ -148,29 +159,14 @@ class ModelParams:
     encoder_back: LstmCellParams | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ContractError(
-                f"unknown variant {self.variant!r}; choose from {VARIANTS}"
-            )
-        if (self.encoder_back is None) == (self.variant == "bilstm"):
+        bilstm = "encoder_back" in _cell_names(self.variant)
+        if (self.encoder_back is None) == bilstm:
             state = "missing" if self.encoder_back is None else "present"
             raise ContractError(
                 f"encoder_back is {state} for variant {self.variant!r}; "
                 "only 'bilstm' has one"
             )
-        # Read the encoder's widths from what most of its blocks agree on,
-        # so that a single malformed block is the one the error names.
-        dim = Counter(getattr(self.encoder, f"w_x{g}").rows
-                      for g in GATES).most_common(1)[0][0]
-        hidden = Counter(m.cols for _, m in self.encoder.items("")
-                         ).most_common(1)[0][0]
-        self.encoder.check("encoder", dim, hidden)
-        if self.encoder_back is not None:
-            self.encoder_back.check("encoder_back", dim, hidden)
-        wide, head_in = _widths(self.variant, hidden)
-        self.decoder.check("decoder", wide, wide)
-        _expect_shape("output.w", self.output_w, head_in, self.output_w.cols)
-        _expect_shape("output.b", self.output_b, 1, self.output_w.cols)
+        _check_blocks(self.variant, self.items())
 
     @property
     def input_dim(self) -> int:
@@ -184,18 +180,38 @@ class ModelParams:
     def output_dim(self) -> int:
         return self.output_w.cols
 
-    def items(self):
-        """(name, Matrix) pairs in a fixed serialization order."""
-        out = list(self.encoder.items("encoder"))
-        if self.encoder_back is not None:
-            out.extend(self.encoder_back.items("encoder_back"))
-        out.extend(self.decoder.items("decoder"))
-        out.append(("output.w", self.output_w))
-        out.append(("output.b", self.output_b))
-        return out
+    def matrices(self) -> list[Matrix]:
+        """The blocks the tape differentiates: each cell's ``wx``, ``wh``
+        and ``b`` (encoder, reverse encoder, decoder), then ``output_w``
+        and ``output_b``."""
+        return ([m for name in _cell_names(self.variant)
+                 for m in getattr(self, name)]
+                + [self.output_w, self.output_b])
 
-    def matrices(self):
-        return [m for _, m in self.items()]
+    def per_gate(self, blocks) -> list[tuple[str, Matrix]]:
+        """Name ``blocks`` that align with ``matrices()`` (the parameters,
+        or their gradients) block by block in serialization order: each
+        cell block splits into its four gate blocks, as column views."""
+        blocks = list(blocks)
+        out = []
+        for i, prefix in enumerate(_cell_names(self.variant)):
+            for field, kind, m in zip(LstmCellParams._fields, KINDS,
+                                      blocks[3 * i:3 * i + 3]):
+                n, extra = divmod(m.cols, 4)
+                if extra:
+                    raise ContractError(
+                        f"parameter block {prefix}.{field} is "
+                        f"{m.rows}x{m.cols}, not four gate blocks side by side"
+                    )
+                out.extend((f"{prefix}.{kind}{g}",
+                            Matrix._wrap(m.values[:, k * n:(k + 1) * n]))
+                           for k, g in enumerate(GATES))
+        return out + [("output.w", blocks[-2]), ("output.b", blocks[-1])]
+
+    def items(self) -> list[tuple[str, Matrix]]:
+        """(name, Matrix) pairs in a fixed serialization order, one per gate
+        block; the cells' blocks are views into their stacked weights."""
+        return self.per_gate(self.matrices())
 
 
 def count_params(params: ModelParams) -> int:
@@ -203,9 +219,9 @@ def count_params(params: ModelParams) -> int:
     return sum(m.rows * m.cols for m in params.matrices())
 
 
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
+def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
-    return Matrix._wrap(rng.uniform(-limit, limit, size=(rows, cols)))
+    return rng.uniform(-limit, limit, size=(rows, cols))
 
 
 @functools.cache
@@ -253,26 +269,21 @@ def _one_blas_thread():
         put(before)
 
 
-def _orthogonal(rng: np.random.Generator, n: int) -> Matrix:
+def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     with _one_blas_thread():
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
     # Fix the sign ambiguity of the factorization so the draw is unique.
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return Matrix._wrap(np.ascontiguousarray(q * signs))
+    return q * signs
 
 
 def _init_cell(rng: np.random.Generator, input_dim: int, hidden: int) -> LstmCellParams:
-    w_x = [_glorot(rng, input_dim, hidden) for _ in GATES]
-    w_h = [_orthogonal(rng, hidden) for _ in GATES]
-    biases = {
-        "b_i": Matrix.zeros(1, hidden),
-        # Forget bias starts at one so early training does not flush the cell.
-        "b_f": Matrix.ones(1, hidden),
-        "b_o": Matrix.zeros(1, hidden),
-        "b_c": Matrix.zeros(1, hidden),
-    }
-    return LstmCellParams(*w_x, *w_h, biases["b_i"], biases["b_f"],
-                          biases["b_o"], biases["b_c"])
+    wx = np.hstack([_glorot(rng, input_dim, hidden) for _ in GATES])
+    wh = np.hstack([_orthogonal(rng, hidden) for _ in GATES])
+    b = np.zeros((1, 4 * hidden))
+    # Forget bias starts at one so early training does not flush the cell.
+    b[:, hidden:2 * hidden] = 1.0
+    return LstmCellParams(Matrix._wrap(wx), Matrix._wrap(wh), Matrix._wrap(b))
 
 
 def init_params(variant: str, seed: int, input_dim: int = 65,
@@ -289,56 +300,34 @@ def init_params(variant: str, seed: int, input_dim: int = 65,
     encoder_back = (_init_cell(rng, input_dim, hidden)
                     if variant == "bilstm" else None)
     decoder = _init_cell(rng, wide, wide)
-    output_w = _glorot(rng, head_in, output_dim)
+    output_w = Matrix._wrap(_glorot(rng, head_in, output_dim))
     output_b = Matrix.zeros(1, output_dim)
     return ModelParams(variant, encoder, decoder, output_w, output_b,
                        encoder_back=encoder_back)
 
 
 def params_from_items(variant: str, mapping: dict) -> ModelParams:
-    """Rebuild ModelParams from the (name -> Matrix) map items() produces."""
+    """Rebuild ModelParams from the (name -> Matrix) map items() produces.
+
+    Every per-gate block is checked, and a bad one named, before each
+    cell's blocks are stacked."""
     def block(name):
         if name not in mapping:
             raise ValueError(f"missing parameter block {name}")
         return mapping[name]
 
-    def cell(prefix):
-        return LstmCellParams(*[block(f"{prefix}.{k}{g}")
-                                for k in ("w_x", "w_h", "b_") for g in GATES])
-
-    encoder_back = cell("encoder_back") if variant == "bilstm" else None
-    return ModelParams(variant, cell("encoder"), cell("decoder"),
-                       block("output.w"), block("output.b"),
-                       encoder_back=encoder_back)
-
-
-def _fuse(cell: LstmCellParams):
-    # One wide matrix per operand kind, gate blocks side by side, as
-    # lstm_sequence takes them.  Column blocks of a product are independent,
-    # so this matches the per-gate formulation.
-    wx = concat_cols([cell.w_xi, cell.w_xf, cell.w_xo, cell.w_xc])
-    wh = concat_cols([cell.w_hi, cell.w_hf, cell.w_ho, cell.w_hc])
-    b = concat_cols([cell.b_i, cell.b_f, cell.b_o, cell.b_c])
-    return wx, wh, b
-
-
-def lstm_step(cell: LstmCellParams, x_t: Matrix, h_prev: Matrix,
-              c_prev: Matrix) -> tuple[Matrix, Matrix]:
-    """One LSTM update, a one-step ``lstm_sequence`` from (h_prev, c_prev).
-
-    i, f, o = clip(0.2 (x W_x. + h W_h. + b.) + 0.5, 0, 1)   three gates
-    c_t     = f * c_prev + i * tanh(x W_xc + h W_hc + b_c)
-    h_t     = o * tanh(c_t)
-
-    Returns (h_t, c_t), each (batch, hidden).
-    """
-    if x_t.cols != cell.input_dim:
-        raise ShapeError(
-            f"lstm_step: input has {x_t.cols} columns, cell expects {cell.input_dim}"
-        )
-    n = cell.hidden
-    out = lstm_sequence(x_t, *_fuse(cell), h0=h_prev, c0=c_prev)
-    return slice_cols(out, 0, n), slice_cols(out, n, 2 * n)
+    names = [f"{prefix}.{kind}{g}" for prefix in _cell_names(variant)
+             for kind in KINDS for g in GATES] + ["output.w", "output.b"]
+    blocks = [(name, block(name)) for name in names]
+    _check_blocks(variant, blocks)
+    stacked = [Matrix._wrap(np.hstack([m.values for _, m in blocks[at:at + 4]]))
+               for at in range(0, len(blocks) - 2, 4)]
+    cells = dict(zip(_cell_names(variant),
+                     (LstmCellParams(*stacked[at:at + 3])
+                      for at in range(0, len(stacked), 3))))
+    return ModelParams(variant, cells["encoder"], cells["decoder"],
+                       mapping["output.w"], mapping["output.b"],
+                       encoder_back=cells.get("encoder_back"))
 
 
 def _check_batch(params: ModelParams, batch) -> np.ndarray:
@@ -369,7 +358,7 @@ def _encode(cell: LstmCellParams, batch: np.ndarray, reverse: bool = False,
     n, steps, dim = batch.shape
     hidden = cell.hidden
     x = Matrix._wrap(batch.reshape(n, steps * dim))
-    out = lstm_sequence(x, *_fuse(cell), reverse=reverse,
+    out = lstm_sequence(x, *cell, reverse=reverse,
                         keep_sequence=keep_sequence)
     h = slice_cols(out, 0, hidden)
     c = slice_cols(out, hidden, 2 * hidden)
@@ -409,7 +398,7 @@ def _graph(params: ModelParams, batch: np.ndarray):
         h, c = concat_cols([h, h_b]), concat_cols([c, c_b])
     # The final hidden state, repeated once, is the decoder input; the final
     # (h, c) pair seeds the decoder state.
-    h_de = slice_cols(lstm_sequence(h, *_fuse(params.decoder), h0=h, c0=c),
+    h_de = slice_cols(lstm_sequence(h, *params.decoder, h0=h, c0=c),
                       0, h.cols)
     if not attention:
         return _head(params, h_de), None

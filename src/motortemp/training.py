@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Matrix, ShapeError, Tape
+from .autodiff import Matrix, ShapeError, Tape, mse
 from .dataio import ConfigError, DatasetSplit
 from .features import (
     FeatureConfig,
@@ -139,15 +139,6 @@ def mse_loss(predictions, targets) -> float:
     return float(np.mean(d * d))
 
 
-def _mse_graph(pred: Matrix, target: Matrix) -> Matrix:
-    # Same mean-of-squares, but expressed in tape ops so it differentiates.
-    from .autodiff import add, hadamard, scale, sum_reduce
-
-    diff = add(pred, scale(target, -1.0))
-    sq = hadamard(diff, diff)
-    return scale(sum_reduce(sq), 1.0 / float(pred.rows * pred.cols))
-
-
 def adam_step(params: ModelParams, grads: dict, state: AdamState,
               config: TrainConfig) -> None:
     """One bias-corrected Adam update, in place.
@@ -158,11 +149,13 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
         v <- beta2 v + (1-beta2) g^2      v_hat = v / (1 - beta2^t)
         theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
 
-    Gradient blocks must align exactly with the parameter blocks; any
-    non-finite gradient aborts the step.  When ``clip_norm`` is set the
-    whole gradient is rescaled so its global L2 norm does not exceed it.
+    Gradient blocks must align exactly with the parameter blocks, in name
+    and shape; any non-finite gradient aborts the step.  When ``clip_norm``
+    is set the whole gradient is rescaled so its global L2 norm does not
+    exceed it.
     """
-    names = [name for name, _ in params.items()]
+    items = params.items()
+    names = [name for name, _ in items]
     if set(grads) != set(names):
         missing = sorted(set(names) - set(grads))
         surplus = sorted(set(grads) - set(names))
@@ -170,9 +163,14 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
             f"gradient blocks misaligned; missing {missing}, unexpected {surplus}"
         )
     gs = {}
-    for name in names:
+    for name, mat in items:
         g = grads[name]
         arr = g.values if isinstance(g, Matrix) else np.asarray(g, dtype=np.float64)
+        if arr.shape != mat.shape:
+            raise TrainingError(
+                f"gradient block {name!r} has shape {arr.shape}, its "
+                f"parameter {mat.shape}"
+            )
         if not np.isfinite(arr).all():
             raise TrainingError(f"non-finite gradient in block {name!r}")
         gs[name] = arr
@@ -187,7 +185,7 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
     t = state.step
     correct1 = 1.0 - config.beta1 ** t
     correct2 = 1.0 - config.beta2 ** t
-    for name, mat in params.items():
+    for name, mat in items:
         g = gs[name]
         m = state.m[name]
         v = state.v[name]
@@ -225,9 +223,10 @@ def _train_step(params, state, cfg, stats, inputs, raw_targets):
     targets = stats.transform_targets(raw_targets.reshape(len(inputs), -1))
     with Tape() as tape:
         pred = forward_for_training(params, inputs)
-        loss = _mse_graph(pred, Matrix._wrap(targets))
-    gradmap = tape.backward(loss, wrt=params.matrices())
-    grads = {name: gradmap[tape.node_id(mat)] for name, mat in params.items()}
+        loss = mse(pred, Matrix._wrap(targets))
+    leaves = params.matrices()
+    gradmap = tape.backward(loss, wrt=leaves)
+    grads = dict(params.per_gate(gradmap[tape.node_id(m)] for m in leaves))
     adam_step(params, grads, state, cfg)
     return float(loss.values[0, 0])
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from motortemp.autodiff import Matrix, Tape
+from motortemp.autodiff import Matrix, Tape, mse
 from motortemp.dataio import ProfileFrame
 from motortemp.models import forward_for_training, predict
 from motortemp.training import mse_loss
@@ -46,15 +46,14 @@ def model_loss(params, batch, targets):
 
 
 def analytic_param_grads(params, batch, targets):
-    """Gradient of the taped MSE loss for every parameter block."""
-    from motortemp.training import _mse_graph
-
+    """Gradient of the taped MSE loss for every (per-gate) parameter block."""
     with Tape() as tape:
         pred = forward_for_training(params, batch)
-        loss = _mse_graph(pred, Matrix(targets))
-    gradmap = tape.backward(loss, wrt=params.matrices())
-    return {name: gradmap[tape.node_id(m)].values
-            for name, m in params.items()}
+        loss = mse(pred, Matrix(targets))
+    leaves = params.matrices()
+    gradmap = tape.backward(loss, wrt=leaves)
+    return {name: g.values for name, g in
+            params.per_gate(gradmap[tape.node_id(m)] for m in leaves)}
 
 
 def check_model_gradients(params, batch, targets, rel_tol=1e-4, floor=1e-6):

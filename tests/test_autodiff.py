@@ -15,12 +15,10 @@ from motortemp.autodiff import (
     attend,
     backward,
     concat_cols,
-    hadamard,
     lstm_sequence,
     matmul,
-    scale,
+    mse,
     slice_cols,
-    sum_reduce,
 )
 
 
@@ -94,18 +92,6 @@ class TestForward:
         with pytest.raises(ShapeError):
             add(a, Matrix.zeros(3, 2))
 
-    def test_hadamard_and_col_broadcast(self):
-        a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        col = Matrix([[2.0], [10.0]])
-        np.testing.assert_array_equal(
-            hadamard(a, col).values, [[2.0, 4.0], [30.0, 40.0]]
-        )
-        np.testing.assert_array_equal(
-            hadamard(col, a).values, [[2.0, 4.0], [30.0, 40.0]]
-        )
-        with pytest.raises(ShapeError):
-            hadamard(a, Matrix.zeros(1, 3))
-
     def test_concat_slice_roundtrip(self):
         rng = np.random.default_rng(13)
         parts = [Matrix(rng.standard_normal((3, w))) for w in (2, 4, 1)]
@@ -125,24 +111,62 @@ class TestForward:
             with pytest.raises(ShapeError):
                 slice_cols(m, start, stop)
 
-    def test_scale_and_sum(self):
-        m = Matrix([[1.0, -2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(
-            scale(m, -2.0).values, [[-2.0, 4.0], [-6.0, -8.0]]
-        )
-        assert sum_reduce(m).values.tolist() == [[6.0]]
-        assert sum_reduce(m).shape == (1, 1)
-
     def test_finiteness_closed_over_ops(self):
         rng = np.random.default_rng(14)
         a = Matrix(rng.standard_normal((5, 5)) * 100)
         b = Matrix(rng.standard_normal((5, 5)) * 100)
-        keys = scale(concat_cols([a, b]), 100.0)
+        big = Matrix(100.0 * np.eye(5))
+        keys = matmul(big, concat_cols([a, b]))
         state = lstm_sequence(a, _r(rng, 5, 20, 100.0), _r(rng, 5, 20, 100.0),
-                              _r(rng, 1, 20, 100.0), h0=b, c0=scale(a, 100.0))
+                              _r(rng, 1, 20, 100.0), h0=b, c0=matmul(a, big))
         out = attend(matmul(slice_cols(state, 0, 5), b), keys)
         assert np.isfinite(state.values).all()
         assert np.isfinite(out.values).all()
+        assert np.isfinite(mse(out, Matrix.zeros(*out.shape)).values).all()
+
+
+class TestMse:
+    def test_value(self):
+        loss = mse(Matrix([[1.0, 2.0], [3.0, 5.0]]),
+                   Matrix([[0.0, 2.0], [1.0, 2.0]]))
+        assert loss.values.tolist() == [[(1.0 + 0.0 + 4.0 + 9.0) / 4.0]]
+
+    def test_shape_error_names_both_shapes(self):
+        with pytest.raises(ShapeError, match="2x3 and 3x2"):
+            mse(Matrix.zeros(2, 3), Matrix.zeros(3, 2))
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(31)
+        pred, target = _r(rng, 3, 4), _r(rng, 3, 4)
+        with Tape() as tape:
+            loss = mse(pred, target)
+        analytic = tape.backward(loss, wrt=[pred])[tape.node_id(pred)].values
+        numeric = numeric_grad(
+            lambda _: float(mse(pred, target).values[0, 0]), pred.values)
+        assert_grads_close(analytic, numeric)
+
+    @pytest.mark.parametrize("rows,cols", [(5, 4), (3, 7), (6, 3), (2, 9)])
+    def test_equals_the_graph_of_elementwise_ops_bitwise(self, rows, cols):
+        # The loss and its gradient as a graph of elementwise ops gave them:
+        # diff = pred + (-1 * target), the sum of diff * diff scaled by 1/n,
+        # and on the way back (1/n) * diff from each factor of diff * diff,
+        # added.  The target gets no gradient.
+        rng = np.random.default_rng(32)
+        w, x, target = _r(rng, rows, 3), _r(rng, 3, cols), _r(rng, rows, cols)
+        with Tape() as tape:
+            loss = mse(matmul(w, x), target)
+        grads = tape.backward(loss, wrt=[w, target])
+        diff = w.values @ x.values + (-1.0 * target.values)
+        k = 1.0 / float(rows * cols)
+        seed = np.full(diff.shape, k)
+        g_diff = seed * diff
+        g_diff += seed * diff
+        np.testing.assert_array_equal(
+            loss.values, k * np.array([[(diff * diff).sum()]]))
+        np.testing.assert_array_equal(grads[tape.node_id(w)].values,
+                                      g_diff @ x.values.T)
+        np.testing.assert_array_equal(grads[tape.node_id(target)].values,
+                                      np.zeros((rows, cols)))
 
 
 class TestTape:
@@ -155,23 +179,14 @@ class TestTape:
     def test_inputs_recorded_before_consumers(self):
         with Tape() as tape:
             a = Matrix.ones(2, 3)
-            b = scale(a, 0.5)
+            b = add(a, a)
             c = add(b, b)
             out = lstm_sequence(c, Matrix.ones(3, 4), Matrix.ones(1, 4),
                                 Matrix.ones(1, 4), h0=slice_cols(b, 0, 1),
                                 c0=Matrix.zeros(2, 1))
-            sum_reduce(hadamard(out, out))
+            mse(out, Matrix.zeros(*out.shape))
         for i, node in enumerate(tape.nodes):
             assert all(j < i for j in node.inputs)
-
-    def test_sum_of_leaf_gives_all_ones(self):
-        w = Matrix(np.random.default_rng(0).standard_normal((3, 4)))
-        with Tape() as tape:
-            loss = sum_reduce(w)
-        grads = tape.backward(loss, wrt=[w])
-        np.testing.assert_array_equal(
-            grads[tape.node_id(w)].values, np.ones((3, 4))
-        )
 
     def test_least_squares_closed_form(self):
         rng = np.random.default_rng(5)
@@ -179,23 +194,22 @@ class TestTape:
         x = Matrix(rng.standard_normal((3, 2)))
         y = Matrix(rng.standard_normal((4, 2)))
         with Tape() as tape:
-            resid = add(matmul(w, x), scale(y, -1.0))
-            loss = scale(sum_reduce(hadamard(resid, resid)), 0.5)
+            loss = mse(matmul(w, x), y)
         g = tape.backward(loss, wrt=[w])[tape.node_id(w)].values
-        want = (w.values @ x.values - y.values) @ x.values.T
+        want = (2.0 / 8.0) * (w.values @ x.values - y.values) @ x.values.T
         np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
         w = Matrix.ones(2, 2)
         with Tape() as tape:
-            y = scale(w, 2.0)
+            y = matmul(w, w)
         with pytest.raises(ContractError):
             tape.backward(y)
 
     def test_off_tape_loss_rejected(self):
         with Tape() as tape:
             pass
-        loss = sum_reduce(Matrix.ones(1, 1))
+        loss = mse(Matrix.ones(1, 1), Matrix.zeros(1, 1))
         with pytest.raises(ContractError):
             backward(tape, loss)
 
@@ -203,7 +217,7 @@ class TestTape:
         w = Matrix.ones(2, 2)
         unused = Matrix.ones(3, 3)
         with Tape() as tape:
-            loss = sum_reduce(w)
+            loss = mse(w, Matrix.zeros(2, 2))
         g = tape.backward(loss, wrt=[unused])[tape.node_id(unused)]
         np.testing.assert_array_equal(g.values, np.zeros((3, 3)))
 
@@ -211,9 +225,10 @@ class TestTape:
         x = Matrix([[3.0]])
         with Tape() as tape:
             y = add(x, x)
-            loss = sum_reduce(y)
+            loss = mse(y, Matrix([[0.0]]))
+        # d loss / d y = 2 * 6, reaching x along both edges.
         g = tape.backward(loss, wrt=[x])[tape.node_id(x)]
-        assert g.values.tolist() == [[2.0]]
+        assert g.values.tolist() == [[24.0]]
 
     def test_hard_sigmoid_saturated_gradient_is_zero(self):
         # The gates' hard sigmoid inside a one-step lstm_sequence.  With
@@ -224,11 +239,11 @@ class TestTape:
         bias[0, 12:] = 0.3  # candidate
         b = Matrix(bias)
         x, h0, c0 = _r(rng, 3, 2), _r(rng, 3, 4), _r(rng, 3, 4)
-        weights = _r(rng, 3, 8)
+        target = _r(rng, 3, 8)
         with Tape() as tape:
             out = lstm_sequence(x, Matrix.zeros(2, 16), Matrix.zeros(4, 16),
                                 b, h0=h0, c0=c0)
-            loss = sum_reduce(hadamard(out, weights))
+            loss = mse(out, target)
         g = tape.backward(loss, wrt=[b])[tape.node_id(b)].values[0]
         np.testing.assert_array_equal(g[:12], np.zeros(12))
         # Units 2 and 3 write the candidate, so its gradient is not blocked.
@@ -242,10 +257,10 @@ class TestTape:
 
         def work(k):
             try:
-                w = Matrix.ones(2, 2)
+                w = Matrix(np.full((2, 2), k))
                 with Tape() as tape:
                     barrier.wait()
-                    loss = sum_reduce(scale(w, k))
+                    loss = mse(w, Matrix.zeros(2, 2))
                     barrier.wait()
                 results[k] = tape.backward(loss, wrt=[w])[tape.node_id(w)]
             except Exception as exc:  # reported below, not lost in the thread
@@ -259,7 +274,9 @@ class TestTape:
         assert not any(t.is_alive() for t in threads)
         for k in (1.0, 2.0):
             assert isinstance(results[k], Matrix), results[k]
-            np.testing.assert_array_equal(results[k].values, np.full((2, 2), k))
+            # 2 * w / 4 for a loss over four entries.
+            np.testing.assert_array_equal(results[k].values,
+                                          np.full((2, 2), k / 2.0))
 
 
 def _r(rng, rows, cols, spread=1.0):
@@ -296,16 +313,10 @@ PRIMITIVES = [
      lambda a, b: add(a, b)),
     ("add_row_broadcast", lambda rng: [_r(rng, 1, 4), _r(rng, 3, 4)],
      lambda a, b: add(a, b)),
-    ("hadamard", lambda rng: [_r(rng, 3, 4), _r(rng, 3, 4)],
-     lambda a, b: hadamard(a, b)),
-    ("hadamard_col_broadcast", lambda rng: [_r(rng, 3, 1), _r(rng, 3, 4)],
-     lambda a, b: hadamard(a, b)),
     ("concat_cols", lambda rng: [_r(rng, 3, 2), _r(rng, 3, 3), _r(rng, 3, 1)],
      lambda *ps: concat_cols(ps)),
     ("slice_cols", lambda rng: [_r(rng, 3, 6)],
      lambda a: slice_cols(a, 1, 4)),
-    ("scale", lambda rng: [_r(rng, 3, 4)], lambda a: scale(a, -1.7)),
-    ("sum_reduce", lambda rng: [_r(rng, 3, 4)], lambda a: sum_reduce(a)),
     ("lstm_sequence", _lstm_inputs,
      lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b)),
     ("lstm_sequence_reverse", _lstm_inputs,
@@ -352,16 +363,15 @@ def test_primitive_gradients_match_finite_differences(name, build, op):
     rng = np.random.default_rng(hash(name) % (2**32))
     inputs = build(rng)
     out_probe = op(*inputs)
-    weights = Matrix(np.random.default_rng(99).standard_normal(out_probe.shape))
+    target = Matrix(np.random.default_rng(99).standard_normal(out_probe.shape))
 
     with Tape() as tape:
-        loss = sum_reduce(hadamard(op(*inputs), weights))
+        loss = mse(op(*inputs), target)
     grads = tape.backward(loss, wrt=inputs)
 
     for pos, inp in enumerate(inputs):
         def f(_arr, _pos=pos):
-            out = op(*inputs)
-            return float((out.values * weights.values).sum())
+            return float(mse(op(*inputs), target).values[0, 0])
         numeric = numeric_grad(f, inp.values)
         analytic = grads[tape.node_id(inp)].values
         assert_grads_close(analytic, numeric)
@@ -373,16 +383,17 @@ def test_composite_graph_gradient():
     b = Matrix(rng.standard_normal((4, 4)) * 0.5)
     wx, wh, bias = _r(rng, 4, 8, 0.3), _r(rng, 2, 8, 0.3), _r(rng, 1, 8, 0.3)
     row = _r(rng, 1, 4, 0.5)
+    target = _r(rng, 3, 4)
 
     def graph(a_m, b_m):
         h = matmul(a_m, b_m)
-        sq = hadamard(h, add(scale(h, 1.5), row))
+        sq = add(matmul(h, b_m), row)
         split = concat_cols([slice_cols(sq, 2, 4), slice_cols(h, 0, 2)])
         state = lstm_sequence(split, wx, wh, bias, h0=slice_cols(h, 0, 2),
                               c0=slice_cols(sq, 2, 4))
         out = attend(slice_cols(state, 0, 2),
                      concat_cols([slice_cols(h, 2, 4), slice_cols(state, 2, 4)]))
-        return sum_reduce(hadamard(out, out))
+        return mse(out, target)
 
     with Tape() as tape:
         loss = graph(a, b)
@@ -398,14 +409,18 @@ def test_composite_graph_gradient():
 def test_two_slices_of_one_matrix_accumulate():
     rng = np.random.default_rng(78)
     x = _r(rng, 3, 6)
-    w1, w2 = _r(rng, 3, 4), _r(rng, 3, 4)
+    t1, t2 = _r(rng, 3, 4), _r(rng, 3, 4)
     with Tape() as tape:
-        loss = add(sum_reduce(hadamard(slice_cols(x, 0, 4), w1)),
-                   sum_reduce(hadamard(slice_cols(x, 2, 6), w2)))
+        loss = add(mse(slice_cols(x, 0, 4), t1), mse(slice_cols(x, 2, 6), t2))
     got = tape.backward(loss, wrt=[x])[tape.node_id(x)].values
+
+    def grad(diff):  # of an mse over 12 entries, as mse's backward adds it
+        half = (1.0 / 12.0) * diff
+        return half + half
+
     want = np.zeros((3, 6))
-    want[:, 0:4] += w1.values
-    want[:, 2:6] += w2.values
+    want[:, 0:4] += grad(x.values[:, 0:4] - t1.values)
+    want[:, 2:6] += grad(x.values[:, 2:6] - t2.values)
     np.testing.assert_array_equal(got, want)
 
 
@@ -448,14 +463,14 @@ def test_lstm_sequence_shape_errors():
 
 def _taped_lstm(reverse, keep_sequence, steps=5):
     """``steps`` 4-wide steps, hidden width 3, seven windows, recorded with
-    a weighted-sum loss; spread 3 clips some gates.  Returns the inputs, the
+    an mse loss against a random target; spread 3 clips some gates.  Returns the inputs, the
     loss, the tape and the lstm_sequence node."""
     rng = np.random.default_rng(81)
     inputs = [_r(rng, 7, 4 * steps, 3.0), _r(rng, 4, 12), _r(rng, 3, 12),
               _r(rng, 1, 12)]
     with Tape() as tape:
         out = lstm_sequence(*inputs, reverse=reverse, keep_sequence=keep_sequence)
-        loss = sum_reduce(hadamard(out, _r(rng, *out.shape)))
+        loss = mse(out, _r(rng, *out.shape))
     return inputs, loss, tape, tape.nodes[tape.node_id(out)]
 
 

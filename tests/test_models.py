@@ -14,8 +14,9 @@ from motortemp.autodiff import (
     ShapeError,
     Tape,
     concat_cols,
-    hadamard,
-    sum_reduce,
+    lstm_sequence,
+    mse,
+    slice_cols,
 )
 from motortemp.models import (
     VARIANTS,
@@ -27,7 +28,6 @@ from motortemp.models import (
     forward_attention,
     forward_for_training,
     init_params,
-    lstm_step,
     params_from_items,
     predict,
 )
@@ -58,19 +58,35 @@ class TestInit:
     def test_seed_changes_weights(self):
         a = init_params("vanilla", seed=1, input_dim=4, hidden=3)
         b = init_params("vanilla", seed=2, input_dim=4, hidden=3)
-        assert not np.array_equal(a.encoder.w_xi.values, b.encoder.w_xi.values)
+        assert not np.array_equal(a.encoder.wx.values, b.encoder.wx.values)
 
     def test_forget_bias_ones_other_biases_zero(self):
         params = init_params("vanilla", seed=3, input_dim=4, hidden=5)
-        for cell in (params.encoder, params.decoder):
-            np.testing.assert_array_equal(cell.b_f.values, np.ones((1, 5)))
-            for b in (cell.b_i, cell.b_o, cell.b_c):
-                np.testing.assert_array_equal(b.values, np.zeros((1, 5)))
+        blocks = dict(params.items())
+        for cell in ("encoder", "decoder"):
+            np.testing.assert_array_equal(blocks[f"{cell}.b_f"].values,
+                                          np.ones((1, 5)))
+            for gate in "ioc":
+                np.testing.assert_array_equal(blocks[f"{cell}.b_{gate}"].values,
+                                              np.zeros((1, 5)))
         np.testing.assert_array_equal(params.output_b.values, np.zeros((1, 4)))
+
+    def test_gate_blocks_take_the_draws_in_order(self):
+        # Glorot draws for w_xi, w_xf, w_xo and w_xc, then orthogonal draws
+        # for w_hi ... w_hc, each written into its column block.
+        params = init_params("vanilla", seed=7, input_dim=3, hidden=2)
+        blocks = dict(params.items())
+        rng = np.random.default_rng(7)
+        for gate in "ifoc":
+            np.testing.assert_array_equal(blocks[f"encoder.w_x{gate}"].values,
+                                          models._glorot(rng, 3, 2))
+        for gate in "ifoc":
+            np.testing.assert_array_equal(blocks[f"encoder.w_h{gate}"].values,
+                                          models._orthogonal(rng, 2))
 
     def test_recurrent_matrices_orthogonal(self):
         params = init_params("vanilla", seed=4, input_dim=4, hidden=16)
-        w = params.encoder.w_hi.values
+        w = dict(params.items())["encoder.w_hi"].values
         np.testing.assert_allclose(w.T @ w, np.eye(16), rtol=0, atol=1e-10)
 
     def test_orthogonal_draw_runs_blas_at_one_thread_and_restores_it(
@@ -99,7 +115,7 @@ class TestInit:
     def test_glorot_limits(self):
         params = init_params("vanilla", seed=5, input_dim=30, hidden=20)
         limit = math.sqrt(6.0 / (30 + 20))
-        w = params.encoder.w_xc.values
+        w = params.encoder.wx.values
         assert np.abs(w).max() <= limit
 
     def test_unknown_variant_rejected(self):
@@ -111,13 +127,19 @@ class TestInit:
                         van.output_b)
 
 
+def _items_with(params, name, block):
+    """params.items() as a mapping, with the block ``name`` replaced."""
+    return {**dict(params.items()), name: block}
+
+
 class TestParamShapes:
     def test_transposed_block_is_named(self):
         params = init_params("vanilla", seed=0, input_dim=39, hidden=5)
-        params.encoder.w_xi = Matrix(params.encoder.w_xi.values.T)
+        w_xi = dict(params.items())["encoder.w_xi"]
+        mapping = _items_with(params, "encoder.w_xi", Matrix(w_xi.values.T))
         with pytest.raises(ContractError,
                            match=r"encoder\.w_xi is 5x39, expected 39x5"):
-            replace(params)
+            params_from_items("vanilla", mapping)
 
     @pytest.mark.parametrize("block,kind,shape,want", [
         ("w_xo", "encoder", (4, 6), "3x6"),
@@ -128,10 +150,20 @@ class TestParamShapes:
     ])
     def test_cell_block_shapes(self, block, kind, shape, want):
         params = init_params("attention", seed=0, input_dim=3, hidden=6)
-        setattr(getattr(params, kind), block, Matrix.zeros(*shape))
+        mapping = _items_with(params, f"{kind}.{block}", Matrix.zeros(*shape))
         with pytest.raises(ContractError, match=rf"{kind}\.{block} is "
                            rf"{shape[0]}x{shape[1]}, expected {want}"):
-            replace(params)
+            params_from_items("attention", mapping)
+
+    def test_stacked_block_must_hold_four_gate_blocks(self):
+        van = init_params("vanilla", seed=0, input_dim=3, hidden=2)
+        cell = van.encoder._replace(wx=Matrix.zeros(3, 10))
+        with pytest.raises(ContractError, match=r"encoder\.wx is 3x10, not "
+                           "four gate blocks"):
+            replace(van, encoder=cell)
+        with pytest.raises(ContractError, match=r"encoder\.w_xi is 3x3, "
+                           "expected 3x2"):
+            replace(van, encoder=van.encoder._replace(wx=Matrix.zeros(3, 12)))
 
     def test_encoder_back_only_for_bilstm(self):
         bil = init_params("bilstm", seed=0, input_dim=3, hidden=2)
@@ -140,9 +172,9 @@ class TestParamShapes:
         van = init_params("vanilla", seed=0, input_dim=3, hidden=2)
         with pytest.raises(ContractError, match="encoder_back is present"):
             replace(van, encoder_back=bil.encoder_back)
-        bil.encoder_back.w_xi = Matrix.zeros(4, 2)
+        mapping = _items_with(bil, "encoder_back.w_xi", Matrix.zeros(4, 2))
         with pytest.raises(ContractError, match=r"encoder_back\.w_xi is 4x2"):
-            replace(bil)
+            params_from_items("bilstm", mapping)
 
     def test_decoder_width_follows_variant(self):
         bil = init_params("bilstm", seed=0, input_dim=3, hidden=2)
@@ -168,30 +200,37 @@ class TestParamShapes:
             replace(van, output_b=Matrix.zeros(1, 3))
 
 
+def _step(cell, x, h0, c0):
+    """One LSTM step from (h0, c0), a one-step lstm_sequence; (h, c) arrays."""
+    out = lstm_sequence(x, *cell, h0=h0, c0=c0).values
+    return out[:, :cell.hidden], out[:, cell.hidden:]
+
+
 class TestLstmStep:
     def test_zero_weights_halve_cell_state(self):
         cell = zero_params(init_params("vanilla", seed=0, input_dim=3,
                                        hidden=4)).encoder
         x = Matrix(np.random.default_rng(1).standard_normal((2, 3)))
         c_prev = Matrix(np.random.default_rng(2).standard_normal((2, 4)))
-        h, c = lstm_step(cell, x, Matrix.zeros(2, 4), c_prev)
+        h, c = _step(cell, x, Matrix.zeros(2, 4), c_prev)
         # all gates sit at hard_sigmoid(0) = 0.5 and the candidate is tanh(0)
-        np.testing.assert_array_equal(c.values, 0.5 * c_prev.values)
-        np.testing.assert_array_equal(h.values, 0.5 * np.tanh(0.5 * c_prev.values))
+        np.testing.assert_array_equal(c, 0.5 * c_prev.values)
+        np.testing.assert_array_equal(h, 0.5 * np.tanh(0.5 * c_prev.values))
 
     def test_saturated_input_gate_blocks_writes(self):
         params = zero_params(init_params("vanilla", seed=0, input_dim=3, hidden=4))
         cell = params.encoder
-        cell.b_i.values[:] = -1000.0  # far beyond the lower kink
+        cell.b.values[:, :4] = -1000.0  # b_i, far beyond the lower kink
         rng = np.random.default_rng(3)
         x = Matrix(rng.standard_normal((2, 3)))
         c_prev = Matrix(rng.standard_normal((2, 4)))
-        h, c = lstm_step(cell, x, Matrix.zeros(2, 4), c_prev)
-        np.testing.assert_array_equal(c.values, 0.5 * c_prev.values)
+        h, c = _step(cell, x, Matrix.zeros(2, 4), c_prev)
+        np.testing.assert_array_equal(c, 0.5 * c_prev.values)
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(17)
         cell = init_params("vanilla", seed=6, input_dim=4, hidden=5).encoder
+        wx, wh, bias = (m.values for m in cell)
         x = rng.standard_normal((3, 4))
         h0 = rng.standard_normal((3, 5))
         c0 = rng.standard_normal((3, 5))
@@ -203,43 +242,36 @@ class TestLstmStep:
         c_ref = np.zeros((3, 5))
         for b in range(3):
             for j in range(5):
-                zi = zf = zo = zc = 0.0
-                for k in range(4):
-                    zi += x[b, k] * cell.w_xi.values[k, j]
-                    zf += x[b, k] * cell.w_xf.values[k, j]
-                    zo += x[b, k] * cell.w_xo.values[k, j]
-                    zc += x[b, k] * cell.w_xc.values[k, j]
-                for k in range(5):
-                    zi += h0[b, k] * cell.w_hi.values[k, j]
-                    zf += h0[b, k] * cell.w_hf.values[k, j]
-                    zo += h0[b, k] * cell.w_ho.values[k, j]
-                    zc += h0[b, k] * cell.w_hc.values[k, j]
-                zi += cell.b_i.values[0, j]
-                zf += cell.b_f.values[0, j]
-                zo += cell.b_o.values[0, j]
-                zc += cell.b_c.values[0, j]
-                c_ref[b, j] = hs(zf) * c0[b, j] + hs(zi) * math.tanh(zc)
-                h_ref[b, j] = hs(zo) * math.tanh(c_ref[b, j])
+                # z[0..3] are the i, f, o, c pre-activations of unit j
+                z = [0.0] * 4
+                for gate in range(4):
+                    col = 5 * gate + j
+                    for k in range(4):
+                        z[gate] += x[b, k] * wx[k, col]
+                    for k in range(5):
+                        z[gate] += h0[b, k] * wh[k, col]
+                    z[gate] += bias[0, col]
+                c_ref[b, j] = hs(z[1]) * c0[b, j] + hs(z[0]) * math.tanh(z[3])
+                h_ref[b, j] = hs(z[2]) * math.tanh(c_ref[b, j])
 
-        h, c = lstm_step(cell, Matrix(x), Matrix(h0), Matrix(c0))
-        np.testing.assert_allclose(c.values, c_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(h.values, h_ref, rtol=0, atol=1e-12)
+        h, c = _step(cell, Matrix(x), Matrix(h0), Matrix(c0))
+        np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
 
     def test_shape_errors(self):
         cell = init_params("vanilla", seed=0, input_dim=3, hidden=4).encoder
         with pytest.raises(ShapeError):
-            lstm_step(cell, Matrix.zeros(2, 5), Matrix.zeros(2, 4),
-                      Matrix.zeros(2, 4))
+            _step(cell, Matrix.zeros(2, 5), Matrix.zeros(2, 4),
+                  Matrix.zeros(2, 4))
         with pytest.raises(ShapeError):
-            lstm_step(cell, Matrix.zeros(2, 3), Matrix.zeros(2, 3),
-                      Matrix.zeros(2, 4))
+            _step(cell, Matrix.zeros(2, 3), Matrix.zeros(2, 3),
+                  Matrix.zeros(2, 4))
 
 
 def _numpy_encode(cell, batch, reverse):
     """The lstm_sequence docstring equations in plain numpy, one step at a
     time; returns ([h, c, sequence], every i/f/o gate value)."""
-    wx, wh, b = (np.hstack([getattr(cell, f"{k}{g}").values for g in "ifoc"])
-                 for k in ("w_x", "w_h", "b_"))
+    wx, wh, b = (m.values for m in cell)
     n = cell.hidden
     h = c = np.zeros((batch.shape[0], n))
     seq, gates = [], []
@@ -257,11 +289,13 @@ def _numpy_encode(cell, batch, reverse):
 def _unrolled_encode(cell, batch, reverse):
     # A chain of one-step lstm_sequence calls, each from the last states.
     n, steps, _ = batch.shape
-    h = Matrix.zeros(n, cell.hidden)
-    c = Matrix.zeros(n, cell.hidden)
+    width = cell.hidden
+    h = Matrix.zeros(n, width)
+    c = Matrix.zeros(n, width)
     seq = []
     for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
-        h, c = lstm_step(cell, Matrix(batch[:, t, :]), h, c)
+        out = lstm_sequence(Matrix(batch[:, t, :]), *cell, h0=h, c0=c)
+        h, c = slice_cols(out, 0, width), slice_cols(out, width, 2 * width)
         seq.append(h)
     return h, c, concat_cols(seq)
 
@@ -279,8 +313,7 @@ class TestFusedEncoder:
             cell = init_params("vanilla", seed=steps, input_dim=4,
                                hidden=5).encoder
             batch = rng.standard_normal((3, steps, 4)) * spread
-            weights = [Matrix(rng.standard_normal((3, w)))
-                       for w in (5, 5, 5 * steps)]
+            target = Matrix(rng.standard_normal((3, 5 * (2 + steps))))
 
             want_out, gates = _numpy_encode(cell, batch, reverse)
             if spread > 1.0:
@@ -291,12 +324,10 @@ class TestFusedEncoder:
                     lambda: _unrolled_encode(cell, batch, reverse)):
                 with Tape() as tape:
                     outs = encode()
-                    loss = sum_reduce(hadamard(concat_cols(outs),
-                                               concat_cols(weights)))
-                grads = tape.backward(loss, wrt=[m for _, m in cell.items("e")])
+                    loss = mse(concat_cols(outs), target)
+                grads = tape.backward(loss, wrt=list(cell))
                 results.append(([m.values for m in outs],
-                                [grads[tape.node_id(m)].values
-                                 for _, m in cell.items("e")]))
+                                [grads[tape.node_id(m)].values for m in cell]))
             (fused_out, fused_grad), (step_out, step_grad) = results
             for a, b, want in zip(fused_out, step_out, want_out):
                 np.testing.assert_allclose(a, want, rtol=0, atol=1e-12)
@@ -314,6 +345,19 @@ class TestFusedEncoder:
                     forward_for_training(params, rng.standard_normal((2, steps, 3)))
                 sizes[variant, steps] = len(tape)
             assert sizes[variant, 2] == sizes[variant, 40], variant
+
+    @pytest.mark.parametrize("variant,nodes,leaves", [
+        ("vanilla", 18, 10), ("attention", 23, 10), ("bilstm", 27, 14)])
+    def test_training_step_tape_size(self, variant, nodes, leaves):
+        # Leaves: wx, wh and b of each cell, the output map's two blocks,
+        # the batch and the target.
+        rng = np.random.default_rng(22)
+        params = init_params(variant, seed=0, input_dim=3, hidden=4)
+        with Tape() as tape:
+            pred = forward_for_training(params, rng.standard_normal((2, 5, 3)))
+            mse(pred, Matrix(rng.standard_normal((2, 4))))
+        assert len(tape) == nodes
+        assert sum(node.op == "leaf" for node in tape.nodes) == leaves
 
 
 class TestForwardShapes:
@@ -392,7 +436,7 @@ class TestWiring:
         batch = rng.standard_normal((2, 9, 5))
         base = predict(params, batch)
         # perturb only the reverse encoder: output must move
-        params.encoder_back.w_xc.values[:] += 0.5
+        dict(params.items())["encoder_back.w_xc"].values[:] += 0.5
         assert np.abs(predict(params, batch) - base).max() > 1e-9
 
     def test_attention_reduces_to_vanilla_when_context_rows_zeroed(self):
@@ -400,12 +444,8 @@ class TestWiring:
         hidden = 8
         van = init_params("vanilla", seed=5, input_dim=6, hidden=hidden)
         att = init_params("attention", seed=6, input_dim=6, hidden=hidden)
-        for (_, src), (_, dst) in zip(van.encoder.items("e"),
-                                      att.encoder.items("e")):
-            dst.values[:] = src.values
-        for (_, src), (_, dst) in zip(van.decoder.items("d"),
-                                      att.decoder.items("d")):
-            dst.values[:] = src.values
+        for src, dst in zip(van.matrices()[:6], att.matrices()[:6]):
+            dst.values[:] = src.values  # the encoder's and decoder's blocks
         # [context | decoder] feeds the head: rows 0..hidden multiply the
         # context, so zeroing them must recover the vanilla output exactly
         att.output_w.values[:hidden] = 0.0
@@ -487,6 +527,19 @@ class TestDescribeAndRebuild:
             for (na, ma), (nb, mb) in zip(params.items(), rebuilt.items()):
                 assert na == nb
                 np.testing.assert_array_equal(ma.values, mb.values)
+
+    def test_items_are_gate_views_of_the_stacked_blocks(self):
+        params = init_params("bilstm", seed=1, input_dim=3, hidden=2)
+        blocks = dict(params.items())
+        for prefix in ("encoder", "encoder_back", "decoder"):
+            for kind, stacked in zip(("w_x", "w_h", "b_"),
+                                     getattr(params, prefix)):
+                np.testing.assert_array_equal(
+                    np.hstack([blocks[f"{prefix}.{kind}{g}"].values
+                               for g in "ifoc"]), stacked.values)
+        # The decoder is 4 wide, so its output gate's bias starts at column 8.
+        blocks["decoder.b_o"].values[0, 1] = 7.0
+        assert params.decoder.b.values[0, 9] == 7.0
 
     def test_params_from_items_missing_block(self):
         params = init_params("vanilla", seed=0, input_dim=3, hidden=2)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ class TestAdam:
         with pytest.raises(TrainingError, match="decoder.w_hf"):
             adam_step(params, grads, AdamState.for_params(params), self.cfg())
 
+    @pytest.mark.parametrize("name,shape", [
+        ("encoder.w_xi", (1, 2)), ("output.b", (1, 1)), ("output.w", (4, 2))])
+    def test_misshapen_gradient_block_named(self, name, shape):
+        # The first two would broadcast into every row or column of their
+        # (2, 2) and (1, 4) parameters; the transposed one would not fit.
+        params = tiny_params()
+        before = [m.values.copy() for m in params.matrices()]
+        grads = self.grads_like(params, 0.0)
+        grads[name] = np.ones(shape)
+        with pytest.raises(TrainingError,
+                           match=rf"{re.escape(name)}' has shape "
+                           rf"{re.escape(str(shape))}"):
+            adam_step(params, grads, AdamState.for_params(params), self.cfg())
+        for was, m in zip(before, params.matrices()):
+            np.testing.assert_array_equal(m.values, was)
+
     def test_misaligned_keys_rejected(self):
         params = tiny_params()
         grads = self.grads_like(params, 0.0)
@@ -331,6 +348,20 @@ class TestTrainGrouped:
 
 
 class TestCheckpoint:
+    # A bilstm checkpoint written by an earlier release, whose LSTM cells
+    # held one matrix per gate, with the CLI quick-start settings (window
+    # 16, spans [2, 4], hidden 4, seed 0).
+    V1_FIXTURE = Path(__file__).parent / "data" / "quickstart_bilstm_v1.ckpt"
+
+    def test_v1_fixture_loads_and_saves_byte_identically(self, tmp_path):
+        params, stats, feature_config = load_checkpoint(self.V1_FIXTURE)
+        assert (params.variant, params.input_dim, params.hidden) == (
+            "bilstm", 39, 4)
+        assert feature_config == SMALL_FEATURES
+        path = tmp_path / "again.ckpt"
+        save_checkpoint(params, stats, path, feature_config=feature_config)
+        assert path.read_bytes() == self.V1_FIXTURE.read_bytes()
+
     def roundtrip(self, tmp_path, variant):
         ds = small_split(profiles=2, length=40)
         stats = fit_standardization(ds.train, SMALL_FEATURES)
@@ -586,8 +617,9 @@ class TestCheckpoint:
 
     def test_rejects_non_finite_parameters(self, tmp_path):
         params, _, path = self.roundtrip(tmp_path, "attention")
-        values = np.concatenate([m.values.ravel() for m in params.matrices()])
-        start = sum(m.values.size for m in params.matrices()[:-2])
+        blocks = [m for _, m in params.items()]
+        values = np.concatenate([m.values.ravel() for m in blocks])
+        start = sum(m.values.size for m in blocks[:-2])
         values[start + 3] = np.inf  # inside output.w
         self.rewrite(path, lambda h: None, values)
         with pytest.raises(CheckpointError,
