@@ -49,11 +49,9 @@ from .features import (
 )
 from .models import (
     VARIANTS,
-    AttentionTrace,
     LstmCellParams,
     ModelParams,
     count_params,
-    forward_attention,
     init_params,
     predict,
 )

@@ -432,6 +432,11 @@ def mse(pred: Matrix, target: Matrix) -> Matrix:
             f"mse: shapes {pred.rows}x{pred.cols} and "
             f"{target.rows}x{target.cols} differ"
         )
+    if pred.values.size == 0:
+        raise ShapeError(
+            f"mse: shapes {pred.rows}x{pred.cols} and "
+            f"{target.rows}x{target.cols} are empty"
+        )
     diff = pred.values - target.values
     k = 1.0 / diff.size
     out = Matrix._wrap(np.array([[k * (diff * diff).sum()]]))

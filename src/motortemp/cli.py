@@ -347,6 +347,7 @@ def cmd_train(args, parser) -> int:
     feature_config = _feature_config(settings)
     train_config = _train_config(settings)
     hidden = settings.get("hidden", "integer", _HIDDEN)
+    models._check_widths(hidden=hidden)
     data = _data_path(settings, parser.error)
     frames = dataio.load_csv(data)
     test_ids = _test_ids(settings, frames)

@@ -122,13 +122,13 @@ def _profile_id(cell: str) -> int:
     return int(value)
 
 
-def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
+def load_csv(path) -> list[ProfileFrame]:
     """Read a combined recording CSV into one ProfileFrame per session.
 
     The file must carry a ``profile_id`` column plus every attribute in
-    ``schema``.  Extra columns are ignored with a warning.  Frames come back
-    in order of first appearance, rows in file order.  Each profile's rows
-    must be one contiguous run.  A cell that is not a finite number, a
+    ``ATTRIBUTES``.  Extra columns are ignored with a warning.  Frames come
+    back in order of first appearance, rows in file order.  Each profile's
+    rows must be one contiguous run.  A cell that is not a finite number, a
     profile_id that is not a whole number held exactly, a row too short to
     hold every column and a profile that resumes after another one started
     raise CsvParseError with the rows at fault.
@@ -140,16 +140,16 @@ def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
         except StopIteration:
             raise SchemaError(f"{path}: file is empty")
         header = [h.strip() for h in header]
-        missing = [c for c in (PROFILE_COLUMN, *schema) if c not in header]
+        missing = [c for c in (PROFILE_COLUMN, *ATTRIBUTES) if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
-        extra = [c for c in header if c != PROFILE_COLUMN and c not in schema]
+        extra = [c for c in header if c != PROFILE_COLUMN and c not in ATTRIBUTES]
         if extra:
             warnings.warn(
                 f"{path}: ignoring unrecognized columns: {', '.join(extra)}",
                 stacklevel=2,
             )
-        col_idx = {c: header.index(c) for c in (PROFILE_COLUMN, *schema)}
+        col_idx = {c: header.index(c) for c in (PROFILE_COLUMN, *ATTRIBUTES)}
         needed = max(col_idx.values()) + 1
 
         buckets: dict[int, dict[str, list[float]]] = {}
@@ -179,12 +179,12 @@ def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
                     f"{order[-1]} started in between"
                 )
             if pid not in buckets:
-                buckets[pid] = {name: [] for name in schema}
+                buckets[pid] = {name: [] for name in ATTRIBUTES}
                 row_numbers[pid] = []
                 order.append(pid)
             row_numbers[pid].append(row_no)
             bucket = buckets[pid]
-            for name in schema:
+            for name in ATTRIBUTES:
                 cell = row[col_idx[name]]
                 try:
                     bucket[name].append(float(cell))
@@ -209,18 +209,18 @@ def load_csv(path, schema=ATTRIBUTES) -> list[ProfileFrame]:
     return frames
 
 
-def save_csv(frames, path, schema=ATTRIBUTES) -> None:
+def save_csv(frames, path) -> None:
     """Write frames back to the combined CSV layout load_csv reads.
 
     Floats are serialized with repr so a round trip is exact.
     """
     frames = list(frames)
     for frame in frames:
-        frame.require(schema)
+        frame.require(ATTRIBUTES)
     pids = np.repeat([f.profile_id for f in frames], [f.n_samples for f in frames])
-    write_csv(path, [PROFILE_COLUMN, *schema], [pids, *(
+    write_csv(path, [PROFILE_COLUMN, *ATTRIBUTES], [pids, *(
         np.concatenate([np.empty(0), *(f.columns[name] for f in frames)])
-        for name in schema)])
+        for name in ATTRIBUTES)])
 
 
 _CSV_CHUNK = 1 << 16  # rows per pass: bounds the Python objects alive at once

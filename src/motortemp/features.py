@@ -293,9 +293,6 @@ class Standardization:
     target_mean: np.ndarray
     target_std: np.ndarray
 
-    def transform_channels(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.channel_mean) / self.channel_std
-
     def transform_targets(self, t: np.ndarray) -> np.ndarray:
         return (t - self.target_mean) / self.target_std
 

@@ -48,8 +48,6 @@ __all__ = [
     "VARIANTS",
     "LstmCellParams",
     "ModelParams",
-    "AttentionTrace",
-    "forward_attention",
     "forward_for_training",
     "predict",
     "init_params",
@@ -63,6 +61,8 @@ VARIANTS = ("vanilla", "bilstm", "attention")
 GATES = ("i", "f", "o", "c")
 # Per-gate block names are {cell}.{kind}{gate}, e.g. encoder.w_xi or decoder.b_f.
 KINDS = ("w_x", "w_h", "b_")
+# The four target temperatures.
+OUTPUTS = 4
 
 
 def _widths(variant: str, hidden: int) -> tuple[int, int]:
@@ -133,21 +133,6 @@ class LstmCellParams(NamedTuple):
 
 
 @dataclass
-class AttentionTrace:
-    """Per-window attention internals kept for inspection.
-
-    ``alignment`` is (batch, window) with rows on the simplex, ``context``
-    the (batch, hidden) weighted encoder state, ``attentional`` the
-    (batch, 2*hidden) concatenation [context | decoder hidden] that feeds
-    the output map.
-    """
-
-    alignment: Matrix
-    context: Matrix
-    attentional: Matrix
-
-
-@dataclass
 class ModelParams:
     """All weights of one architecture variant plus the linear output map."""
 
@@ -187,6 +172,13 @@ class ModelParams:
         return ([m for name in _cell_names(self.variant)
                  for m in getattr(self, name)]
                 + [self.output_w, self.output_b])
+
+    def block_names(self) -> list[str]:
+        """Names of the ``matrices()`` blocks: ``encoder.wx`` ...
+        ``output.b``."""
+        return ([f"{prefix}.{field}" for prefix in _cell_names(self.variant)
+                 for field in LstmCellParams._fields]
+                + ["output.w", "output.b"])
 
     def per_gate(self, blocks) -> list[tuple[str, Matrix]]:
         """Name ``blocks`` that align with ``matrices()`` (the parameters,
@@ -286,22 +278,31 @@ def _init_cell(rng: np.random.Generator, input_dim: int, hidden: int) -> LstmCel
     return LstmCellParams(Matrix._wrap(wx), Matrix._wrap(wh), Matrix._wrap(b))
 
 
+def _check_widths(**widths) -> None:
+    """Raise ContractError naming the first of ``widths`` below 1."""
+    for name, value in widths.items():
+        if value < 1:
+            raise ContractError(f"{name} must be at least 1, got {value}")
+
+
 def init_params(variant: str, seed: int, input_dim: int = 65,
-                hidden: int = 100, output_dim: int = 4) -> ModelParams:
+                hidden: int = 100) -> ModelParams:
     """Seeded initialization: Glorot-uniform input and output maps,
     orthogonal recurrent matrices, zero biases except the forget gate's.
 
     The draw order is fixed (encoder, reverse encoder, decoder, output map),
-    so identical arguments always produce identical weights.
+    so identical arguments always produce identical weights.  The output map
+    gives the four target temperatures.
     """
+    _check_widths(input_dim=input_dim, hidden=hidden)
     rng = np.random.default_rng(seed)
     wide, head_in = _widths(variant, hidden)
     encoder = _init_cell(rng, input_dim, hidden)
     encoder_back = (_init_cell(rng, input_dim, hidden)
                     if variant == "bilstm" else None)
     decoder = _init_cell(rng, wide, wide)
-    output_w = Matrix._wrap(_glorot(rng, head_in, output_dim))
-    output_b = Matrix.zeros(1, output_dim)
+    output_w = Matrix._wrap(_glorot(rng, head_in, OUTPUTS))
+    output_b = Matrix.zeros(1, OUTPUTS)
     return ModelParams(variant, encoder, decoder, output_w, output_b,
                        encoder_back=encoder_back)
 
@@ -370,27 +371,21 @@ def _head(params: ModelParams, h: Matrix) -> Matrix:
     return add(matmul(h, params.output_w), params.output_b)
 
 
-def _attend(h_de: Matrix, sequence):
-    """Dot-product alignment of one decoder state against encoder states.
+def _attend(h_de: Matrix, sequence: Matrix) -> Matrix:
+    """The context of one decoder state over the encoder states.
 
     score_t = <h_de, h_t> per batch row; weights = softmax over the window;
     context = sum_t weight_t * h_t.  ``sequence`` is the (batch,
-    window * hidden) matrix ``_encode`` keeps, or a list of (batch, hidden)
-    states.  Returns (alignment, context).
+    window * hidden) matrix ``_encode`` keeps.  The weights stay in the
+    ``attend`` node's output, beside the context.
     """
-    if not isinstance(sequence, Matrix):
-        sequence = concat_cols(sequence)
-    steps = sequence.cols // h_de.cols
     out = attend(h_de, sequence)
-    return slice_cols(out, 0, steps), slice_cols(out, steps, out.cols)
+    return slice_cols(out, sequence.cols // h_de.cols, out.cols)
 
 
-def _graph(params: ModelParams, batch: np.ndarray):
-    """The encoder-decoder graph of every variant.
-
-    Returns the (batch, output_dim) Matrix and, for ``attention``, the
-    AttentionTrace (None otherwise).
-    """
+def _graph(params: ModelParams, batch: np.ndarray) -> Matrix:
+    """The encoder-decoder graph of every variant; returns the
+    (batch, output_dim) Matrix."""
     attention = params.variant == "attention"
     h, c, seq = _encode(params.encoder, batch, keep_sequence=attention)
     if params.encoder_back is not None:
@@ -401,35 +396,21 @@ def _graph(params: ModelParams, batch: np.ndarray):
     h_de = slice_cols(lstm_sequence(h, *params.decoder, h0=h, c0=c),
                       0, h.cols)
     if not attention:
-        return _head(params, h_de), None
-    alignment, context = _attend(h_de, seq)
-    attentional = concat_cols([context, h_de])
-    return (_head(params, attentional),
-            AttentionTrace(alignment, context, attentional))
-
-
-def forward_attention(params: ModelParams, batch):
-    """Attention pass; returns ((batch, 1, output_dim), AttentionTrace)."""
-    if params.variant != "attention":
-        raise ContractError(
-            f"model variant is {params.variant!r}, expected 'attention'"
-        )
-    arr = _check_batch(params, batch)
-    y, trace = _graph(params, arr)
-    return y.values.reshape(arr.shape[0], 1, params.output_dim), trace
+        return _head(params, h_de)
+    # The attentional state [context | decoder state] feeds the output map.
+    return _head(params, concat_cols([_attend(h_de, seq), h_de]))
 
 
 def forward_for_training(params: ModelParams, batch) -> Matrix:
     """Forward pass for any variant; returns the (batch, output_dim) Matrix,
     recorded on the open tape if there is one."""
-    return _graph(params, _check_batch(params, batch))[0]
+    return _graph(params, _check_batch(params, batch))
 
 
 def predict(params: ModelParams, batch) -> np.ndarray:
     """Forward pass for any variant; returns (batch, 1, output_dim)."""
     arr = _check_batch(params, batch)
-    y, _ = _graph(params, arr)
-    return y.values.reshape(arr.shape[0], 1, params.output_dim)
+    return _graph(params, arr).values.reshape(arr.shape[0], 1, params.output_dim)
 
 
 def describe_layers(params: ModelParams, window: int = 180) -> list[tuple[str, str, str]]:

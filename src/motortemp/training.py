@@ -112,19 +112,17 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators, keyed like params.items()."""
+    """First and second moment accumulators, one of each per block of
+    ``params.matrices()``, in that order."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: list = field(default_factory=list)
+    v: list = field(default_factory=list)
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        state = cls()
-        for name, mat in params.items():
-            state.m[name] = np.zeros(mat.shape)
-            state.v[name] = np.zeros(mat.shape)
-        return state
+        shapes = [mat.shape for mat in params.matrices()]
+        return cls([np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes])
 
 
 def mse_loss(predictions, targets) -> float:
@@ -139,7 +137,7 @@ def mse_loss(predictions, targets) -> float:
     return float(np.mean(d * d))
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState,
+def adam_step(params: ModelParams, grads, state: AdamState,
               config: TrainConfig) -> None:
     """One bias-corrected Adam update, in place.
 
@@ -149,52 +147,63 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
         v <- beta2 v + (1-beta2) g^2      v_hat = v / (1 - beta2^t)
         theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
 
-    Gradient blocks must align exactly with the parameter blocks, in name
-    and shape; any non-finite gradient aborts the step.  When ``clip_norm``
-    is set the whole gradient is rescaled so its global L2 norm does not
-    exceed it.
+    ``grads`` holds one block per block of ``params.matrices()``, in that
+    order and of the same shapes; any non-finite gradient aborts the step
+    and names its gate block.  When ``clip_norm`` is set the whole gradient
+    is rescaled so its global L2 norm, summed over the gate blocks of
+    ``params.items()`` in order, does not exceed it.
     """
-    items = params.items()
-    names = [name for name, _ in items]
-    if set(grads) != set(names):
-        missing = sorted(set(names) - set(grads))
-        surplus = sorted(set(grads) - set(names))
+    mats = params.matrices()
+    names = params.block_names()
+    gs = [g.values if isinstance(g, Matrix) else np.asarray(g, dtype=np.float64)
+          for g in grads]
+    if len(gs) != len(names):
         raise TrainingError(
-            f"gradient blocks misaligned; missing {missing}, unexpected {surplus}"
+            f"gradient blocks misaligned: {len(gs)} given for the "
+            f"{len(names)} parameter blocks; "
+            + (f"missing {names[len(gs):]}" if len(gs) < len(names)
+               else f"unexpected blocks past {names[-1]}")
         )
-    gs = {}
-    for name, mat in items:
-        g = grads[name]
-        arr = g.values if isinstance(g, Matrix) else np.asarray(g, dtype=np.float64)
+    for name, mat, arr in zip(names, mats, gs):
         if arr.shape != mat.shape:
             raise TrainingError(
                 f"gradient block {name!r} has shape {arr.shape}, its "
                 f"parameter {mat.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise TrainingError(f"non-finite gradient in block {name!r}")
-        gs[name] = arr
+    if [a.shape for a in state.m + state.v] != [m.shape for m in mats] * 2:
+        raise TrainingError(
+            "Adam moments do not fit the parameter blocks; build the state "
+            "with AdamState.for_params"
+        )
+    gate_grads = params.per_gate(Matrix._wrap(a) for a in gs)
+    if not all(np.isfinite(a).all() for a in gs):
+        name = next(name for name, g in gate_grads
+                    if not np.isfinite(g.values).all())
+        raise TrainingError(f"non-finite gradient in block {name!r}")
 
     if config.clip_norm is not None:
-        total = np.sqrt(sum(float((a * a).sum()) for a in gs.values()))
+        total = np.sqrt(sum(float((g.values * g.values).sum())
+                            for _, g in gate_grads))
         if total > config.clip_norm:
             factor = config.clip_norm / total
-            gs = {name: a * factor for name, a in gs.items()}
+            gs = [a * factor for a in gs]
 
     state.step += 1
     t = state.step
     correct1 = 1.0 - config.beta1 ** t
     correct2 = 1.0 - config.beta2 ** t
-    for name, mat in items:
-        g = gs[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        update = (m / correct1) / (np.sqrt(v / correct2) + config.eps)
-        mat.values -= config.learning_rate * update
+    for mat, grad, m_all, v_all in zip(mats, gs, state.m, state.v):
+        # Rows of about 32k entries at a time keep the temporaries in cache.
+        chunk = max(1, 32768 // mat.cols)
+        for at in range(0, mat.rows, chunk):
+            rows = slice(at, at + chunk)
+            g, m, v, theta = grad[rows], m_all[rows], v_all[rows], mat.values[rows]
+            m *= config.beta1
+            m += (1.0 - config.beta1) * g
+            v *= config.beta2
+            v += (1.0 - config.beta2) * (g * g)
+            update = (m / correct1) / (np.sqrt(v / correct2) + config.eps)
+            theta -= config.learning_rate * update
 
 
 def epoch_batches(n_windows: int, batch_size: int, rng: np.random.Generator):
@@ -226,8 +235,7 @@ def _train_step(params, state, cfg, stats, inputs, raw_targets):
         loss = mse(pred, Matrix._wrap(targets))
     leaves = params.matrices()
     gradmap = tape.backward(loss, wrt=leaves)
-    grads = dict(params.per_gate(gradmap[tape.node_id(m)] for m in leaves))
-    adam_step(params, grads, state, cfg)
+    adam_step(params, [gradmap[tape.node_id(m)] for m in leaves], state, cfg)
     return float(loss.values[0, 0])
 
 

@@ -66,6 +66,48 @@ def check_model_gradients(params, batch, targets, rel_tol=1e-4, floor=1e-6):
         assert_grads_close(analytic[name], numeric, rel_tol, floor)
 
 
+def taped_attention(params, batch):
+    """The nodes of a taped attention forward: the ``attend`` node, whose
+    output is [alignment | context], and the attentional state that feeds
+    the output map's matmul."""
+    with Tape() as tape:
+        forward_for_training(params, batch)
+    (node,) = [nd for nd in tape.nodes if nd.op == "attend"]
+    head = [nd for nd in tape.nodes if nd.op == "matmul"][-1]
+    return node, tape.nodes[head.inputs[0]]
+
+
+def reference_adam_step(params, grads, state, config):
+    """Adam as it runs on the per-gate blocks of ``params.items()``: the
+    reference that ``training.adam_step`` must match bit for bit.
+
+    ``grads`` maps each gate block name to its gradient; ``state`` is a
+    dict of per-gate ``m`` and ``v`` dicts (filled on first use) and the
+    ``step`` count.
+    """
+    items = params.items()
+    gs = dict(grads)
+    if config.clip_norm is not None:
+        total = np.sqrt(sum(float((a * a).sum()) for a in gs.values()))
+        if total > config.clip_norm:
+            factor = config.clip_norm / total
+            gs = {name: a * factor for name, a in gs.items()}
+    state["step"] += 1
+    t = state["step"]
+    correct1 = 1.0 - config.beta1 ** t
+    correct2 = 1.0 - config.beta2 ** t
+    for name, mat in items:
+        g = gs[name]
+        m = state["m"].setdefault(name, np.zeros(mat.shape))
+        v = state["v"].setdefault(name, np.zeros(mat.shape))
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * (g * g)
+        update = (m / correct1) / (np.sqrt(v / correct2) + config.eps)
+        mat.values -= config.learning_rate * update
+
+
 def make_frame(pid=1, n=8, **overrides):
     """A tiny ProfileFrame with every standard attribute present."""
     rng = np.random.default_rng(pid * 1000 + n)

@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import check_model_gradients
+from helpers import check_model_gradients, taped_attention
 from motortemp import cli
-from motortemp.autodiff import Matrix
+from motortemp.autodiff import Matrix, attend
 from motortemp.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from motortemp.dataio import load_csv, split, synthesize
 from motortemp.evaluation import compute_metrics, evaluate, time_inference
@@ -28,9 +28,7 @@ from motortemp.features import (
 )
 from motortemp.models import (
     VARIANTS,
-    _attend,
     count_params,
-    forward_attention,
     init_params,
     predict,
 )
@@ -114,17 +112,17 @@ def test_04_alignment_invariants():
         params = init_params("attention", seed=int(rng.integers(1000)),
                              input_dim=4, hidden=6)
         batch = rng.standard_normal((batch_n, window, 4))
-        _, trace = forward_attention(params, batch)
-        a = trace.alignment.values
+        node, _ = taped_attention(params, batch)
+        a = node.out.values[:, :window]
         assert (a >= 0.0).all()
         np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-6)
 
     # identical encoder states at every step: weights must be exactly uniform
-    state = Matrix(np.tile(rng.standard_normal(6), (3, 1)))
-    seq = [state] * 180
+    state = np.tile(rng.standard_normal(6), (3, 1))
+    seq = Matrix(np.tile(state, (1, 180)))
     h_de = Matrix(rng.standard_normal((3, 6)))
-    alignment, _ = _attend(h_de, seq)
-    np.testing.assert_array_equal(alignment.values, np.full((3, 180), 1.0 / 180.0))
+    alignment = attend(h_de, seq).values[:, :180]
+    np.testing.assert_array_equal(alignment, np.full((3, 180), 1.0 / 180.0))
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     ok(4, "alignment rows non-negative and sum to 1 over 100 random passes; "

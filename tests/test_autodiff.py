@@ -135,6 +135,10 @@ class TestMse:
         with pytest.raises(ShapeError, match="2x3 and 3x2"):
             mse(Matrix.zeros(2, 3), Matrix.zeros(3, 2))
 
+    def test_empty_matrices_are_a_shape_error(self):
+        with pytest.raises(ShapeError, match="0x4 and 0x4 are empty"):
+            mse(Matrix.zeros(0, 4), Matrix.zeros(0, 4))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         pred, target = _r(rng, 3, 4), _r(rng, 3, 4)

@@ -270,6 +270,16 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("hidden", ["0", "-1"])
+    def test_hidden_below_one_exits_1_before_out(self, tmp_path, capsys,
+                                                 hidden):
+        assert run(["train", "--data", recording(tmp_path, 2, 40),
+                    f"--hidden={hidden}", "--out", str(tmp_path / "run"),
+                    *self.BASE]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: hidden must be at least 1, got {hidden}\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("content,position", [
         (b'{"window": 16,', "line 1 column 15 (char 14)"),
         (b'{"window": \xff}', "position 11")])

@@ -288,11 +288,16 @@ AMBIENT_ONLY = FeatureConfig(predictors=("ambient",), synthetic=(), spans=(1,),
                              window=1)
 
 
+def _standardized(stats, x):
+    """The reference affine map of the fitted channel statistics."""
+    return (x - stats.channel_mean) / stats.channel_std
+
+
 class TestStandardize:
     def test_two_point_column(self):
         frame = make_frame(n=2, ambient=[0.0, 2.0])
         stats = fit_standardization([frame], AMBIENT_ONLY)
-        out = stats.transform_channels(channel_matrix(frame, AMBIENT_ONLY))
+        out = _standardized(stats, channel_matrix(frame, AMBIENT_ONLY))
         np.testing.assert_array_equal(out, [[-1.0, -1.0], [1.0, 1.0]])
         np.testing.assert_array_equal(stats.channel_mean, [1.0, 1.0])
         np.testing.assert_array_equal(stats.channel_std, [1.0, 1.0])
@@ -301,17 +306,17 @@ class TestStandardize:
         frame = make_frame(n=10, ambient=np.full(10, 4.0))
         stats = fit_standardization([frame], AMBIENT_ONLY)
         np.testing.assert_array_equal(stats.channel_std, [1e-8, 1e-8])
-        out = stats.transform_channels(channel_matrix(frame, AMBIENT_ONLY))
+        out = _standardized(stats, channel_matrix(frame, AMBIENT_ONLY))
         assert np.isfinite(out).all()
 
     def test_fit_on_standardized_is_identity(self):
         rng = np.random.default_rng(5)
         frame = make_frame(n=200, ambient=rng.standard_normal(200) * 7 + 2)
         stats = fit_standardization([frame], AMBIENT_ONLY)
-        once = stats.transform_channels(channel_matrix(frame, AMBIENT_ONLY))
+        once = _standardized(stats, channel_matrix(frame, AMBIENT_ONLY))
         again = make_frame(n=200, ambient=once[:, 0])
         stats2 = fit_standardization([again], AMBIENT_ONLY)
-        twice = stats2.transform_channels(channel_matrix(again, AMBIENT_ONLY))
+        twice = _standardized(stats2, channel_matrix(again, AMBIENT_ONLY))
         assert np.abs(stats2.channel_mean).max() < 1e-9
         assert np.abs(stats2.channel_std - 1.0).max() < 1e-9
         np.testing.assert_allclose(twice, once, rtol=0, atol=1e-9)
@@ -319,13 +324,14 @@ class TestStandardize:
     def test_reusing_stats_is_pure(self):
         rng = np.random.default_rng(6)
         train = make_frame(n=50, ambient=rng.standard_normal(50))
-        test = channel_matrix(make_frame(n=30, ambient=rng.standard_normal(30)),
-                              AMBIENT_ONLY)
+        test = [make_frame(pid=2, n=30, ambient=rng.standard_normal(30))]
         stats = fit_standardization([train], AMBIENT_ONLY)
         mean_before = stats.channel_mean.copy()
-        first = stats.transform_channels(test)
-        second = stats.transform_channels(test)
+        first, second = (build_dataset(test, AMBIENT_ONLY, stats=stats)
+                         .gather(np.arange(30))[0] for _ in range(2))
         np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(
+            first[:, 0], _standardized(stats, channel_matrix(test[0], AMBIENT_ONLY)))
         np.testing.assert_array_equal(stats.channel_mean, mean_before)
 
     def test_fit_standardization_floors_target_std(self):
@@ -419,7 +425,7 @@ class TestWindowize:
         _, ends = ds.provenance()
         end = ends[-1]
         raw = channel_matrix(frames[0], config)[end - config.window + 1:end + 1]
-        np.testing.assert_array_equal(inputs[-1], stats.transform_channels(raw))
+        np.testing.assert_array_equal(inputs[-1], _standardized(stats, raw))
 
     def test_gather_equals_slices_of_each_standardized_profile(self):
         frames = [ProfileFrame(pid, synthesize(seed=pid, profiles=1, length=n)[0].columns)
@@ -432,7 +438,7 @@ class TestWindowize:
         idx = np.concatenate([
             np.random.default_rng(0).integers(0, ds.n_windows, 40), last])
         inputs, targets = ds.gather(idx)
-        blocks = {f.profile_id: (stats.transform_channels(channel_matrix(f, config)),
+        blocks = {f.profile_id: (_standardized(stats, channel_matrix(f, config)),
                                  target_matrix(f)) for f in frames}
         for k, row in enumerate(idx):
             chans, tgts = blocks[pids[row]]

@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import check_model_gradients, zero_params
+from helpers import check_model_gradients, taped_attention, zero_params
 from motortemp import models
 from motortemp.autodiff import (
     ContractError,
     Matrix,
     ShapeError,
     Tape,
+    attend,
     concat_cols,
     lstm_sequence,
     mse,
@@ -25,7 +26,6 @@ from motortemp.models import (
     _encode,
     count_params,
     describe_layers,
-    forward_attention,
     forward_for_training,
     init_params,
     params_from_items,
@@ -48,6 +48,15 @@ class TestParameterCounts:
 
 
 class TestInit:
+    @pytest.mark.parametrize("widths,name", [
+        ({"hidden": 0}, "hidden"), ({"hidden": -1}, "hidden"),
+        ({"input_dim": 0}, "input_dim")])
+    def test_refuses_widths_below_one(self, widths, name):
+        with pytest.raises(ContractError,
+                           match=f"{name} must be at least 1, got "
+                                 f"{widths[name]}"):
+            init_params("vanilla", seed=0, **widths)
+
     def test_deterministic(self):
         a = init_params("bilstm", seed=42, input_dim=7, hidden=6)
         b = init_params("bilstm", seed=42, input_dim=7, hidden=6)
@@ -347,7 +356,7 @@ class TestFusedEncoder:
             assert sizes[variant, 2] == sizes[variant, 40], variant
 
     @pytest.mark.parametrize("variant,nodes,leaves", [
-        ("vanilla", 18, 10), ("attention", 23, 10), ("bilstm", 27, 14)])
+        ("vanilla", 18, 10), ("attention", 22, 10), ("bilstm", 27, 14)])
     def test_training_step_tape_size(self, variant, nodes, leaves):
         # Leaves: wx, wh and b of each cell, the output map's two blocks,
         # the batch and the target.
@@ -368,12 +377,6 @@ class TestForwardShapes:
         out = predict(params, batch)
         assert out.shape == (8, 1, 4)
 
-    def test_variant_dispatch_guard(self):
-        params = init_params("vanilla", seed=1, input_dim=3, hidden=4)
-        batch = np.zeros((2, 5, 3))
-        with pytest.raises(ContractError, match="vanilla"):
-            forward_attention(params, batch)
-
     def test_batch_validation(self):
         params = init_params("vanilla", seed=1, input_dim=3, hidden=4)
         with pytest.raises(ShapeError):
@@ -393,9 +396,6 @@ class TestForwardShapes:
         with Tape():
             taped = forward_for_training(params, batch)
         np.testing.assert_array_equal(taped.values, want)
-        if variant == "attention":
-            out, _ = forward_attention(params, batch)
-            np.testing.assert_array_equal(out.reshape(6, -1), want)
 
 
 class TestWiring:
@@ -454,7 +454,7 @@ class TestWiring:
 
         batch = rng.standard_normal((4, 11, 6))
         out_v = predict(van, batch)
-        out_a, _ = forward_attention(att, batch)
+        out_a = predict(att, batch)
         np.testing.assert_allclose(out_a, out_v, rtol=0, atol=1e-12)
 
 
@@ -463,19 +463,19 @@ class TestAttention:
         params = zero_params(init_params("attention", seed=0, input_dim=4,
                                          hidden=5))
         batch = np.random.default_rng(10).standard_normal((3, 180, 4))
-        _, trace = forward_attention(params, batch)
+        node, _ = taped_attention(params, batch)
         np.testing.assert_array_equal(
-            trace.alignment.values, np.full((3, 180), 1.0 / 180.0)
+            node.out.values[:, :180], np.full((3, 180), 1.0 / 180.0)
         )
-        np.testing.assert_array_equal(trace.context.values, np.zeros((3, 5)))
+        np.testing.assert_array_equal(node.out.values[:, 180:], np.zeros((3, 5)))
 
     def test_alignment_rows_on_simplex(self):
         rng = np.random.default_rng(11)
         params = init_params("attention", seed=7, input_dim=4, hidden=5)
         batch = rng.standard_normal((4, 30, 4))
-        _, trace = forward_attention(params, batch)
-        a = trace.alignment.values
-        assert a.shape == (4, 30)
+        node, _ = taped_attention(params, batch)
+        a = node.out.values[:, :30]
+        assert node.out.shape == (4, 35)
         assert (a >= 0.0).all()
         np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-6)
 
@@ -486,18 +486,21 @@ class TestAttention:
         strong = np.zeros((batch, hidden))
         strong[:, 0] = 20.0  # dot with h_de: score 20 vs 0 elsewhere
         seq[3] = Matrix(strong)
-        alignment, context = _attend(h_de, seq)
-        assert alignment.values[:, 3].min() > 0.999
+        keys = concat_cols(seq)
+        alignment = attend(h_de, keys).values[:, :steps]
+        context = _attend(h_de, keys)
+        assert alignment[:, 3].min() > 0.999
         assert np.abs(context.values - strong).max() < 1e-3
 
     def test_attentional_state_is_context_then_decoder(self):
         rng = np.random.default_rng(12)
         params = init_params("attention", seed=8, input_dim=3, hidden=4)
         batch = rng.standard_normal((2, 7, 3))
-        _, trace = forward_attention(params, batch)
-        got = trace.attentional.values
-        np.testing.assert_array_equal(got[:, :4], trace.context.values)
+        node, attentional = taped_attention(params, batch)
+        got = attentional.out.values
+        assert attentional.op == "concat_cols"
         assert got.shape == (2, 8)
+        np.testing.assert_array_equal(got[:, :4], node.out.values[:, 7:])
 
 
 class TestGradients:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import reference_adam_step
 from motortemp import features
 from motortemp.autodiff import Matrix, ShapeError
 from motortemp.checkpoint import (
@@ -127,7 +128,7 @@ class TestAdam:
         return TrainConfig(**kwargs)
 
     def grads_like(self, params, fill):
-        return {name: np.full(mat.shape, fill) for name, mat in params.items()}
+        return [np.full(mat.shape, fill) for mat in params.matrices()]
 
     def test_zero_gradient_keeps_params(self):
         params = tiny_params()
@@ -153,7 +154,7 @@ class TestAdam:
 
     def test_two_steps_match_hand_trace(self):
         params = tiny_params()
-        name0, mat0 = params.items()[0]
+        mat0 = params.matrices()[0]
         theta = float(mat0.values[0, 0])
         state = AdamState.for_params(params)
         cfg = self.cfg(learning_rate=0.01)
@@ -169,13 +170,13 @@ class TestAdam:
 
         for g in (g1, g2):
             grads = self.grads_like(params, 0.0)
-            grads[name0][0, 0] = g
+            grads[0][0, 0] = g
             adam_step(params, grads, state, cfg)
         assert mat0.values[0, 0] == pytest.approx(theta, abs=1e-12)
 
     def test_clipping_equals_prescaled_gradient(self):
-        grads_a = {n: np.full(m.shape, 2.0) for n, m in tiny_params().items()}
-        total = math.sqrt(sum((a * a).sum() for a in grads_a.values()))
+        grads_a = self.grads_like(tiny_params(), 2.0)
+        total = math.sqrt(sum((a * a).sum() for a in grads_a))
         clip = total / 4.0
 
         pa = tiny_params()
@@ -184,7 +185,7 @@ class TestAdam:
 
         pb = tiny_params()
         sb = AdamState.for_params(pb)
-        scaled = {n: a * (clip / total) for n, a in grads_a.items()}
+        scaled = [a * (clip / total) for a in grads_a]
         adam_step(pb, scaled, sb, self.cfg())
 
         for (na, ma), (nb, mb) in zip(pa.items(), pb.items()):
@@ -198,22 +199,66 @@ class TestAdam:
         for (_, ma), (_, mb) in zip(pa.items(), pb.items()):
             np.testing.assert_array_equal(ma.values, mb.values)
 
+    def test_moments_one_per_stacked_block(self):
+        for variant, blocks in (("vanilla", 8), ("attention", 8), ("bilstm", 11)):
+            params = init_params(variant, seed=0, input_dim=2, hidden=3)
+            state = AdamState.for_params(params)
+            assert len(state.m) == len(state.v) == blocks
+            for m, v, mat in zip(state.m, state.v, params.matrices()):
+                assert m.shape == v.shape == mat.shape
+
+    def test_state_of_another_model_rejected(self):
+        params = init_params("bilstm", seed=0, input_dim=2, hidden=2)
+        before = [m.values.copy() for m in params.matrices()]
+        state = AdamState.for_params(tiny_params())
+        with pytest.raises(TrainingError, match="moments do not fit"):
+            adam_step(params, self.grads_like(params, 1.0), state, self.cfg())
+        for was, m in zip(before, params.matrices()):
+            np.testing.assert_array_equal(m.values, was)
+
+    @pytest.mark.parametrize("clip_norm", [None, 1e-3])
+    def test_matches_the_per_gate_reference_bitwise(self, clip_norm):
+        cfg = self.cfg(clip_norm=clip_norm, learning_rate=1e-2)
+        rng = np.random.default_rng(31)
+        # At hidden 100 the decoder's 200x800 blocks update in row chunks.
+        params = init_params("bilstm", seed=4, input_dim=3, hidden=100)
+        ref = init_params("bilstm", seed=4, input_dim=3, hidden=100)
+        state = AdamState.for_params(params)
+        ref_state = {"m": {}, "v": {}, "step": 0}
+        for _ in range(3):
+            grads = [rng.standard_normal(m.shape) for m in params.matrices()]
+            norm = math.sqrt(sum((g * g).sum() for g in grads))
+            assert clip_norm is None or norm > clip_norm  # clipping fires
+            per_gate = {name: g.values.copy() for name, g in
+                        params.per_gate(Matrix(g) for g in grads)}
+            adam_step(params, grads, state, cfg)
+            reference_adam_step(ref, per_gate, ref_state, cfg)
+        assert state.step == ref_state["step"] == 3
+        for (name, got), (_, want) in zip(params.items(), ref.items()):
+            np.testing.assert_array_equal(got.values, want.values, err_msg=name)
+        for moments, want in ((state.m, ref_state["m"]),
+                              (state.v, ref_state["v"])):
+            for name, got in params.per_gate(Matrix(a) for a in moments):
+                np.testing.assert_array_equal(got.values, want[name],
+                                              err_msg=name)
+
     def test_non_finite_gradient_names_block(self):
         params = tiny_params()
         grads = self.grads_like(params, 0.0)
-        grads["decoder.w_hf"][0, 0] = np.nan
-        with pytest.raises(TrainingError, match="decoder.w_hf"):
+        gates = dict(params.per_gate(Matrix._wrap(g) for g in grads))
+        gates["decoder.w_hf"].values[0, 0] = np.nan  # a view into grads[4]
+        with pytest.raises(TrainingError, match=r"block 'decoder\.w_hf'"):
             adam_step(params, grads, AdamState.for_params(params), self.cfg())
 
     @pytest.mark.parametrize("name,shape", [
-        ("encoder.w_xi", (1, 2)), ("output.b", (1, 1)), ("output.w", (4, 2))])
+        ("encoder.wx", (1, 8)), ("output.b", (1, 1)), ("output.w", (4, 2))])
     def test_misshapen_gradient_block_named(self, name, shape):
         # The first two would broadcast into every row or column of their
-        # (2, 2) and (1, 4) parameters; the transposed one would not fit.
+        # (2, 8) and (1, 4) parameters; the transposed one would not fit.
         params = tiny_params()
         before = [m.values.copy() for m in params.matrices()]
         grads = self.grads_like(params, 0.0)
-        grads[name] = np.ones(shape)
+        grads[params.block_names().index(name)] = np.ones(shape)
         with pytest.raises(TrainingError,
                            match=rf"{re.escape(name)}' has shape "
                            rf"{re.escape(str(shape))}"):
@@ -224,14 +269,18 @@ class TestAdam:
     def test_misaligned_keys_rejected(self):
         params = tiny_params()
         grads = self.grads_like(params, 0.0)
-        del grads["output.w"]
-        grads["outputs.w"] = np.zeros((2, 4))
-        with pytest.raises(TrainingError, match="misaligned"):
-            adam_step(params, grads, AdamState.for_params(params), self.cfg())
+        with pytest.raises(TrainingError,
+                           match=r"misaligned.*missing \['output\.b'\]"):
+            adam_step(params, grads[:-1], AdamState.for_params(params),
+                      self.cfg())
+        with pytest.raises(TrainingError,
+                           match="misaligned.*unexpected blocks past output.b"):
+            adam_step(params, grads + [np.zeros((1, 4))],
+                      AdamState.for_params(params), self.cfg())
 
     def test_accepts_matrix_gradients(self):
         params = tiny_params()
-        grads = {n: Matrix(np.full(m.shape, 0.5)) for n, m in params.items()}
+        grads = [Matrix(np.full(m.shape, 0.5)) for m in params.matrices()]
         adam_step(params, grads, AdamState.for_params(params), self.cfg())
 
 
