@@ -1,10 +1,11 @@
 """Dense 64-bit matrices and a minimal reverse-mode differentiation tape.
 
 Everything the recurrent models need is expressed through a small, closed set
-of primitives: matmul, add, concat_cols and slice_cols, two fused layers,
-lstm_sequence (one LSTM over a whole window, from zero or from given initial
-states) and attend (dot-product attention: scores, softmax and context in one
-node), and the training loss mse (the mean of squared errors, one node).
+of six primitives: affine (the dense layer x @ w + b, one node), concat_cols
+and slice_cols, two fused layers, lstm_sequence (one LSTM over a whole
+window, from zero or from given initial states) and attend (dot-product
+attention: scores, softmax and context in one node), and the training loss
+mse (the mean of squared errors, one node).
 Each primitive evaluates eagerly with numpy and, while a tape is open,
 records its inputs so the exact (sub)gradient can be replayed later.  Tapes
 are define-by-run and rebuilt per batch; there is no graph reuse and no
@@ -31,6 +32,8 @@ the finished weight gradient.
 
 Backward pass conventions:
 
+* ``Tape.backward(loss, wrt)`` returns one gradient array per entry of
+  ``wrt``, in order; an entry with no path to the loss gets zeros;
 * gradients are accumulated per node, visiting nodes in reverse recording
   order exactly once;
 * interior gradients are freed as soon as they have been consumed, which
@@ -52,14 +55,12 @@ __all__ = [
     "ShapeError",
     "ContractError",
     "active_tape",
-    "matmul",
-    "add",
+    "affine",
     "concat_cols",
     "slice_cols",
     "lstm_sequence",
     "attend",
     "mse",
-    "backward",
 ]
 
 
@@ -160,9 +161,9 @@ class Tape:
     Usage::
 
         with Tape() as tape:
-            y = matmul(w, x)
+            y = affine(x, w, b)
             loss = mse(y, target)
-        grads = tape.backward(loss, wrt=[w])
+        dw, db = tape.backward(loss, wrt=[w, b])
 
     Node ids increase with recording order, so every node's inputs appear
     strictly before it.  Run backward before reusing the same Matrix objects
@@ -205,8 +206,45 @@ class Tape:
         self.nodes.append(TapeNode(op, ids, out, ctx))
         self._ids[id(out)] = nid
 
-    def backward(self, loss: Matrix, wrt=None) -> dict[int, Matrix]:
-        return backward(self, loss, wrt)
+    def backward(self, loss: Matrix, wrt) -> list[np.ndarray]:
+        """Gradients of the 1x1 ``loss`` recorded on this tape, one array per
+        matrix of ``wrt``, in order and of that matrix's shape.
+
+        A matrix with no path to the loss, or never recorded, gets zeros; a
+        matrix given twice gets its gradient twice.
+        """
+        loss_id = self.node_id(loss)
+        if loss_id is None:
+            raise ContractError("loss was not recorded on this tape")
+        if loss.shape != (1, 1):
+            raise ContractError(
+                f"loss must be a 1x1 matrix, got {loss.rows}x{loss.cols}"
+            )
+        wrt = list(wrt)
+        nodes = self.nodes
+        wrt_ids = [self.node_id(m) for m in wrt]
+        keep = set(wrt_ids)
+
+        # Forward sweep: a node needs a gradient iff it can reach a requested
+        # matrix.  Inputs are always recorded before their consumers, so one
+        # pass in id order suffices.
+        need = np.zeros(len(nodes), dtype=bool)
+        need[[i for i in keep if i is not None]] = True
+        for i, nd in enumerate(nodes):
+            if nd.op != "leaf" and not need[i]:
+                need[i] = any(need[j] for j in nd.inputs)
+
+        grads: dict[int, np.ndarray] = {loss_id: np.ones((1, 1))}
+        for i in range(loss_id, -1, -1):
+            nd = nodes[i]
+            g = grads.get(i)
+            if g is None or nd.op == "leaf":
+                continue
+            _BACKWARD[nd.op](nd, nodes, g, grads, need)
+            if i not in keep:
+                del grads[i]
+        return [grads[i] if i in grads else np.zeros(m.shape)
+                for i, m in zip(wrt_ids, wrt)]
 
 
 def _maybe_record(op: str, inputs: tuple[Matrix, ...], out: Matrix, ctx=()):
@@ -216,27 +254,17 @@ def _maybe_record(op: str, inputs: tuple[Matrix, ...], out: Matrix, ctx=()):
     return out
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b."""
-    if a.cols != b.rows:
+def affine(x: Matrix, w: Matrix, b: Matrix) -> Matrix:
+    """The dense layer x @ w + b, the 1 x w.cols bias ``b`` added to every
+    row."""
+    if x.cols != w.rows or b.shape != (1, w.cols):
         raise ShapeError(
-            f"matmul: cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
+            f"affine: x {x.rows}x{x.cols}, w {w.rows}x{w.cols} and b "
+            f"{b.rows}x{b.cols} do not conform (want w {x.cols}xN, b 1xN)"
         )
-    out = Matrix._wrap(a.values @ b.values)
-    return _maybe_record("matmul", (a, b), out)
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise sum; a 1xC operand broadcasts across the rows of an RxC one."""
-    if a.shape != b.shape:
-        row_a = a.rows == 1 and a.cols == b.cols
-        row_b = b.rows == 1 and b.cols == a.cols
-        if not (row_a or row_b):
-            raise ShapeError(
-                f"add: shapes {a.rows}x{a.cols} and {b.rows}x{b.cols} do not conform"
-            )
-    out = Matrix._wrap(a.values + b.values)
-    return _maybe_record("add", (a, b), out)
+    out = x.values @ w.values
+    out += b.values
+    return _maybe_record("affine", (x, w, b), Matrix._wrap(out))
 
 
 def concat_cols(parts) -> Matrix:
@@ -455,22 +483,14 @@ def _acc(grads: dict, need, nid: int, val: np.ndarray):
         cur += val
 
 
-def _bw_matmul(nd, nodes, g, grads, need):
-    ia, ib = nd.inputs
-    if need[ia]:
-        _acc(grads, need, ia, g @ nodes[ib].out.values.T)
+def _bw_affine(nd, nodes, g, grads, need):
+    ix, iw, ib = nd.inputs
+    if need[ix]:
+        _acc(grads, need, ix, g @ nodes[iw].out.values.T)
+    if need[iw]:
+        _acc(grads, need, iw, nodes[ix].out.values.T @ g)
     if need[ib]:
-        _acc(grads, need, ib, nodes[ia].out.values.T @ g)
-
-
-def _bw_add(nd, nodes, g, grads, need):
-    for j in nd.inputs:
-        if not need[j]:
-            continue
-        if nodes[j].out.shape == g.shape:
-            _acc(grads, need, j, g.copy())
-        else:
-            _acc(grads, need, j, g.sum(axis=0, keepdims=True))
+        _acc(grads, need, ib, g.sum(axis=0, keepdims=True))
 
 
 def _bw_concat_cols(nd, nodes, g, grads, need):
@@ -642,75 +662,10 @@ def _bw_mse(nd, nodes, g, grads, need):
 
 
 _BACKWARD = {
-    "matmul": _bw_matmul,
-    "add": _bw_add,
+    "affine": _bw_affine,
     "concat_cols": _bw_concat_cols,
     "slice_cols": _bw_slice_cols,
     "lstm_sequence": _bw_lstm_sequence,
     "attend": _bw_attend,
     "mse": _bw_mse,
 }
-
-
-def backward(tape: Tape, loss: Matrix, wrt=None) -> dict[int, Matrix]:
-    """Gradients of a scalar loss with respect to leaves of the tape.
-
-    Parameters
-    ----------
-    tape : the tape on which ``loss`` was recorded.
-    loss : a 1x1 matrix produced by ops on that tape.
-    wrt : optional sequence of matrices to differentiate against.  Defaults
-        to every leaf.  Requested matrices with no path to the loss get a
-        zero gradient.
-
-    Returns
-    -------
-    dict mapping node id -> gradient Matrix (same shape as the leaf).  Look
-    ids up with ``tape.node_id``.
-    """
-    loss_id = tape.node_id(loss)
-    if loss_id is None:
-        raise ContractError("loss was not recorded on this tape")
-    if loss.shape != (1, 1):
-        raise ContractError(
-            f"loss must be a 1x1 matrix, got {loss.rows}x{loss.cols}"
-        )
-    nodes = tape.nodes
-    if wrt is None:
-        wrt_ids = [i for i, nd in enumerate(nodes) if nd.op == "leaf"]
-    else:
-        wrt_ids = [tape.watch(m) for m in wrt]
-    keep = set(wrt_ids)
-
-    # Forward sweep: a node needs a gradient iff it can reach a requested
-    # leaf.  Inputs are always recorded before their consumers, so one pass
-    # in id order suffices.
-    need = np.zeros(len(nodes), dtype=bool)
-    for i in wrt_ids:
-        need[i] = True
-    for i, nd in enumerate(nodes):
-        if nd.op != "leaf" and not need[i]:
-            for j in nd.inputs:
-                if need[j]:
-                    need[i] = True
-                    break
-
-    grads: dict[int, np.ndarray] = {loss_id: np.ones((1, 1))}
-    for i in range(loss_id, -1, -1):
-        nd = nodes[i]
-        if nd.op == "leaf":
-            continue
-        g = grads.get(i)
-        if g is None:
-            continue
-        _BACKWARD[nd.op](nd, nodes, g, grads, need)
-        if i not in keep:
-            del grads[i]
-
-    result: dict[int, Matrix] = {}
-    for i in wrt_ids:
-        g = grads.get(i)
-        if g is None:
-            g = np.zeros(nodes[i].out.shape)
-        result[i] = Matrix._wrap(g)
-    return result

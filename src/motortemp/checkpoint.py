@@ -51,7 +51,7 @@ def save_checkpoint(params: ModelParams, stats: Standardization | None,
     }
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
+        fh.write(json.dumps(header, sort_keys=True, allow_nan=False).encode("ascii"))
         fh.write(b"\n")
         fh.write(blob)
 

@@ -259,7 +259,7 @@ def _load_pipeline(path, expect_variant=None):
 
 def _write_json(path, payload: dict):
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -352,8 +352,9 @@ def cmd_train(args, parser) -> int:
     frames = dataio.load_csv(data)
     test_ids = _test_ids(settings, frames)
     split = dataio.split(frames, test_ids)
-    # Too few profiles for the groups fail here, before --out is made.
-    training.partition_groups(split.train, train_config.group_count)
+    # Too few profiles for the groups, or a group without a window, fail
+    # here, before --out is made.
+    training.window_groups(split.train, feature_config, train_config.group_count)
 
     os.makedirs(args.out, exist_ok=True)
     training_block = dataclasses.asdict(train_config)
@@ -369,7 +370,8 @@ def cmd_train(args, parser) -> int:
 
     log_path = os.path.join(args.out, "train_log.jsonl")
     with open(log_path, "w") as fh:
-        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in logs)
+        fh.writelines(json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
+                      for record in logs)
 
     stats = features.fit_standardization(split.train, feature_config)
     ckpt_path = os.path.join(args.out, "checkpoint.bin")

@@ -330,8 +330,7 @@ def _smooth(rng: np.random.Generator, n: int, pole: float) -> np.ndarray:
     return raw / stat
 
 
-def synthesize(seed: int, profiles: int, length: int,
-               sample_period: float = DEFAULT_SAMPLE_PERIOD) -> list[ProfileFrame]:
+def synthesize(seed: int, profiles: int, length: int) -> list[ProfileFrame]:
     """Generate a small, physically plausible stand-in recording.
 
     Each profile gets its own substream (splitmix64 of the master seed), so
@@ -339,7 +338,9 @@ def synthesize(seed: int, profiles: int, length: int,
     electrical signals wander smoothly; the four temperatures follow
     first-order lags of an ohmic-loss drive, with the magnet temperature a
     further lag of the winding so that it trails the stator in
-    cross-correlation.  Identical arguments give bitwise identical output.
+    cross-correlation.  Every profile is sampled every
+    ``DEFAULT_SAMPLE_PERIOD`` seconds.  Identical arguments give bitwise
+    identical output.
     """
     if profiles < 1:
         raise ConfigError("synthesize: need at least one profile")
@@ -399,6 +400,5 @@ def synthesize(seed: int, profiles: int, length: int,
                 "stator_tooth": tooth,
                 "stator_winding": winding,
             },
-            sample_period=sample_period,
         ))
     return frames

@@ -73,13 +73,13 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def compute_metrics(actual: np.ndarray, predicted: np.ndarray,
-                    target_names=TARGETS) -> EvalReport:
-    """Error metrics from aligned (n, targets) arrays.
+def compute_metrics(actual: np.ndarray, predicted: np.ndarray) -> EvalReport:
+    """Error metrics from aligned (n, 4) arrays, columns in ``TARGETS`` order.
 
     Per target: mean squared error and maximum absolute error.  Pooled
     across targets: the mean of squared errors over every entry, and the
-    largest absolute error anywhere.
+    largest absolute error anywhere.  A mean squared error past the float
+    range is refused, naming its target.
     """
     a = np.asarray(actual, dtype=np.float64)
     p = np.asarray(predicted, dtype=np.float64)
@@ -89,18 +89,27 @@ def compute_metrics(actual: np.ndarray, predicted: np.ndarray,
         )
     if a.shape[0] == 0:
         raise EvaluationError("metrics need at least one window")
-    if a.shape[1] != len(target_names):
+    if a.shape[1] != len(TARGETS):
         raise EvaluationError(
-            f"data has {a.shape[1]} targets, expected {len(target_names)}"
+            f"data has {a.shape[1]} targets, expected {len(TARGETS)}"
         )
     err = p - a
-    per_mse = (err * err).mean(axis=0)
+    with np.errstate(over="ignore"):
+        sq = err * err
+        per_mse = sq.mean(axis=0)
+        overall_mse = float(sq.mean())
     per_max = np.abs(err).max(axis=0)
+    labels = [f"target {t!r}" for t in TARGETS] + ["all targets pooled"]
+    for label, value in zip(labels, [*per_mse, overall_mse]):
+        if not np.isfinite(value):
+            raise EvaluationError(
+                f"the squared error of {label} overflows (mean {value}); "
+                "the model's predictions are out of range")
     return EvalReport(
-        target_names=tuple(target_names),
-        mse={t: float(per_mse[i]) for i, t in enumerate(target_names)},
-        max_abs_error={t: float(per_max[i]) for i, t in enumerate(target_names)},
-        overall_mse=float((err * err).mean()),
+        target_names=TARGETS,
+        mse={t: float(per_mse[i]) for i, t in enumerate(TARGETS)},
+        max_abs_error={t: float(per_max[i]) for i, t in enumerate(TARGETS)},
+        overall_mse=overall_mse,
         overall_max_abs_error=float(np.abs(err).max()),
         n_windows=a.shape[0],
     )
@@ -175,17 +184,16 @@ def write_traces(out_dir, provenance, actual: np.ndarray,
     return paths
 
 
-def time_inference(params: ModelParams, batch, repetitions: int = 10,
-                   warmup: int = 2) -> float:
+def time_inference(params: ModelParams, batch, repetitions: int = 10) -> float:
     """Mean wall-clock milliseconds per forward pass of one batch.
 
-    Runs ``warmup`` unmeasured passes first.  At least 10 measured
-    repetitions are required for a stable figure.
+    Runs two unmeasured passes first.  At least 10 measured repetitions are
+    required for a stable figure.
     """
     if repetitions < 10:
         raise ValueError("time_inference needs at least 10 repetitions")
     arr = np.asarray(batch, dtype=np.float64)
-    for _ in range(warmup):
+    for _ in range(2):
         predict(params, arr)
     times = []
     for _ in range(repetitions):

@@ -36,11 +36,10 @@ from .autodiff import (
     ContractError,
     Matrix,
     ShapeError,
-    add,
+    affine,
     attend,
     concat_cols,
     lstm_sequence,
-    matmul,
     slice_cols,
 )
 
@@ -367,10 +366,6 @@ def _encode(cell: LstmCellParams, batch: np.ndarray, reverse: bool = False,
     return h, c, seq
 
 
-def _head(params: ModelParams, h: Matrix) -> Matrix:
-    return add(matmul(h, params.output_w), params.output_b)
-
-
 def _attend(h_de: Matrix, sequence: Matrix) -> Matrix:
     """The context of one decoder state over the encoder states.
 
@@ -395,10 +390,10 @@ def _graph(params: ModelParams, batch: np.ndarray) -> Matrix:
     # (h, c) pair seeds the decoder state.
     h_de = slice_cols(lstm_sequence(h, *params.decoder, h0=h, c0=c),
                       0, h.cols)
-    if not attention:
-        return _head(params, h_de)
-    # The attentional state [context | decoder state] feeds the output map.
-    return _head(params, concat_cols([_attend(h_de, seq), h_de]))
+    if attention:
+        # The attentional state [context | decoder state] feeds the output map.
+        h_de = concat_cols([_attend(h_de, seq), h_de])
+    return affine(h_de, params.output_w, params.output_b)
 
 
 def forward_for_training(params: ModelParams, batch) -> Matrix:

@@ -41,6 +41,7 @@ __all__ = [
     "adam_step",
     "epoch_batches",
     "partition_groups",
+    "window_groups",
     "train_grouped",
 ]
 
@@ -147,16 +148,16 @@ def adam_step(params: ModelParams, grads, state: AdamState,
         v <- beta2 v + (1-beta2) g^2      v_hat = v / (1 - beta2^t)
         theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
 
-    ``grads`` holds one block per block of ``params.matrices()``, in that
-    order and of the same shapes; any non-finite gradient aborts the step
+    ``grads`` holds one array per block of ``params.matrices()``, in that
+    order and of the same shapes, as ``Tape.backward`` returns them for
+    ``wrt=params.matrices()``; any non-finite gradient aborts the step
     and names its gate block.  When ``clip_norm`` is set the whole gradient
     is rescaled so its global L2 norm, summed over the gate blocks of
     ``params.items()`` in order, does not exceed it.
     """
     mats = params.matrices()
     names = params.block_names()
-    gs = [g.values if isinstance(g, Matrix) else np.asarray(g, dtype=np.float64)
-          for g in grads]
+    gs = [np.asarray(g, dtype=np.float64) for g in grads]
     if len(gs) != len(names):
         raise TrainingError(
             f"gradient blocks misaligned: {len(gs)} given for the "
@@ -228,14 +229,26 @@ def partition_groups(frames: list, group_count: int) -> list[list]:
     return groups
 
 
+def window_groups(frames: list, feature_config: FeatureConfig,
+                  group_count: int) -> list[list]:
+    """``partition_groups``, refusing a group in which no profile is long
+    enough for one window of ``feature_config``."""
+    groups = partition_groups(frames, group_count)
+    for gi, group in enumerate(groups, start=1):
+        if all(f.n_samples < feature_config.window for f in group):
+            raise ConfigError(
+                f"group {gi} has no windows; profiles shorter than the "
+                f"window {feature_config.window}?"
+            )
+    return groups
+
+
 def _train_step(params, state, cfg, stats, inputs, raw_targets):
     targets = stats.transform_targets(raw_targets.reshape(len(inputs), -1))
     with Tape() as tape:
         pred = forward_for_training(params, inputs)
         loss = mse(pred, Matrix._wrap(targets))
-    leaves = params.matrices()
-    gradmap = tape.backward(loss, wrt=leaves)
-    adam_step(params, [gradmap[tape.node_id(m)] for m in leaves], state, cfg)
+    adam_step(params, tape.backward(loss, wrt=params.matrices()), state, cfg)
     return float(loss.values[0, 0])
 
 
@@ -247,7 +260,10 @@ def _dataset_loss(params, dataset: WindowedDataset, stats, batch_size: int) -> f
         pred = predict(params, inputs).reshape(len(idx), -1)
         targets = stats.transform_targets(raw.reshape(len(idx), -1))
         d = pred - targets
-        total += float((d * d).sum())
+        # A diverged model's errors may square past the float range; the
+        # caller refuses the non-finite loss.
+        with np.errstate(over="ignore"):
+            total += float((d * d).sum())
         count += d.size
     return total / count
 
@@ -268,6 +284,11 @@ def _run_phase(params, state, cfg, stats, dataset, heldout, label, epochs,
             _dataset_loss(params, heldout, stats, cfg.batch_size)
             if heldout.n_windows > 0 else None
         )
+        for kind, value in (("train", train_loss), ("held-out", eval_loss)):
+            if value is not None and not math.isfinite(value):
+                raise TrainingError(
+                    f"{label} epoch {epoch}: {kind} loss is {value}; the run "
+                    "diverged, a lower learning rate may help")
         logs.append({
             "epoch": epoch,
             "group": label,
@@ -306,7 +327,7 @@ def train_grouped(split: DatasetSplit, feature_config: FeatureConfig,
     """
     if not split.train:
         raise ConfigError("train_grouped: no training profiles")
-    groups = partition_groups(split.train, config.group_count)
+    groups = window_groups(split.train, feature_config, config.group_count)
 
     stats = fit_standardization(split.train, feature_config)
     heldout = build_dataset(split.test, feature_config, stats=stats)
@@ -322,11 +343,6 @@ def train_grouped(split: DatasetSplit, feature_config: FeatureConfig,
 
     for gi, group in enumerate(groups, start=1):
         dataset = table.select(f.profile_id for f in group)
-        if dataset.n_windows == 0:
-            raise ConfigError(
-                f"group {gi} has no windows; profiles shorter than the "
-                f"window {feature_config.window}?"
-            )
         _run_phase(params, state, config, stats, dataset, heldout,
                    f"group-{gi}", config.epochs_per_group, rng, logs,
                    stop_below=stop_below)

@@ -50,10 +50,9 @@ def analytic_param_grads(params, batch, targets):
     with Tape() as tape:
         pred = forward_for_training(params, batch)
         loss = mse(pred, Matrix(targets))
-    leaves = params.matrices()
-    gradmap = tape.backward(loss, wrt=leaves)
+    grads = tape.backward(loss, wrt=params.matrices())
     return {name: g.values for name, g in
-            params.per_gate(gradmap[tape.node_id(m)] for m in leaves)}
+            params.per_gate(Matrix._wrap(g) for g in grads)}
 
 
 def check_model_gradients(params, batch, targets, rel_tol=1e-4, floor=1e-6):
@@ -69,11 +68,11 @@ def check_model_gradients(params, batch, targets, rel_tol=1e-4, floor=1e-6):
 def taped_attention(params, batch):
     """The nodes of a taped attention forward: the ``attend`` node, whose
     output is [alignment | context], and the attentional state that feeds
-    the output map's matmul."""
+    the output map's ``affine`` node as its first input."""
     with Tape() as tape:
         forward_for_training(params, batch)
     (node,) = [nd for nd in tape.nodes if nd.op == "attend"]
-    head = [nd for nd in tape.nodes if nd.op == "matmul"][-1]
+    (head,) = [nd for nd in tape.nodes if nd.op == "affine"]
     return node, tape.nodes[head.inputs[0]]
 
 

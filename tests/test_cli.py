@@ -14,7 +14,7 @@ import pytest
 
 import motortemp
 from motortemp import cli, evaluation, features
-from motortemp.checkpoint import save_checkpoint
+from motortemp.checkpoint import load_checkpoint, save_checkpoint
 from motortemp.dataio import synthesize
 from motortemp.features import FeatureConfig, build_dataset, fit_standardization
 from motortemp.models import init_params
@@ -29,6 +29,13 @@ FAST_TRAIN = FAST_FEATURES + [
 
 def run(argv):
     return cli.main(argv)
+
+
+def strict_json(text: str):
+    """``json.loads`` refusing NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def recording(tmp_path, profiles=2, length=80, seed=0) -> str:
@@ -270,6 +277,15 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_group_without_a_window_exits_1_before_out(self, tmp_path, capsys):
+        assert run(["train", "--data", recording(tmp_path, 3, 60),
+                    "--test-profiles", "3", "--groups", "1", "--window", "180",
+                    "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: group 1 has no windows; profiles shorter than "
+                       "the window 180?\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("hidden", ["0", "-1"])
     def test_hidden_below_one_exits_1_before_out(self, tmp_path, capsys,
                                                  hidden):
@@ -467,6 +483,48 @@ class TestTrainFlow:
         record = json.loads(log_lines[0])
         assert set(record) == {"epoch", "group", "train_loss", "eval_loss"}
         assert record["eval_loss"] is not None
+
+    def test_diverged_run_exits_1_naming_phase_and_epoch(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--data", recording(tmp_path, 3, 60),
+                    "--test-profiles", "3", *FAST_FEATURES, "--hidden", "4",
+                    "--epochs-per-group", "1", "--groups", "1",
+                    "--fine-tune-profiles", "0", "--learning-rate=1e300",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: group-1 epoch 1: held-out loss is inf; the run "
+                       "diverged, a lower learning rate may help\n")
+        assert sorted(os.listdir(out)) == ["config.json"]
+        strict_json((out / "config.json").read_text())
+
+    def test_evaluate_refuses_an_overflowing_error_naming_its_target(
+            self, tmp_path, capsys):
+        params, stats, feature_config = load_checkpoint(
+            self.train(tmp_path) / "checkpoint.bin")
+        params.output_b.values[0, 3] = 1e300  # pm
+        path = tmp_path / "diverged.bin"
+        save_checkpoint(params, stats, path, feature_config=feature_config)
+        ev = tmp_path / "ev"
+        assert run(["evaluate", "--checkpoint", str(path), "--test-profiles", "2",
+                    "--data", recording(tmp_path, seed=5), "--out", str(ev)]) == 1
+        err = capsys.readouterr().err
+        assert "error: the squared error of target 'pm' overflows" in err
+        assert not ev.exists()
+
+    def test_every_json_file_is_strict_json(self, tmp_path):
+        out = self.train(tmp_path)
+        data = recording(tmp_path, seed=5)
+        assert run(["featurize", "--data", data, "--out", str(tmp_path / "feat"),
+                    *FAST_FEATURES]) == 0
+        assert run(["evaluate", "--checkpoint", str(out / "checkpoint.bin"),
+                    "--data", data, "--test-profiles", "2",
+                    "--out", str(tmp_path / "ev")]) == 0
+        written = sorted(tmp_path.rglob("*.json")) + [out / "train_log.jsonl"]
+        assert len(written) == 5  # config.json twice, stats, report, the log
+        for path in written:
+            for line in (path.read_text().splitlines() if path.suffix == ".jsonl"
+                         else [path.read_text()]):
+                strict_json(line)
 
     def test_evaluate_and_predict_from_checkpoint(self, tmp_path, capsys):
         out = self.train(tmp_path)

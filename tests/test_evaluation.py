@@ -110,6 +110,19 @@ class TestComputeMetrics:
         with pytest.raises(EvaluationError):
             compute_metrics(np.zeros((5, 3)), np.zeros((5, 3)))
 
+    def test_overflowing_squared_error_names_its_target(self):
+        a = np.zeros((3, 4))
+        p = np.zeros((3, 4))
+        p[1, 2] = 1e200
+        with pytest.raises(EvaluationError,
+                           match="squared error of target 'stator_yoke' overflows"):
+            compute_metrics(a, p)
+        # Each target's squared errors sum to 1e308, all four past the range.
+        p = np.full((1, 4), 1e154)
+        with pytest.raises(EvaluationError,
+                           match="squared error of all targets pooled overflows"):
+            compute_metrics(np.zeros((1, 4)), p)
+
     def test_report_serializes(self):
         a = np.random.default_rng(5).standard_normal((6, 4))
         report = compute_metrics(a, a + 0.5)

@@ -278,10 +278,6 @@ class TestAdam:
             adam_step(params, grads + [np.zeros((1, 4))],
                       AdamState.for_params(params), self.cfg())
 
-    def test_accepts_matrix_gradients(self):
-        params = tiny_params()
-        grads = [Matrix(np.full(m.shape, 0.5)) for m in params.matrices()]
-        adam_step(params, grads, AdamState.for_params(params), self.cfg())
 
 
 class TestBatchesAndGroups:
