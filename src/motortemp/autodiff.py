@@ -13,13 +13,19 @@ graph optimizer.  Each thread has its own stack of open tapes, so threads
 that record at the same time never share one.
 
 The fused nodes keep what their hand-written backward rules need beside
-their output: lstm_sequence keeps the activated gates of every step,
-time-major as (steps, width, batch), and of the cell states only the one
-that starts each span of isqrt(steps) steps after the first.  On the way
-back it rebuilds one span's cells at a time from those, c = f * c + i * g
-with the forward's own ops, and each hidden state h = o * tanh(c) with the
-one tanh per step it needs anyway, all bit for bit; attend keeps nothing
-beyond its output, which already holds the alignment.
+their output: lstm_sequence keeps the activated input, forget and
+candidate gates of every step, time-major as (steps, 3H, batch), and of the
+states only the [cell; hidden] pair that starts each span of isqrt(steps)
+steps after the first.  On the way back it rebuilds one span at a time,
+bit for bit: the cells c = f * c + i * g with the forward's own ops, then,
+walking the span forward from its starting hidden state, each output gate
+o = clip(W[2H:3H] @ [x_t; h; 1]) from the output gate's rows of the folded
+weight alone and each hidden state h = tanh(c) * o with the one tanh per
+step it needs anyway.  Should the BLAS give those rows alone other bits
+than the forward's stacked product, the span's last hidden state differs
+from the kept one, and the span is rebuilt from the stacked product
+instead.  attend keeps nothing beyond its output, which already holds the
+alignment.
 
 lstm_sequence runs each step as one matrix product.  Its weights and bias
 are stacked into W = [wx; wh; b]^T, shape (4H, D + H + 1), and each step
@@ -339,10 +345,13 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     ``_folded_weight``) with the stacked operand [x_t; h; 1] (D + H + 1 x B),
     followed by the clip, the two tanh and the cell and hidden products.
 
-    On a tape the node keeps the gates of every step and, of the cell
-    states, only the one that starts each span of isqrt(T) steps after the
-    first: 13 (H x B) states instead of 180 at T = 180.  The backward pass
-    rebuilds the rest one span at a time.
+    On a tape the node keeps the input, forget and candidate gates of every
+    step and, of the states, only the [cell; hidden] pair that starts each
+    span of isqrt(T) steps after the first: 13 pairs at T = 180.  At the
+    paper shape (B 256, H 100) that is 110.6 MB of gates and 5.3 MB of
+    span starts per layer.  The backward pass rebuilds the cells, the
+    output gates (one H-row product per step) and the hidden states one
+    span at a time.
     """
     d, width = wx.shape
     n = width // 4
@@ -372,18 +381,17 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     taped = active_tape() is not None
     w = _folded_weight(wx.values, wh.values, b.values)
     # States are kept feature-major, (width, batch) per step, so each gate
-    # block is one contiguous run for the elementwise updates.  Off tape
-    # only the latest step is needed (plus the hidden sequence when kept),
-    # so one slot is reused in place of a per-step history.  The cell state
-    # has one slot in either case; on tape a copy is kept of the state that
-    # starts each span of isqrt(T) steps after the first.  The hidden state
-    # lives only in the operand.  The backward pass rebuilds each span's
-    # cells from the kept gates and the span's starting state, and the
-    # hidden states from those.
-    slots = steps if taped else 1
+    # block is one contiguous run for the elementwise updates.  Each step's
+    # product lands in one scratch block.  Off tape the gates are activated
+    # in place there; on tape the input, forget and candidate gates are
+    # written to the step's slot of ``kept`` instead, and only the output
+    # gate stays behind.  The cell state has one slot; on tape a copy is
+    # kept of the [cell; hidden] pair that starts each span of isqrt(T)
+    # steps after the first.  The hidden state lives only in the operand.
     span = math.isqrt(steps)
-    gates = np.empty((slots, width, rows))
-    starts = np.empty((-(-steps // span) - 1 if taped else 0, n, rows))
+    kept = np.empty((steps, 3 * n, rows)) if taped else None
+    starts = np.empty((-(-steps // span) - 1, 2, n, rows)) if taped else None
+    z = np.empty((width, rows))
     c = np.empty((n, rows))
     out = np.empty((rows, (2 + (steps if keep_sequence else 0)) * n))
     # Splitting the trailing axis of a row-major block is always a view.
@@ -398,29 +406,35 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     operand[d + n] = 1.0
     prod = np.empty((n, rows))
     c_prev = c_init
+    i, f, o, g = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     for s, t in enumerate(order):
-        z = gates[s % slots]
         x_in[...] = xs[:, t].T
         np.matmul(w, operand, out=z)
-        ifo = z[:3 * n]
-        np.clip(ifo, 0.0, 1.0, out=ifo)
-        np.tanh(z[3 * n:], out=z[3 * n:])
-        np.multiply(z[n:2 * n], c_prev, out=c)
-        np.multiply(z[:n], z[3 * n:], out=prod)
+        if taped:
+            ifg = kept[s]
+            i, f, g = ifg[:n], ifg[n:2 * n], ifg[2 * n:]
+            np.clip(z[:2 * n], 0.0, 1.0, out=ifg[:2 * n])
+            np.clip(o, 0.0, 1.0, out=o)
+            np.tanh(z[3 * n:], out=g)
+        else:
+            np.clip(z[:3 * n], 0.0, 1.0, out=z[:3 * n])
+            np.tanh(g, out=g)
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=prod)
         c += prod
         # h_{t-1} has been read; the new state overwrites it in place.
         np.tanh(c, out=h)
-        h *= z[2 * n:3 * n]
+        h *= o
         if seq is not None:
             seq[:, s] = h.T
         c_prev = c
         if taped and s + 1 < steps and (s + 1) % span == 0:
-            starts[(s + 1) // span - 1] = c
+            starts[(s + 1) // span - 1] = c, h
 
     out[:, :n] = h.T
     out[:, n:2 * n] = c.T
-    ctx = (gates, starts, w, reverse, h_init, c_init) if taped else ()
+    ctx = (kept, starts, w, reverse, h_init, c_init) if taped else ()
     return _maybe_record("lstm_sequence", (x, wx, wh, b) + states,
                          Matrix._wrap(out), ctx)
 
@@ -513,15 +527,15 @@ def _bw_slice_cols(nd, nodes, g, grads, need):
         cur[:, start:stop] += g
 
 
-def _rebuild_cells(gates, c_prev, cells, prod):
-    """Write into ``cells`` the cell states of the steps whose kept gates
-    ``gates`` holds, from the state ``c_prev`` before the first of them,
-    with the forward's ops in the forward's order, so bit for bit.  ``prod``
-    is (H, B) scratch."""
+def _rebuild_cells(kept, c_prev, cells, prod):
+    """Write into ``cells`` the cell states of the steps whose kept input,
+    forget and candidate gates ``kept`` holds, from the state ``c_prev``
+    before the first of them, with the forward's ops in the forward's
+    order, so bit for bit.  ``prod`` is (H, B) scratch."""
     n = cells.shape[1]
-    for z, c in zip(gates, cells):
-        np.multiply(z[n:2 * n], c_prev, out=c)
-        np.multiply(z[:n], z[3 * n:], out=prod)
+    for ifg, c in zip(kept, cells):
+        np.multiply(ifg[n:2 * n], c_prev, out=c)
+        np.multiply(ifg[:n], ifg[2 * n:], out=prod)
         c += prod
         c_prev = c
 
@@ -532,8 +546,9 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     # and the factor 0.2 between z' and the unfolded z is applied once to
     # the gate rows of the finished weight gradient.
     ix, iwx, iwh, ib = nd.inputs[:4]
-    gates, starts, w, reverse, h_init, c_init = nd.ctx
-    steps, width, rows = gates.shape
+    kept, starts, w, reverse, h_init, c_init = nd.ctx
+    steps, rows = kept.shape[0], kept.shape[2]
+    width = w.shape[0]
     n = width // 4
     span = math.isqrt(steps)
     d = w.shape[1] - n - 1
@@ -543,11 +558,6 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     dw = np.zeros(w.shape) if need[iwx] or need[iwh] or need[ib] else None
     dx = np.zeros((rows, steps, d)) if need[ix] else None
     if dw is not None:
-        # The operand [x_t; h_{t-1}; 1] of each step, rebuilt from the
-        # input and, for h_{t-1} = o_{t-1} * tanh(c_{t-1}), the kept gates
-        # and the rebuilt cells.
-        operand = np.empty((d + n + 1, rows))
-        operand[d + n] = 1.0
         dw_step = np.empty(w.shape)
     if dx is not None:
         wx_t = np.ascontiguousarray(w[:, :d].T)
@@ -556,70 +566,85 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     dz = np.empty((width, rows))
     dh = np.ascontiguousarray(g[:, :n].T)
     dc = np.ascontiguousarray(g[:, n:2 * n].T)
-    # The cells of the span being walked; cells[j] is c_{k*span+j} in span k.
+    # The span being walked, rebuilt walking forward: entry j holds, for
+    # step k*span+j of span k, the cell, its tanh, the output gate and the
+    # operand [x_t; h_{t-1}; 1] of the step.
     cells = np.empty((span, n, rows))
-    # tanh of the cells runs one step ahead: step s computes tanh(c_{s-1})
-    # for h_{s-1} and hands it on as step s-1's tanh(c).
-    tc = np.empty((n, rows))
-    tc_prev = np.empty((n, rows))
+    tcs = np.empty((span, n, rows))
+    outs = np.empty((span, n, rows))
+    operands = np.empty((span, d + n + 1, rows))
+    operands[:, d + n] = 1.0
+    # The output gates are rows 2H:3H of the forward's product.  The
+    # backward takes them from a product of those rows alone, and falls
+    # back to the whole product if the BLAS gives the rows alone other
+    # bits, which a span's last hidden state shows against the kept one.
+    w_o, o_at = w[2 * n:3 * n], 0
+    z_o = np.empty((width, rows))
     tmp = np.empty((n, rows))
     inside = np.empty((3 * n, rows), dtype=bool)
     below = np.empty((3 * n, rows), dtype=bool)
 
-    # Walk processing steps s from last to first; step s read input x_t
-    # with t = s, or t = T-1-s when the layer ran in reverse.
-    for s in range(steps - 1, -1, -1):
-        t = steps - 1 - s if reverse else s
-        if seq_g is not None:
-            dh += seq_g[:, s].T
-        # Step s is entry j of span k, which starts from c_{k*span-1}.
-        k, j = divmod(s, span)
-        c_start = starts[k - 1] if k else c_init
-        if j == span - 1 or s == steps - 1:
-            _rebuild_cells(gates[k * span:s + 1], c_start, cells[:j + 1], tmp)
-            if s == steps - 1:
-                np.tanh(cells[j], out=tc)
-        c_prev = cells[j - 1] if j else c_start
-        z = gates[s]
-        gi, gf, go, gc = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-        if s:
-            np.tanh(c_prev, out=tc_prev)
-        np.multiply(dh, tc, out=dz[2 * n:3 * n])
-        # dc += dh * o * (1 - tanh(c)^2)
-        np.multiply(tc, tc, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        tmp *= go
-        tmp *= dh
-        dc += tmp
-        np.multiply(dc, gc, out=dz[:n])
-        np.multiply(dc, c_prev, out=dz[n:2 * n])
-        np.multiply(dc, gi, out=dz[3 * n:])
-        np.multiply(gc, gc, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        dz[3 * n:] *= tmp
-        # Clipped gates pass no gradient.
-        ifo = z[:3 * n]
-        np.greater(ifo, 0.0, out=inside)
-        np.less(ifo, 1.0, out=below)
-        np.logical_and(inside, below, out=inside)
-        np.multiply(dz[:3 * n], inside, out=dz[:3 * n])
-        dc *= gf
-        if dw is not None:
-            operand[:d] = xs[:, t].T
-            if s:
-                # Bit-identical to the forward's tanh(c) * o: IEEE
-                # multiplication commutes.
-                np.multiply(gates[s - 1, 2 * n:3 * n], tc_prev,
-                            out=operand[d:d + n])
-            else:
-                operand[d:d + n] = h_init
-            np.matmul(dz, operand.T, out=dw_step)
-            dw += dw_step
-        if dx is not None:
-            np.matmul(wx_t, dz, out=dx_step)
-            dx[:, t] = dx_step.T
-        np.matmul(wh_t, dz, out=dh)
-        tc, tc_prev = tc_prev, tc
+    # Walk the spans from last to first; step s read input x_t with t = s,
+    # or t = T-1-s when the layer ran in reverse.
+    for lo in range((steps - 1) // span * span, -1, -span):
+        m = min(span, steps - lo)
+        c_start, h_start = starts[lo // span - 1] if lo else (c_init, h_init)
+        h_end = (starts[lo // span, 1] if lo + m < steps
+                 else nd.out.values[:, :n].T)
+        _rebuild_cells(kept[lo:lo + m], c_start, cells[:m], tmp)
+        operands[0, d:d + n] = h_start
+        while True:
+            for j in range(m):
+                s = lo + j
+                op = operands[j]
+                op[:d] = xs[:, steps - 1 - s if reverse else s].T
+                np.matmul(w_o, op, out=z_o[:len(w_o)])
+                np.clip(z_o[o_at:o_at + n], 0.0, 1.0, out=outs[j])
+                np.tanh(cells[j], out=tcs[j])
+                # The forward's h = tanh(c) * o, into the next operand.
+                np.multiply(tcs[j], outs[j],
+                            out=operands[j + 1, d:d + n] if j + 1 < m else tmp)
+            if o_at or np.array_equal(tmp, h_end):
+                break
+            # The rows alone gave other bits: from here on, take the output
+            # gates from the whole product, as the forward did.
+            w_o, o_at = w, 2 * n
+        for j in range(m - 1, -1, -1):
+            s = lo + j
+            t = steps - 1 - s if reverse else s
+            if seq_g is not None:
+                dh += seq_g[:, s].T
+            ifg, go, tc = kept[s], outs[j], tcs[j]
+            gi, gf, gc = ifg[:n], ifg[n:2 * n], ifg[2 * n:]
+            c_prev = cells[j - 1] if j else c_start
+            np.multiply(dh, tc, out=dz[2 * n:3 * n])
+            # dc += dh * o * (1 - tanh(c)^2)
+            np.multiply(tc, tc, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= go
+            tmp *= dh
+            dc += tmp
+            np.multiply(dc, gc, out=dz[:n])
+            np.multiply(dc, c_prev, out=dz[n:2 * n])
+            np.multiply(dc, gi, out=dz[3 * n:])
+            np.multiply(gc, gc, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            dz[3 * n:] *= tmp
+            # Clipped gates pass no gradient.
+            for gate, at in ((ifg[:2 * n], slice(0, 2 * n)),
+                             (go, slice(2 * n, 3 * n))):
+                np.greater(gate, 0.0, out=inside[at])
+                np.less(gate, 1.0, out=below[at])
+            np.logical_and(inside, below, out=inside)
+            np.multiply(dz[:3 * n], inside, out=dz[:3 * n])
+            dc *= gf
+            if dw is not None:
+                np.matmul(dz, operands[j].T, out=dw_step)
+                dw += dw_step
+            if dx is not None:
+                np.matmul(wx_t, dz, out=dx_step)
+                dx[:, t] = dx_step.T
+            np.matmul(wh_t, dz, out=dh)
 
     if dx is not None:
         _acc(grads, need, ix, dx.reshape(rows, steps * d))

@@ -257,6 +257,18 @@ def _load_pipeline(path, expect_variant=None):
     return params, stats, feature_config
 
 
+def _check_out_dir(path):
+    """Raise OSError, naming ``path``, unless it is a directory or its
+    nearest existing ancestor is a writable directory; makes nothing."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise NotADirectoryError(f"--out {path} exists and is not a directory")
+    ancestor = os.path.abspath(path)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise PermissionError(f"--out {path}: cannot write into {ancestor}")
+
+
 def _write_json(path, payload: dict):
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
@@ -352,10 +364,16 @@ def cmd_train(args, parser) -> int:
     frames = dataio.load_csv(data)
     test_ids = _test_ids(settings, frames)
     split = dataio.split(frames, test_ids)
-    # Too few profiles for the groups, or a group without a window, fail
-    # here, before --out is made.
+    # Too few profiles for the groups, a group without a window, or an
+    # --out that cannot be made fail here, before the run trains.
     training.window_groups(split.train, feature_config, train_config.group_count)
+    _check_out_dir(args.out)
 
+    params, logs = training.train_grouped(split, feature_config, variant,
+                                          train_config, hidden=hidden)
+
+    # --out is made once training has succeeded, so a failed run leaves
+    # nothing behind.
     os.makedirs(args.out, exist_ok=True)
     training_block = dataclasses.asdict(train_config)
     del training_block["seed"]
@@ -364,10 +382,6 @@ def cmd_train(args, parser) -> int:
         "hidden": hidden, "test_profiles": test_ids, "data": data,
         "features": feature_config.to_dict(), "training": training_block,
     })
-
-    params, logs = training.train_grouped(split, feature_config, variant,
-                                          train_config, hidden=hidden)
-
     log_path = os.path.join(args.out, "train_log.jsonl")
     with open(log_path, "w") as fh:
         fh.writelines(json.dumps(record, sort_keys=True, allow_nan=False) + "\n"

@@ -245,26 +245,29 @@ def window_groups(frames: list, feature_config: FeatureConfig,
 
 def _train_step(params, state, cfg, stats, inputs, raw_targets):
     targets = stats.transform_targets(raw_targets.reshape(len(inputs), -1))
-    with Tape() as tape:
+    # A diverging model overflows in the taped step; adam_step refuses the
+    # non-finite gradient that results, naming its block.
+    with np.errstate(over="ignore", invalid="ignore"), Tape() as tape:
         pred = forward_for_training(params, inputs)
         loss = mse(pred, Matrix._wrap(targets))
-    adam_step(params, tape.backward(loss, wrt=params.matrices()), state, cfg)
+        grads = tape.backward(loss, wrt=params.matrices())
+    adam_step(params, grads, state, cfg)
     return float(loss.values[0, 0])
 
 
 def _dataset_loss(params, dataset: WindowedDataset, stats, batch_size: int) -> float:
     total, count = 0.0, 0
-    for at in range(0, dataset.n_windows, batch_size):
-        idx = np.arange(at, min(at + batch_size, dataset.n_windows))
-        inputs, raw = dataset.gather(idx)
-        pred = predict(params, inputs).reshape(len(idx), -1)
-        targets = stats.transform_targets(raw.reshape(len(idx), -1))
-        d = pred - targets
-        # A diverged model's errors may square past the float range; the
-        # caller refuses the non-finite loss.
-        with np.errstate(over="ignore"):
+    # A diverged model may overflow in the forward pass, or its errors may
+    # square past the float range; the caller refuses the non-finite loss.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for at in range(0, dataset.n_windows, batch_size):
+            idx = np.arange(at, min(at + batch_size, dataset.n_windows))
+            inputs, raw = dataset.gather(idx)
+            pred = predict(params, inputs).reshape(len(idx), -1)
+            targets = stats.transform_targets(raw.reshape(len(idx), -1))
+            d = pred - targets
             total += float((d * d).sum())
-        count += d.size
+            count += d.size
     return total / count
 
 
@@ -274,9 +277,15 @@ def _run_phase(params, state, cfg, stats, dataset, heldout, label, epochs,
         epoch = len(logs) + 1
         started = time.perf_counter()
         total, count = 0.0, 0
-        for idx in epoch_batches(dataset.n_windows, cfg.batch_size, rng):
+        batches = epoch_batches(dataset.n_windows, cfg.batch_size, rng)
+        for b, idx in enumerate(batches, start=1):
             inputs, raw = dataset.gather(idx)
-            loss = _train_step(params, state, cfg, stats, inputs, raw)
+            try:
+                loss = _train_step(params, state, cfg, stats, inputs, raw)
+            except TrainingError as exc:
+                raise TrainingError(
+                    f"{label} epoch {epoch} batch {b} of {len(batches)}: {exc}; "
+                    "the run diverged, a lower learning rate may help") from exc
             total += loss * len(idx)
             count += len(idx)
         train_loss = total / count

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_grads_close, numeric_grad
+from motortemp import models
 from motortemp.autodiff import (
     ContractError,
     Matrix,
@@ -17,6 +18,7 @@ from motortemp.autodiff import (
     lstm_sequence,
     mse,
     slice_cols,
+    _folded_weight,
 )
 
 
@@ -511,15 +513,16 @@ def _taped_lstm(reverse, keep_sequence, steps=5):
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("keep_sequence", [False, True])
 def test_lstm_sequence_keeps_gates_and_span_starts_only(reverse, keep_sequence):
-    # Per step the node keeps the 4H gates; of the cells only the state
-    # that starts each span of isqrt(T) steps after the first, nothing
-    # else: the other cells and the hidden states are rebuilt on the way
-    # back.  Five steps make spans of 2, 2 and 1 steps.
+    # Per step the node keeps the input, forget and candidate gates (3H);
+    # of the states only the [cell; hidden] pair that starts each span of
+    # isqrt(T) steps after the first, nothing else: the other cells, the
+    # output gates and the hidden states are rebuilt on the way back.  Five
+    # steps make spans of 2, 2 and 1 steps.
     *_, node = _taped_lstm(reverse, keep_sequence)
     steps, d, n, rows = 5, 4, 3, 7
     kept = sum(a.nbytes for a in node.ctx if isinstance(a, np.ndarray))
-    gates = steps * 4 * n * rows
-    span_starts = (3 - 1) * n * rows
+    gates = steps * 3 * n * rows
+    span_starts = 2 * (3 - 1) * n * rows
     weight = 4 * n * (d + n + 1)
     initial_states = 2 * n * rows
     assert kept == 8 * (gates + span_starts + weight + initial_states)
@@ -527,27 +530,139 @@ def test_lstm_sequence_keeps_gates_and_span_starts_only(reverse, keep_sequence):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_hidden_states_rebuild_bitwise_from_kept_gates_and_cells(reverse):
-    # c_s = f_s * c_{s-1} + i_s * g_s from the kept gates, starting each
-    # span from its kept state (span 0 from zero), gives cells whose
-    # o * tanh(c) is the kept hidden sequence bit for bit.
-    *_, node = _taped_lstm(reverse, keep_sequence=True)
-    gates, starts = [a for a in node.ctx
-                     if isinstance(a, np.ndarray) and a.ndim == 3]
-    steps, n, rows = gates.shape[0], starts.shape[1], starts.shape[2]
+    # c_s = f_s * c_{s-1} + i_s * g_s from the kept gates, and
+    # o_s = clip(W[2H:3H] @ [x_t; h_{s-1}; 1]) from the output gate's rows
+    # of the folded weight alone, starting each span from its kept
+    # [cell; hidden] pair (span 0 from zero), give h_s = tanh(c_s) * o_s:
+    # the kept hidden sequence bit for bit.
+    inputs, *_, node = _taped_lstm(reverse, keep_sequence=True)
+    gates, starts, w = [a for a in node.ctx if isinstance(a, np.ndarray)][:3]
+    steps, n, rows = gates.shape[0], starts.shape[2], starts.shape[3]
+    d = w.shape[1] - n - 1
+    xs = inputs[0].values.reshape(rows, steps, d)
     span = 2
-    assert len(starts) == 2
-    cells = np.empty((steps, n, rows))
-    c_prev = np.zeros((n, rows))
+    assert starts.shape == (2, 2, n, rows)
+    hidden = np.empty((steps, n, rows))
+    c_prev, h_prev = np.zeros((n, rows)), np.zeros((n, rows))
     for s in range(steps):
         if s and s % span == 0:
-            c_prev = starts[s // span - 1]
-        i, f, g = gates[s, :n], gates[s, n:2 * n], gates[s, 3 * n:]
-        cells[s] = f * c_prev + i * g
-        c_prev = cells[s]
-    rebuilt = gates[:, 2 * n:3 * n] * np.tanh(cells)
+            c_prev, h_prev = starts[s // span - 1]
+        t = steps - 1 - s if reverse else s
+        operand = np.concatenate([xs[:, t].T, h_prev, np.ones((1, rows))])
+        o = np.clip(w[2 * n:3 * n] @ operand, 0.0, 1.0)
+        i, f, g = gates[s, :n], gates[s, n:2 * n], gates[s, 2 * n:]
+        c_prev = f * c_prev + i * g
+        h_prev = hidden[s] = np.tanh(c_prev) * o
     out = node.out.values
     seq = out[:, 2 * n:].reshape(out.shape[0], -1, n).transpose(1, 2, 0)
-    np.testing.assert_array_equal(rebuilt, seq)
+    np.testing.assert_array_equal(hidden, seq)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("hidden, width", [(100, 65), (200, 200)])
+def test_output_gate_rows_alone_give_the_stacked_product_bitwise(
+        threads, hidden, width):
+    # The backward rebuilds the output gates from W[2H:3H] alone.  At the
+    # paper encoder's shape (H 100, 65 channels) and the bilstm decoder's
+    # (H 200 from a 200-wide input), batch 256, the BLAS gives those rows
+    # the bits of the forward's stacked product, so no step falls back to
+    # the whole product.
+    calls = models._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy has no bundled OpenBLAS with thread controls")
+    get, put = calls
+    rng = np.random.default_rng(82)
+    w = _folded_weight(rng.standard_normal((width, 4 * hidden)),
+                       rng.standard_normal((hidden, 4 * hidden)),
+                       rng.standard_normal((1, 4 * hidden)))
+    operand = rng.standard_normal((width + hidden + 1, 256))
+    before = get()
+    put(threads)
+    try:
+        stacked = w @ operand
+        alone = w[2 * hidden:3 * hidden] @ operand
+    finally:
+        put(before)
+    np.testing.assert_array_equal(alone, stacked[2 * hidden:3 * hidden])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("keep_sequence", [False, True])
+def test_backward_falls_back_to_the_stacked_product_bit_for_bit(
+        reverse, keep_sequence, monkeypatch):
+    # Where the BLAS gives the output gate's rows alone other bits than the
+    # stacked product, a span's rebuilt last hidden state differs from the
+    # kept one and the backward takes the output gates from the whole
+    # product instead.  Forcing that path must not move a bit.
+    inputs, loss, tape, _ = _taped_lstm(reverse, keep_sequence, steps=10)
+    want = tape.backward(loss, wrt=inputs)
+    monkeypatch.setattr(np, "array_equal", lambda a, b: False)
+    got = tape.backward(loss, wrt=inputs)
+    monkeypatch.undo()
+    for a, b in zip(want, got):
+        np.testing.assert_array_equal(a, b)
+
+
+def _bptt_keeping_every_gate(x, wx, wh, b, g, reverse):
+    """The weight gradients of one LSTM layer from zero states, with the
+    node's folded weight and op order but every gate of the forward kept:
+    the reference for the rebuilt output gates.  ``g`` is the upstream
+    gradient of [h | c] after the last step."""
+    n = wh.shape[0]
+    rows, d = x.shape[0], wx.shape[0]
+    steps = x.shape[1] // d
+    xs = x.reshape(rows, steps, d)
+    w = _folded_weight(wx, wh, b)
+    h, c = np.zeros((n, rows)), np.zeros((n, rows))
+    kept = []
+    for s in range(steps):
+        t = steps - 1 - s if reverse else s
+        operand = np.concatenate([xs[:, t].T, h, np.ones((1, rows))])
+        z = w @ operand
+        z[:3 * n] = np.clip(z[:3 * n], 0.0, 1.0)
+        z[3 * n:] = np.tanh(z[3 * n:])
+        c_prev, c = c, z[n:2 * n] * c + z[:n] * z[3 * n:]
+        tc = np.tanh(c)
+        h = tc * z[2 * n:3 * n]
+        kept.append((z, c_prev, tc, operand))
+    wh_t = np.ascontiguousarray(w[:, d:d + n].T)
+    dh, dc = g[:, :n].T.copy(), g[:, n:].T.copy()
+    dw = np.zeros(w.shape)
+    for z, c_prev, tc, operand in reversed(kept):
+        i, f, o, gc = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
+        dz = np.empty_like(z)
+        dz[2 * n:3 * n] = dh * tc
+        dc += (1.0 - tc * tc) * o * dh
+        dz[:n], dz[n:2 * n] = dc * gc, dc * c_prev
+        dz[3 * n:] = dc * i * (1.0 - gc * gc)
+        dz[:3 * n] *= (z[:3 * n] > 0.0) & (z[:3 * n] < 1.0)
+        dc *= f
+        dw += dz @ operand.T
+        dh = wh_t @ dz
+    dw[:3 * n] *= 0.2
+    return dw[:, :d].T, dw[:, d:d + n].T, dw[:, d + n:].T
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("rows", [17, 256])
+def test_backward_equals_bptt_keeping_every_gate_bitwise(reverse, rows):
+    # At the paper encoder's widths.  On OpenBLAS the output gate's rows
+    # alone give the stacked product's bits at batch 256, not at batch 17,
+    # so both the product of those rows and the fallback to the whole
+    # product run here.
+    rng = np.random.default_rng(83)
+    x, wx, wh, b = (_r(rng, rows, 4 * 65), _r(rng, 65, 400, 0.3),
+                    _r(rng, 100, 400, 0.3), _r(rng, 1, 400))
+    with Tape() as tape:
+        out = lstm_sequence(x, wx, wh, b, reverse=reverse)
+        target = _r(rng, *out.shape)
+        loss = mse(out, target)
+    got = tape.backward(loss, wrt=[wx, wh, b])
+    half = (1.0 / out.values.size) * (out.values - target.values)
+    want = _bptt_keeping_every_gate(x.values, wx.values, wh.values, b.values,
+                                    half + half, reverse)
+    for a, e in zip(got, want):
+        np.testing.assert_array_equal(a, e)
 
 
 @pytest.mark.parametrize("reverse", [False, True])

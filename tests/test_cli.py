@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import motortemp
-from motortemp import cli, evaluation, features
+from motortemp import cli, evaluation, features, training
 from motortemp.checkpoint import load_checkpoint, save_checkpoint
 from motortemp.dataio import synthesize
 from motortemp.features import FeatureConfig, build_dataset, fit_standardization
@@ -494,8 +494,71 @@ class TestTrainFlow:
         err = capsys.readouterr().err
         assert err == ("error: group-1 epoch 1: held-out loss is inf; the run "
                        "diverged, a lower learning rate may help\n")
-        assert sorted(os.listdir(out)) == ["config.json"]
-        strict_json((out / "config.json").read_text())
+        assert not out.exists()
+
+    def test_held_out_overflow_exits_1_naming_phase_and_epoch(
+            self, tmp_path, capsys):
+        # One step at learning rate 1e307 leaves finite weights whose
+        # held-out forward pass overflows in its matrix products.
+        out = tmp_path / "run"
+        assert run(["train", "--data", recording(tmp_path, 3, 60),
+                    "--test-profiles", "3", *FAST_FEATURES, "--hidden", "4",
+                    "--epochs-per-group", "1", "--groups", "1",
+                    "--fine-tune-profiles", "0", "--learning-rate=1e307",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: group-1 epoch 1: held-out loss is ")
+        assert err.endswith("the run diverged, a lower learning rate may help\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["vanilla", "attention", "bilstm"])
+    def test_divergence_inside_an_epoch_exits_1_naming_phase_epoch_and_batch(
+            self, tmp_path, capsys, variant):
+        # Twelve batches of 8 per epoch: the second step overflows.  Tier-1
+        # turns RuntimeWarnings into errors, so none may escape the step.
+        out = tmp_path / "nested" / "run"
+        assert run(["train", "--data", recording(tmp_path, 3, 60),
+                    "--test-profiles", "3", *FAST_FEATURES, "--hidden", "4",
+                    "--batch-size", "8", "--epochs-per-group", "3",
+                    "--groups", "1", "--fine-tune-profiles", "0",
+                    "--learning-rate=1e300", "--variant", variant,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: group-1 epoch 1 batch 2 of 12: non-finite "
+                       "gradient in block 'encoder.w_xi'; the run diverged, a "
+                       "lower learning rate may help\n")
+        assert not (tmp_path / "nested").exists()
+
+    def test_out_is_made_only_after_training(self, tmp_path, monkeypatch):
+        seen = []
+        real = training.train_grouped
+
+        def spy(*args, **kwargs):
+            seen.append((tmp_path / "run").exists())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_grouped", spy)
+        out = self.train(tmp_path)
+        assert seen == [False]
+        assert sorted(os.listdir(out)) == [
+            "checkpoint.bin", "config.json", "train_log.jsonl"]
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_that_cannot_be_made_exits_1_before_training(
+            self, tmp_path, monkeypatch, capsys, below):
+        # --out is made only after training, so a file in its way must be
+        # refused before the run trains, not after.
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_grouped ran")
+
+        monkeypatch.setattr(training, "train_grouped", refuse)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "run" if below else blocker
+        assert run(["train", "--out", str(out), "--test-profiles", "2",
+                    "--data", recording(tmp_path, seed=5), *FAST_TRAIN]) == 1
+        assert str(blocker) in capsys.readouterr().err
+        assert blocker.read_text() == ""
 
     def test_evaluate_refuses_an_overflowing_error_naming_its_target(
             self, tmp_path, capsys):
