@@ -13,19 +13,12 @@ graph optimizer.  Each thread has its own stack of open tapes, so threads
 that record at the same time never share one.
 
 The fused nodes keep what their hand-written backward rules need beside
-their output: lstm_sequence keeps the activated input, forget and
-candidate gates of every step, time-major as (steps, 3H, batch), and of the
-states only the [cell; hidden] pair that starts each span of isqrt(steps)
-steps after the first.  On the way back it rebuilds one span at a time,
-bit for bit: the cells c = f * c + i * g with the forward's own ops, then,
-walking the span forward from its starting hidden state, each output gate
-o = clip(W[2H:3H] @ [x_t; h; 1]) from the output gate's rows of the folded
-weight alone and each hidden state h = tanh(c) * o with the one tanh per
-step it needs anyway.  Should the BLAS give those rows alone other bits
-than the forward's stacked product, the span's last hidden state differs
-from the kept one, and the span is rebuilt from the stacked product
-instead.  attend keeps nothing beyond its output, which already holds the
-alignment.
+their output: lstm_sequence keeps, of its states, only the [cell; hidden]
+pair that starts each span of isqrt(steps) steps after the first.  On the
+way back it re-runs one span at a time from its kept start, with the very
+step function of the forward, so every gate, cell and hidden state comes
+back bit for bit, and then walks that span back.  attend keeps nothing
+beyond its output, which already holds the alignment.
 
 lstm_sequence runs each step as one matrix product.  Its weights and bias
 are stacked into W = [wx; wh; b]^T, shape (4H, D + H + 1), and each step
@@ -318,6 +311,26 @@ def _folded_weight(wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w
 
 
+def _lstm_step(w, operand, z, c_prev, c, tc, h):
+    """One LSTM step, the forward's and the backward's re-run alike.
+
+    Writes the product W @ operand into ``z`` (4H x B) and activates it
+    there in place, gate order i, f, o, c; then the new cell
+    f * c_prev + i * g into ``c``, its tanh into ``tc`` and the new hidden
+    state tanh(c) * o into ``h``.  ``tc`` doubles as scratch before it is
+    written, and may be ``h`` itself.
+    """
+    n = c.shape[0]
+    np.matmul(w, operand, out=z)
+    np.clip(z[:3 * n], 0.0, 1.0, out=z[:3 * n])
+    np.tanh(z[3 * n:], out=z[3 * n:])
+    np.multiply(z[n:2 * n], c_prev, out=c)
+    np.multiply(z[:n], z[3 * n:], out=tc)
+    c += tc
+    np.tanh(c, out=tc)
+    np.multiply(tc, z[2 * n:3 * n], out=h)
+
+
 def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
                   reverse: bool = False, keep_sequence: bool = False,
                   h0: Matrix | None = None, c0: Matrix | None = None) -> Matrix:
@@ -345,13 +358,11 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     ``_folded_weight``) with the stacked operand [x_t; h; 1] (D + H + 1 x B),
     followed by the clip, the two tanh and the cell and hidden products.
 
-    On a tape the node keeps the input, forget and candidate gates of every
-    step and, of the states, only the [cell; hidden] pair that starts each
-    span of isqrt(T) steps after the first: 13 pairs at T = 180.  At the
-    paper shape (B 256, H 100) that is 110.6 MB of gates and 5.3 MB of
-    span starts per layer.  The backward pass rebuilds the cells, the
-    output gates (one H-row product per step) and the hidden states one
-    span at a time.
+    On a tape the node keeps, of the states, only the [cell; hidden] pair
+    that starts each span of isqrt(T) steps after the first: 13 pairs at
+    T = 180, 5.3 MB per layer at the paper shape (B 256, H 100).  The
+    backward pass re-runs one span at a time from its start, which takes
+    one span of scratch, about 23 MB at that shape.
     """
     d, width = wx.shape
     n = width // 4
@@ -381,15 +392,11 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     taped = active_tape() is not None
     w = _folded_weight(wx.values, wh.values, b.values)
     # States are kept feature-major, (width, batch) per step, so each gate
-    # block is one contiguous run for the elementwise updates.  Each step's
-    # product lands in one scratch block.  Off tape the gates are activated
-    # in place there; on tape the input, forget and candidate gates are
-    # written to the step's slot of ``kept`` instead, and only the output
-    # gate stays behind.  The cell state has one slot; on tape a copy is
-    # kept of the [cell; hidden] pair that starts each span of isqrt(T)
-    # steps after the first.  The hidden state lives only in the operand.
+    # block is one contiguous run for the elementwise updates.  The cell
+    # state has one slot, and the hidden state lives only in the operand;
+    # on tape a copy is kept of the [cell; hidden] pair that starts each
+    # span of isqrt(T) steps after the first.
     span = math.isqrt(steps)
-    kept = np.empty((steps, 3 * n, rows)) if taped else None
     starts = np.empty((-(-steps // span) - 1, 2, n, rows)) if taped else None
     z = np.empty((width, rows))
     c = np.empty((n, rows))
@@ -404,28 +411,13 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     x_in, h = operand[:d], operand[d:d + n]
     h[...] = h_init
     operand[d + n] = 1.0
-    prod = np.empty((n, rows))
     c_prev = c_init
-    i, f, o, g = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     for s, t in enumerate(order):
         x_in[...] = xs[:, t].T
-        np.matmul(w, operand, out=z)
-        if taped:
-            ifg = kept[s]
-            i, f, g = ifg[:n], ifg[n:2 * n], ifg[2 * n:]
-            np.clip(z[:2 * n], 0.0, 1.0, out=ifg[:2 * n])
-            np.clip(o, 0.0, 1.0, out=o)
-            np.tanh(z[3 * n:], out=g)
-        else:
-            np.clip(z[:3 * n], 0.0, 1.0, out=z[:3 * n])
-            np.tanh(g, out=g)
-        np.multiply(f, c_prev, out=c)
-        np.multiply(i, g, out=prod)
-        c += prod
-        # h_{t-1} has been read; the new state overwrites it in place.
-        np.tanh(c, out=h)
-        h *= o
+        # h_{t-1} has been read once the product is formed; the new state
+        # overwrites it in place.
+        _lstm_step(w, operand, z, c_prev, c, h, h)
         if seq is not None:
             seq[:, s] = h.T
         c_prev = c
@@ -434,7 +426,7 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
 
     out[:, :n] = h.T
     out[:, n:2 * n] = c.T
-    ctx = (kept, starts, w, reverse, h_init, c_init) if taped else ()
+    ctx = (starts, w, reverse, h_init, c_init) if taped else ()
     return _maybe_record("lstm_sequence", (x, wx, wh, b) + states,
                          Matrix._wrap(out), ctx)
 
@@ -527,31 +519,18 @@ def _bw_slice_cols(nd, nodes, g, grads, need):
         cur[:, start:stop] += g
 
 
-def _rebuild_cells(kept, c_prev, cells, prod):
-    """Write into ``cells`` the cell states of the steps whose kept input,
-    forget and candidate gates ``kept`` holds, from the state ``c_prev``
-    before the first of them, with the forward's ops in the forward's
-    order, so bit for bit.  ``prod`` is (H, B) scratch."""
-    n = cells.shape[1]
-    for ifg, c in zip(kept, cells):
-        np.multiply(ifg[n:2 * n], c_prev, out=c)
-        np.multiply(ifg[:n], ifg[2 * n:], out=prod)
-        c += prod
-        c_prev = c
-
-
 def _bw_lstm_sequence(nd, nodes, g, grads, need):
     # Works in the folded parameterisation of the forward: with z' = W op,
     # the i/f/o gates are clip(z') and have slope 1 strictly inside (0, 1),
     # and the factor 0.2 between z' and the unfolded z is applied once to
     # the gate rows of the finished weight gradient.
     ix, iwx, iwh, ib = nd.inputs[:4]
-    kept, starts, w, reverse, h_init, c_init = nd.ctx
-    steps, rows = kept.shape[0], kept.shape[2]
-    width = w.shape[0]
+    starts, w, reverse, h_init, c_init = nd.ctx
+    width, rows = w.shape[0], g.shape[0]
     n = width // 4
-    span = math.isqrt(steps)
     d = w.shape[1] - n - 1
+    steps = nodes[ix].out.cols // d
+    span = math.isqrt(steps)
     xs = nodes[ix].out.values.reshape(rows, steps, d)
     seq_g = g[:, 2 * n:].reshape(rows, steps, n) if g.shape[1] > 2 * n else None
 
@@ -566,20 +545,19 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     dz = np.empty((width, rows))
     dh = np.ascontiguousarray(g[:, :n].T)
     dc = np.ascontiguousarray(g[:, n:2 * n].T)
-    # The span being walked, rebuilt walking forward: entry j holds, for
-    # step k*span+j of span k, the cell, its tanh, the output gate and the
-    # operand [x_t; h_{t-1}; 1] of the step.
-    cells = np.empty((span, n, rows))
-    tcs = np.empty((span, n, rows))
-    outs = np.empty((span, n, rows))
-    operands = np.empty((span, d + n + 1, rows))
+    # The span being walked, re-run from its start: entry j holds, for step
+    # k*span+j of span k, the activated gates, the cell, its tanh and the
+    # operand [x_t; h_{t-1}; 1] of the step; each step writes its hidden
+    # state into the next operand.  All four live in one allocation, which
+    # the allocator takes back whole: as separate arrays they left pieces
+    # in its heap that raised a later step's peak RSS by up to 40 MB.
+    at = np.cumsum([span * width, span * n, span * n])
+    block = np.empty((at[-1] + (span + 1) * (d + n + 1), rows))
+    gates = block[:at[0]].reshape(span, width, rows)
+    cells = block[at[0]:at[1]].reshape(span, n, rows)
+    tcs = block[at[1]:at[2]].reshape(span, n, rows)
+    operands = block[at[2]:].reshape(span + 1, d + n + 1, rows)
     operands[:, d + n] = 1.0
-    # The output gates are rows 2H:3H of the forward's product.  The
-    # backward takes them from a product of those rows alone, and falls
-    # back to the whole product if the BLAS gives the rows alone other
-    # bits, which a span's last hidden state shows against the kept one.
-    w_o, o_at = w[2 * n:3 * n], 0
-    z_o = np.empty((width, rows))
     tmp = np.empty((n, rows))
     inside = np.empty((3 * n, rows), dtype=bool)
     below = np.empty((3 * n, rows), dtype=bool)
@@ -589,33 +567,21 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     for lo in range((steps - 1) // span * span, -1, -span):
         m = min(span, steps - lo)
         c_start, h_start = starts[lo // span - 1] if lo else (c_init, h_init)
-        h_end = (starts[lo // span, 1] if lo + m < steps
-                 else nd.out.values[:, :n].T)
-        _rebuild_cells(kept[lo:lo + m], c_start, cells[:m], tmp)
         operands[0, d:d + n] = h_start
-        while True:
-            for j in range(m):
-                s = lo + j
-                op = operands[j]
-                op[:d] = xs[:, steps - 1 - s if reverse else s].T
-                np.matmul(w_o, op, out=z_o[:len(w_o)])
-                np.clip(z_o[o_at:o_at + n], 0.0, 1.0, out=outs[j])
-                np.tanh(cells[j], out=tcs[j])
-                # The forward's h = tanh(c) * o, into the next operand.
-                np.multiply(tcs[j], outs[j],
-                            out=operands[j + 1, d:d + n] if j + 1 < m else tmp)
-            if o_at or np.array_equal(tmp, h_end):
-                break
-            # The rows alone gave other bits: from here on, take the output
-            # gates from the whole product, as the forward did.
-            w_o, o_at = w, 2 * n
+        c_prev = c_start
+        for j in range(m):
+            s = lo + j
+            operands[j, :d] = xs[:, steps - 1 - s if reverse else s].T
+            _lstm_step(w, operands[j], gates[j], c_prev, cells[j], tcs[j],
+                       operands[j + 1, d:d + n])
+            c_prev = cells[j]
         for j in range(m - 1, -1, -1):
             s = lo + j
             t = steps - 1 - s if reverse else s
             if seq_g is not None:
                 dh += seq_g[:, s].T
-            ifg, go, tc = kept[s], outs[j], tcs[j]
-            gi, gf, gc = ifg[:n], ifg[n:2 * n], ifg[2 * n:]
+            z, tc = gates[j], tcs[j]
+            gi, gf, go, gc = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
             c_prev = cells[j - 1] if j else c_start
             np.multiply(dh, tc, out=dz[2 * n:3 * n])
             # dc += dh * o * (1 - tanh(c)^2)
@@ -631,10 +597,8 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
             np.subtract(1.0, tmp, out=tmp)
             dz[3 * n:] *= tmp
             # Clipped gates pass no gradient.
-            for gate, at in ((ifg[:2 * n], slice(0, 2 * n)),
-                             (go, slice(2 * n, 3 * n))):
-                np.greater(gate, 0.0, out=inside[at])
-                np.less(gate, 1.0, out=below[at])
+            np.greater(z[:3 * n], 0.0, out=inside)
+            np.less(z[:3 * n], 1.0, out=below)
             np.logical_and(inside, below, out=inside)
             np.multiply(dz[:3 * n], inside, out=dz[:3 * n])
             dc *= gf

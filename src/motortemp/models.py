@@ -343,7 +343,11 @@ def _check_batch(params: ModelParams, batch) -> np.ndarray:
     if arr.shape[1] < 1:
         raise ShapeError("batch window must have at least one step")
     if not np.isfinite(arr).all():
-        raise ValueError("batch entries must be finite")
+        window, step, channel = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(
+            f"batch entries must be finite: window {window}, step {step}, "
+            f"channel {channel} is {arr[window, step, channel]}"
+        )
     return arr
 
 

@@ -1,6 +1,7 @@
 """Forward oracles and gradient checks for the matrix tape."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,7 +371,7 @@ PRIMITIVES = [
                                                 h0=h0, c0=c0)),
     ("lstm_sequence_decoder_step", _decoder_inputs,
      lambda x, wx, wh, b, c0: lstm_sequence(x, wx, wh, b, h0=x, c0=c0)),
-    # The backward rebuilds the cells span by span, isqrt(T) steps each:
+    # The backward re-runs the steps span by span, isqrt(T) steps each:
     # 4 steps split into two whole spans, while 5 and 10 steps end on a
     # partial span of one step.
     *[case for steps in (5, 10) for case in (
@@ -512,33 +513,31 @@ def _taped_lstm(reverse, keep_sequence, steps=5):
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("keep_sequence", [False, True])
-def test_lstm_sequence_keeps_gates_and_span_starts_only(reverse, keep_sequence):
-    # Per step the node keeps the input, forget and candidate gates (3H);
-    # of the states only the [cell; hidden] pair that starts each span of
-    # isqrt(T) steps after the first, nothing else: the other cells, the
-    # output gates and the hidden states are rebuilt on the way back.  Five
-    # steps make spans of 2, 2 and 1 steps.
+def test_lstm_sequence_keeps_span_starts_only(reverse, keep_sequence):
+    # Of the states the node keeps only the [cell; hidden] pair that starts
+    # each span of isqrt(T) steps after the first, beside the folded weight
+    # and the initial states: every gate, cell and hidden state is re-run
+    # on the way back.  Five steps make spans of 2, 2 and 1 steps.
     *_, node = _taped_lstm(reverse, keep_sequence)
-    steps, d, n, rows = 5, 4, 3, 7
+    d, n, rows = 4, 3, 7
     kept = sum(a.nbytes for a in node.ctx if isinstance(a, np.ndarray))
-    gates = steps * 3 * n * rows
     span_starts = 2 * (3 - 1) * n * rows
     weight = 4 * n * (d + n + 1)
     initial_states = 2 * n * rows
-    assert kept == 8 * (gates + span_starts + weight + initial_states)
+    assert kept == 8 * (span_starts + weight + initial_states)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_hidden_states_rebuild_bitwise_from_kept_gates_and_cells(reverse):
-    # c_s = f_s * c_{s-1} + i_s * g_s from the kept gates, and
-    # o_s = clip(W[2H:3H] @ [x_t; h_{s-1}; 1]) from the output gate's rows
-    # of the folded weight alone, starting each span from its kept
-    # [cell; hidden] pair (span 0 from zero), give h_s = tanh(c_s) * o_s:
-    # the kept hidden sequence bit for bit.
+def test_hidden_states_rebuild_bitwise_from_kept_span_starts(reverse):
+    # Each span re-run from its kept [cell; hidden] pair (span 0 from zero)
+    # with the whole folded product z = W @ [x_t; h_{s-1}; 1], then
+    # i, f, o = clip(z), g = tanh(z_c), c_s = f * c_{s-1} + i * g and
+    # h_s = tanh(c_s) * o, gives the kept hidden sequence bit for bit.
     inputs, *_, node = _taped_lstm(reverse, keep_sequence=True)
-    gates, starts, w = [a for a in node.ctx if isinstance(a, np.ndarray)][:3]
-    steps, n, rows = gates.shape[0], starts.shape[2], starts.shape[3]
+    starts, w = [a for a in node.ctx if isinstance(a, np.ndarray)][:2]
+    n, rows = starts.shape[2], starts.shape[3]
     d = w.shape[1] - n - 1
+    steps = inputs[0].cols // d
     xs = inputs[0].values.reshape(rows, steps, d)
     span = 2
     assert starts.shape == (2, 2, n, rows)
@@ -549,8 +548,9 @@ def test_hidden_states_rebuild_bitwise_from_kept_gates_and_cells(reverse):
             c_prev, h_prev = starts[s // span - 1]
         t = steps - 1 - s if reverse else s
         operand = np.concatenate([xs[:, t].T, h_prev, np.ones((1, rows))])
-        o = np.clip(w[2 * n:3 * n] @ operand, 0.0, 1.0)
-        i, f, g = gates[s, :n], gates[s, n:2 * n], gates[s, 2 * n:]
+        z = w @ operand
+        i, f, o = np.clip(z[:3 * n], 0.0, 1.0).reshape(3, n, rows)
+        g = np.tanh(z[3 * n:])
         c_prev = f * c_prev + i * g
         h_prev = hidden[s] = np.tanh(c_prev) * o
     out = node.out.values
@@ -558,55 +558,10 @@ def test_hidden_states_rebuild_bitwise_from_kept_gates_and_cells(reverse):
     np.testing.assert_array_equal(hidden, seq)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("hidden, width", [(100, 65), (200, 200)])
-def test_output_gate_rows_alone_give_the_stacked_product_bitwise(
-        threads, hidden, width):
-    # The backward rebuilds the output gates from W[2H:3H] alone.  At the
-    # paper encoder's shape (H 100, 65 channels) and the bilstm decoder's
-    # (H 200 from a 200-wide input), batch 256, the BLAS gives those rows
-    # the bits of the forward's stacked product, so no step falls back to
-    # the whole product.
-    calls = models._openblas_thread_calls()
-    if calls is None:
-        pytest.skip("numpy has no bundled OpenBLAS with thread controls")
-    get, put = calls
-    rng = np.random.default_rng(82)
-    w = _folded_weight(rng.standard_normal((width, 4 * hidden)),
-                       rng.standard_normal((hidden, 4 * hidden)),
-                       rng.standard_normal((1, 4 * hidden)))
-    operand = rng.standard_normal((width + hidden + 1, 256))
-    before = get()
-    put(threads)
-    try:
-        stacked = w @ operand
-        alone = w[2 * hidden:3 * hidden] @ operand
-    finally:
-        put(before)
-    np.testing.assert_array_equal(alone, stacked[2 * hidden:3 * hidden])
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("keep_sequence", [False, True])
-def test_backward_falls_back_to_the_stacked_product_bit_for_bit(
-        reverse, keep_sequence, monkeypatch):
-    # Where the BLAS gives the output gate's rows alone other bits than the
-    # stacked product, a span's rebuilt last hidden state differs from the
-    # kept one and the backward takes the output gates from the whole
-    # product instead.  Forcing that path must not move a bit.
-    inputs, loss, tape, _ = _taped_lstm(reverse, keep_sequence, steps=10)
-    want = tape.backward(loss, wrt=inputs)
-    monkeypatch.setattr(np, "array_equal", lambda a, b: False)
-    got = tape.backward(loss, wrt=inputs)
-    monkeypatch.undo()
-    for a, b in zip(want, got):
-        np.testing.assert_array_equal(a, b)
-
-
 def _bptt_keeping_every_gate(x, wx, wh, b, g, reverse):
     """The weight gradients of one LSTM layer from zero states, with the
     node's folded weight and op order but every gate of the forward kept:
-    the reference for the rebuilt output gates.  ``g`` is the upstream
+    the reference for the re-run spans.  ``g`` is the upstream
     gradient of [h | c] after the last step."""
     n = wh.shape[0]
     rows, d = x.shape[0], wx.shape[0]
@@ -644,25 +599,35 @@ def _bptt_keeping_every_gate(x, wx, wh, b, g, reverse):
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("rows", [17, 256])
+@pytest.mark.parametrize("rows", [17, 44, 200, 256])
 def test_backward_equals_bptt_keeping_every_gate_bitwise(reverse, rows):
-    # At the paper encoder's widths.  On OpenBLAS the output gate's rows
-    # alone give the stacked product's bits at batch 256, not at batch 17,
-    # so both the product of those rows and the fallback to the whole
-    # product run here.
+    # At the paper encoder's widths, over ten steps (spans of 3, 3, 3 and
+    # 1), at batch widths where OpenBLAS gives a product of some of the
+    # weight's rows other bits than the stacked product (17, 44) and where
+    # it does not (200, 256), at one and at two BLAS threads.
+    calls = models._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy has no bundled OpenBLAS with thread controls")
+    get, put = calls
     rng = np.random.default_rng(83)
-    x, wx, wh, b = (_r(rng, rows, 4 * 65), _r(rng, 65, 400, 0.3),
+    x, wx, wh, b = (_r(rng, rows, 10 * 65), _r(rng, 65, 400, 0.3),
                     _r(rng, 100, 400, 0.3), _r(rng, 1, 400))
-    with Tape() as tape:
-        out = lstm_sequence(x, wx, wh, b, reverse=reverse)
-        target = _r(rng, *out.shape)
-        loss = mse(out, target)
-    got = tape.backward(loss, wrt=[wx, wh, b])
-    half = (1.0 / out.values.size) * (out.values - target.values)
-    want = _bptt_keeping_every_gate(x.values, wx.values, wh.values, b.values,
-                                    half + half, reverse)
-    for a, e in zip(got, want):
-        np.testing.assert_array_equal(a, e)
+    target = _r(rng, rows, 200)
+    before = get()
+    for threads in (1, 2):
+        put(threads)
+        try:
+            with Tape() as tape:
+                out = lstm_sequence(x, wx, wh, b, reverse=reverse)
+                loss = mse(out, target)
+            got = tape.backward(loss, wrt=[wx, wh, b])
+            half = (1.0 / out.values.size) * (out.values - target.values)
+            want = _bptt_keeping_every_gate(x.values, wx.values, wh.values,
+                                            b.values, half + half, reverse)
+        finally:
+            put(before)
+        for a, e in zip(got, want):
+            np.testing.assert_array_equal(a, e, err_msg=f"{threads} threads")
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -679,7 +644,7 @@ def test_backward_twice_on_one_tape_gives_identical_gradients(
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_backward_twice_over_a_partial_last_span(reverse):
-    # Ten steps make spans of 3, 3, 3 and 1: the rebuild buffer is reused
+    # Ten steps make spans of 3, 3, 3 and 1: the re-run buffer is reused
     # across spans of two lengths, and must never write into the kept
     # span starts.
     inputs, loss, tape, node = _taped_lstm(reverse, keep_sequence=True,
@@ -691,3 +656,26 @@ def test_backward_twice_over_a_partial_last_span(reverse):
         np.testing.assert_array_equal(a, b)
     for was, now in zip(kept, [a for a in node.ctx if isinstance(a, np.ndarray)]):
         np.testing.assert_array_equal(was, now)
+
+
+def test_tape_memory_grows_with_the_root_of_the_window():
+    # The node keeps one [cell; hidden] pair per span of isqrt(T) steps and
+    # the backward one span of scratch, so the traced peak of a taped
+    # forward and backward grows like sqrt(T): 4x the steps, about 2x the
+    # peak.  Kept per-step state would make it grow like T.
+    rng = np.random.default_rng(84)
+    wx, wh, b = _r(rng, 8, 64, 0.3), _r(rng, 16, 64, 0.3), _r(rng, 1, 64)
+    peaks = {}
+    for steps in (100, 400):
+        x = _r(rng, 32, 8 * steps)
+        target = _r(rng, 32, 32)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = mse(lstm_sequence(x, wx, wh, b), target)
+            tape.backward(loss, wrt=[wx, wh, b])
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del tape, loss
+    assert peaks[400] < 2.5 * peaks[100], peaks

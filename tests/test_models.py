@@ -385,6 +385,19 @@ class TestForwardShapes:
         with pytest.raises(ValueError):
             predict(params, np.full((2, 5, 3), np.nan))
 
+    @pytest.mark.parametrize("entry", [predict, forward_for_training])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_located(self, entry, bad):
+        # The first non-finite entry in row-major order is named, with its
+        # window, step, channel and value.
+        params = init_params("vanilla", seed=1, input_dim=5, hidden=4)
+        batch = np.zeros((2, 6, 5))
+        batch[1, 1, 2] = bad
+        batch[1, 4, 0] = np.nan
+        with pytest.raises(ValueError, match=(
+                f"must be finite: window 1, step 1, channel 2 is {bad}$")):
+            entry(params, batch)
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_entry_points_agree_bitwise(self, variant):
         params = init_params(variant, seed=2, input_dim=4, hidden=5)
