@@ -39,9 +39,7 @@ from .features import (
     TARGETS,
     FeatureConfig,
     Standardization,
-    UndefinedCorrelationError,
     WindowedDataset,
-    avg_abs_correlation,
     build_dataset,
     derive_synthetic,
     ewma,
@@ -60,7 +58,6 @@ from .training import (
     TrainConfig,
     TrainingError,
     adam_step,
-    mse_loss,
     train_grouped,
 )
 

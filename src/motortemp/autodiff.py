@@ -104,10 +104,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls._wrap(np.zeros((rows, cols)))
 
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "Matrix":
-        return cls._wrap(np.ones((rows, cols)))
-
     @property
     def rows(self) -> int:
         return self.values.shape[0]
@@ -119,9 +115,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-    def copy(self) -> "Matrix":
-        return Matrix._wrap(self.values.copy())
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"

@@ -150,16 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # The kinds a config value may be declared as: (test, what it must be).
 _KINDS = {
-    "integer": (_is_int, "an integer"),
-    "number": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "integer": (features._is_int, "an integer"),
+    "number": (lambda v: features._is_int(v) or isinstance(v, float), "a number"),
     "string": (lambda v: isinstance(v, str), "a string"),
-    "integers": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "integers": (lambda v: isinstance(v, list) and all(map(features._is_int, v)),
                  "a list of integers or a comma string of integers"),
     "clip": (lambda v: v in (None, "none") or _KINDS["number"][0](v),
              'a number, "none" or null'),

@@ -8,7 +8,6 @@ since it bounds how far a derating controller could be misled.
 
 from __future__ import annotations
 
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import write_csv
-from .features import TARGETS, Standardization, WindowedDataset
+from .features import TARGETS, Standardization, WindowedDataset, _is_int
 from .models import ModelParams, predict
 
 __all__ = [
@@ -130,8 +129,7 @@ def collect_predictions(params: ModelParams, dataset: WindowedDataset,
     n = dataset.n_windows
     if n == 0:
         raise EvaluationError("dataset holds no windows")
-    if (not isinstance(batch_size, numbers.Integral)
-            or isinstance(batch_size, bool) or batch_size < 1):
+    if not _is_int(batch_size) or batch_size < 1:
         raise EvaluationError(
             f"batch_size must be a positive integer, got {batch_size!r}")
     actual, predicted = [], []

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataio import ConfigError, ProfileFrame, SchemaError, one_pole
+from .dataio import ConfigError, ProfileFrame, one_pole
 
 __all__ = [
     "PREDICTORS",
@@ -29,10 +29,8 @@ __all__ = [
     "FeatureConfig",
     "Standardization",
     "WindowedDataset",
-    "UndefinedCorrelationError",
     "derive_synthetic",
     "ewma",
-    "avg_abs_correlation",
     "channel_matrix",
     "target_matrix",
     "fit_standardization",
@@ -63,10 +61,6 @@ _SYNTHETIC_SOURCES = ("u_d", "u_q", "i_d", "i_q", "motor_speed", "coolant")
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-class UndefinedCorrelationError(ValueError):
-    """Correlation against a zero-variance series is undefined."""
 
 
 @dataclass(frozen=True)
@@ -226,33 +220,6 @@ def _ewma_columns(columns: np.ndarray, span: int, out=None) -> np.ndarray:
     num = one_pole(columns, decay)
     den = one_pole(np.ones(len(columns)), decay)
     return np.divide(num, den[:, None], out=out)
-
-
-def avg_abs_correlation(frames, candidate: str, targets=TARGETS) -> float:
-    """Mean absolute Pearson correlation of one attribute against the targets.
-
-    Series are concatenated across the given frames before correlating.
-    """
-    frames = list(frames)
-    if not frames:
-        raise ValueError("avg_abs_correlation: no frames given")
-    for f in frames:
-        f.require((candidate, *targets))
-    cand = np.concatenate([f.columns[candidate] for f in frames])
-    if np.std(cand) == 0.0:
-        raise UndefinedCorrelationError(
-            f"attribute {candidate!r} has zero variance"
-        )
-    total = 0.0
-    for tname in targets:
-        tgt = np.concatenate([f.columns[tname] for f in frames])
-        if np.std(tgt) == 0.0:
-            raise UndefinedCorrelationError(
-                f"attribute {tname!r} has zero variance"
-            )
-        r = np.corrcoef(cand, tgt)[0, 1]
-        total += abs(r)
-    return total / len(targets)
 
 
 def channel_matrix(frame: ProfileFrame, config: FeatureConfig) -> np.ndarray:

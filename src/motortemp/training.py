@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Matrix, ShapeError, Tape, mse
+from .autodiff import Matrix, Tape, mse
 from .dataio import ConfigError, DatasetSplit
 from .features import (
     FeatureConfig,
     WindowedDataset,
+    _is_int,
     build_dataset,
     fit_standardization,
 )
@@ -37,7 +38,6 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "TrainingError",
-    "mse_loss",
     "adam_step",
     "epoch_batches",
     "partition_groups",
@@ -72,7 +72,7 @@ class TrainConfig:
             value = getattr(self, name)
             if value is None and name == "fine_tune_epochs":
                 continue
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
         for name in ("learning_rate", "beta1", "beta2", "eps", "clip_norm"):
@@ -124,18 +124,6 @@ class AdamState:
     def for_params(cls, params: ModelParams) -> "AdamState":
         shapes = [mat.shape for mat in params.matrices()]
         return cls([np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes])
-
-
-def mse_loss(predictions, targets) -> float:
-    """Mean of squared errors over every entry of two equal-shape arrays."""
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ShapeError(f"mse_loss: shapes {p.shape} and {t.shape} differ")
-    if p.size == 0:
-        raise ShapeError("mse_loss: empty arrays")
-    d = p - t
-    return float(np.mean(d * d))
 
 
 def adam_step(params: ModelParams, grads, state: AdamState,

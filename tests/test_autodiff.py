@@ -2,11 +2,12 @@
 
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close, numeric_grad
+from helpers import assert_grads_close, extrapolated_grad, numeric_grad
 from motortemp import models
 from motortemp.autodiff import (
     ContractError,
@@ -189,17 +190,19 @@ class TestMse:
 class TestTape:
     def test_nothing_recorded_without_tape(self):
         tape = Tape()
-        y = affine(Matrix.ones(2, 2), Matrix.ones(2, 2), Matrix.ones(1, 2))
+        y = affine(Matrix(np.ones((2, 2))), Matrix(np.ones((2, 2))),
+                   Matrix(np.ones((1, 2))))
         assert tape.node_id(y) is None
         assert len(tape) == 0
 
     def test_inputs_recorded_before_consumers(self):
         with Tape() as tape:
-            a = Matrix.ones(2, 3)
-            b = affine(a, Matrix.ones(3, 3), Matrix.ones(1, 3))
-            c = affine(b, Matrix.ones(3, 3), slice_cols(Matrix.ones(1, 5), 1, 4))
-            out = lstm_sequence(c, Matrix.ones(3, 4), Matrix.ones(1, 4),
-                                Matrix.ones(1, 4), h0=slice_cols(b, 0, 1),
+            a = Matrix(np.ones((2, 3)))
+            b = affine(a, Matrix(np.ones((3, 3))), Matrix(np.ones((1, 3))))
+            c = affine(b, Matrix(np.ones((3, 3))),
+                       slice_cols(Matrix(np.ones((1, 5))), 1, 4))
+            out = lstm_sequence(c, Matrix(np.ones((3, 4))), Matrix(np.ones((1, 4))),
+                                Matrix(np.ones((1, 4))), h0=slice_cols(b, 0, 1),
                                 c0=Matrix.zeros(2, 1))
             mse(out, Matrix.zeros(*out.shape))
         for i, node in enumerate(tape.nodes):
@@ -217,22 +220,22 @@ class TestTape:
         np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
-        w = Matrix.ones(2, 2)
+        w = Matrix(np.ones((2, 2)))
         with Tape() as tape:
-            y = affine(w, w, Matrix.ones(1, 2))
+            y = affine(w, w, Matrix(np.ones((1, 2))))
         with pytest.raises(ContractError):
             tape.backward(y, wrt=[w])
 
     def test_off_tape_loss_rejected(self):
         with Tape() as tape:
             pass
-        loss = mse(Matrix.ones(1, 1), Matrix.zeros(1, 1))
+        loss = mse(Matrix(np.ones((1, 1))), Matrix.zeros(1, 1))
         with pytest.raises(ContractError):
             tape.backward(loss, wrt=[])
 
     def test_unused_leaf_gets_zero_gradient(self):
-        w = Matrix.ones(2, 2)
-        unused = Matrix.ones(3, 3)
+        w = Matrix(np.ones((2, 2)))
+        unused = Matrix(np.ones((3, 3)))
         with Tape() as tape:
             loss = mse(w, Matrix.zeros(2, 2))
         (g,) = tape.backward(loss, wrt=[unused])
@@ -398,7 +401,8 @@ PRIMITIVES = [
 
 @pytest.mark.parametrize("name,build,op", PRIMITIVES, ids=[p[0] for p in PRIMITIVES])
 def test_primitive_gradients_match_finite_differences(name, build, op):
-    rng = np.random.default_rng(hash(name) % (2**32))
+    # crc32, unlike hash(), gives every process the same inputs.
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     inputs = build(rng)
     out_probe = op(*inputs)
     target = Matrix(np.random.default_rng(99).standard_normal(out_probe.shape))
@@ -410,7 +414,7 @@ def test_primitive_gradients_match_finite_differences(name, build, op):
     for pos, inp in enumerate(inputs):
         def f(_arr, _pos=pos):
             return float(mse(op(*inputs), target).values[0, 0])
-        numeric = numeric_grad(f, inp.values)
+        numeric = extrapolated_grad(f, inp.values)
         assert_grads_close(grads[pos], numeric)
 
 

@@ -13,8 +13,6 @@ from motortemp.features import (
     SYNTHETIC_SETS,
     TARGETS,
     FeatureConfig,
-    UndefinedCorrelationError,
-    avg_abs_correlation,
     build_dataset,
     channel_matrix,
     derive_synthetic,
@@ -159,33 +157,6 @@ class TestEwma:
 
     def test_empty_series(self):
         assert len(ewma(np.empty(0), span=5)) == 0
-
-
-class TestAvgAbsCorrelation:
-    def test_perfect_and_noise_mix(self):
-        rng = np.random.default_rng(12)
-        n = 20_000
-        main = rng.standard_normal(n)
-        frame = make_frame(
-            n=n,
-            stator_winding=main,
-            stator_tooth=rng.standard_normal(n),
-            stator_yoke=rng.standard_normal(n),
-            pm=rng.standard_normal(n),
-            torque=main.copy(),
-        )
-        val = avg_abs_correlation([frame], "torque")
-        assert abs(val - 0.25) < 0.03
-
-    def test_zero_variance_names_attribute(self):
-        frame = make_frame(n=100, torque=np.full(100, 2.0))
-        with pytest.raises(UndefinedCorrelationError, match="torque"):
-            avg_abs_correlation([frame], "torque")
-
-    def test_concatenates_across_frames(self):
-        frames = [make_frame(pid=i, n=500) for i in (1, 2)]
-        joint = avg_abs_correlation(frames, "coolant")
-        assert 0.0 <= joint <= 1.0
 
 
 class TestFeatureConfig:

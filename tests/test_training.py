@@ -11,7 +11,7 @@ import pytest
 
 from helpers import reference_adam_step
 from motortemp import features
-from motortemp.autodiff import Matrix, ShapeError
+from motortemp.autodiff import Matrix
 from motortemp.checkpoint import (
     CheckpointError,
     VariantMismatchError,
@@ -28,7 +28,6 @@ from motortemp.training import (
     _train_step,
     adam_step,
     epoch_batches,
-    mse_loss,
     partition_groups,
     train_grouped,
 )
@@ -96,30 +95,6 @@ class TestTrainConfig:
         assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
         assert type(cfg.clip_norm) is float and cfg.clip_norm == 5.0
         assert type(cfg.batch_size) is int and cfg.batch_size == 8
-
-
-class TestMseLoss:
-    def test_hand_value(self):
-        assert mse_loss([[1.0, 2.0]], [[0.0, 4.0]]) == pytest.approx(2.5)
-
-    def test_zero_on_equal(self):
-        x = np.random.default_rng(0).standard_normal((5, 3))
-        assert mse_loss(x, x.copy()) == 0.0
-
-    def test_matches_elementwise_loop(self):
-        rng = np.random.default_rng(1)
-        p = rng.standard_normal((6, 4))
-        t = rng.standard_normal((6, 4))
-        want = 0.0
-        for i in range(6):
-            for j in range(4):
-                want += (p[i, j] - t[i, j]) ** 2
-        want /= 24.0
-        assert mse_loss(p, t) == pytest.approx(want, abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 class TestAdam:
