@@ -37,6 +37,10 @@ Backward pass conventions:
   order exactly once;
 * interior gradients are freed as soon as they have been consumed, which
   keeps peak memory close to the forward activations alone;
+* a matrix read only through slice_cols keeps its gradient as column
+  blocks, each slice's own array keyed by its (start, stop) range and
+  never written into, until a rule needs it whole: lstm_sequence and
+  attend read their blocks directly and skip one that never arrived;
 * leaves that were not requested (e.g. the input windows) never receive a
   gradient, so the corresponding matrix products are skipped.
 """
@@ -226,16 +230,18 @@ class Tape:
             if nd.op != "leaf" and not need[i]:
                 need[i] = any(need[j] for j in nd.inputs)
 
-        grads: dict[int, np.ndarray] = {loss_id: np.ones((1, 1))}
+        grads: dict[int, np.ndarray | dict] = {loss_id: np.ones((1, 1))}
         for i in range(loss_id, -1, -1):
             nd = nodes[i]
             g = grads.get(i)
             if g is None or nd.op == "leaf":
                 continue
+            if nd.op not in _BLOCK_RULES:
+                g = _dense(g, nd.out.shape)
             _BACKWARD[nd.op](nd, nodes, g, grads, need)
             if i not in keep:
                 del grads[i]
-        return [grads[i] if i in grads else np.zeros(m.shape)
+        return [_dense(grads[i], m.shape) if i in grads else np.zeros(m.shape)
                 for i, m in zip(wrt_ids, wrt)]
 
 
@@ -440,12 +446,12 @@ def attend(query: Matrix, keys: Matrix) -> Matrix:
         )
     steps = keys.cols // n
     k3 = keys.values.reshape(rows, steps, n)
-    scores = np.einsum("bth,bh->bt", k3, query.values)
+    scores = np.matmul(k3, query.values[:, :, None])[:, :, 0]
     scores -= scores.max(axis=1, keepdims=True)
     e = np.exp(scores)
     out = np.empty((rows, steps + n))
     np.divide(e, e.sum(axis=1, keepdims=True), out=out[:, :steps])
-    np.einsum("bt,bth->bh", out[:, :steps], k3, out=out[:, steps:])
+    out[:, steps:] = np.matmul(out[:, None, :steps], k3)[:, 0]
     return _maybe_record("attend", (query, keys), Matrix._wrap(out))
 
 
@@ -470,6 +476,26 @@ def mse(pred: Matrix, target: Matrix) -> Matrix:
     return _maybe_record("mse", (pred, target), out, (diff, k))
 
 
+def _dense(g, shape) -> np.ndarray:
+    """The gradient ``g`` as one array: its column blocks, if it has them,
+    added into zeros in the order they arrived."""
+    if not isinstance(g, dict):
+        return g
+    out = np.zeros(shape)
+    for (start, stop), val in g.items():
+        out[:, start:stop] += val
+    return out
+
+
+def _split(g, shape, cuts):
+    """The gradient ``g`` as one block per column range of ``cuts``: None
+    where none arrived, or views of it whole if its blocks do not line up."""
+    if isinstance(g, dict) and g.keys() <= set(cuts):
+        return [g.get(cut) for cut in cuts]
+    g = _dense(g, shape)
+    return [g[:, start:stop] for start, stop in cuts]
+
+
 def _acc(grads: dict, need, nid: int, val: np.ndarray):
     # Backward rules hand over freshly allocated arrays, so accumulating
     # in place here never aliases another node's stored gradient.
@@ -479,6 +505,7 @@ def _acc(grads: dict, need, nid: int, val: np.ndarray):
     if cur is None:
         grads[nid] = val
     else:
+        cur = grads[nid] = _dense(cur, val.shape)
         cur += val
 
 
@@ -501,15 +528,17 @@ def _bw_concat_cols(nd, nodes, g, grads, need):
 
 
 def _bw_slice_cols(nd, nodes, g, grads, need):
-    # Adds into the input's gradient in place: only the first slice of a
-    # matrix to be reached allocates its full-size gradient.
+    # Until a whole gradient reaches the input, its gradient is a dict of
+    # column blocks: the slice's own g, adopted by reference, under its
+    # (start, stop) range, or the sum of the gradients of equal slices.
     j = nd.inputs[0]
     if need[j]:
-        start, stop = nd.ctx
-        cur = grads.get(j)
-        if cur is None:
-            cur = grads[j] = np.zeros(nodes[j].out.shape)
-        cur[:, start:stop] += g
+        start, stop = cut = nd.ctx
+        cur = grads.setdefault(j, {})
+        if not isinstance(cur, dict):
+            cur[:, start:stop] += g
+        else:
+            cur[cut] = cur[cut] + g if cut in cur else g
 
 
 def _bw_lstm_sequence(nd, nodes, g, grads, need):
@@ -519,13 +548,16 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
     # the gate rows of the finished weight gradient.
     ix, iwx, iwh, ib = nd.inputs[:4]
     starts, w, reverse, h_init, c_init = nd.ctx
-    width, rows = w.shape[0], g.shape[0]
+    (rows, cols), width = nd.out.shape, w.shape[0]
     n = width // 4
     d = w.shape[1] - n - 1
     steps = nodes[ix].out.cols // d
     span = math.isqrt(steps)
     xs = nodes[ix].out.values.reshape(rows, steps, d)
-    seq_g = g[:, 2 * n:].reshape(rows, steps, n) if g.shape[1] > 2 * n else None
+    g_h, g_c, g_seq = _split(g, nd.out.shape,
+                             ((0, n), (n, 2 * n), (2 * n, cols)))
+    seq_g = (g_seq.reshape(rows, steps, n)
+             if g_seq is not None and cols > 2 * n else None)
 
     dw = np.zeros(w.shape) if need[iwx] or need[iwh] or need[ib] else None
     dx = np.zeros((rows, steps, d)) if need[ix] else None
@@ -536,8 +568,9 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
         dx_step = np.empty((d, rows))
     wh_t = np.ascontiguousarray(w[:, d:d + n].T)
     dz = np.empty((width, rows))
-    dh = np.ascontiguousarray(g[:, :n].T)
-    dc = np.ascontiguousarray(g[:, n:2 * n].T)
+    # Copies, never views: dh and dc are written in place below.
+    dh, dc = (np.zeros((n, rows)) if blk is None else blk.T.copy()
+              for blk in (g_h, g_c))
     # The span being walked, re-run from its start: entry j holds, for step
     # k*span+j of span k, the activated gates, the cell, its tanh and the
     # operand [x_t; h_{t-1}; 1] of the step; each step writes its hidden
@@ -622,15 +655,20 @@ def _bw_attend(nd, nodes, g, grads, need):
     steps = nd.out.cols - n
     k3 = nodes[ik].out.values.reshape(rows, steps, n)
     align = nd.out.values[:, :steps]
-    g_ctx = g[:, steps:]
+    g_align, g_ctx = _split(g, nd.out.shape, ((0, steps), (steps, steps + n)))
+    if g_ctx is None:
+        g_ctx = np.zeros((rows, n))
     # context = sum_t a_t k_t, then the softmax and score rules.
-    da = g[:, :steps] + np.einsum("bth,bh->bt", k3, g_ctx)
+    da = np.matmul(k3, g_ctx[:, :, None])[:, :, 0]
+    if g_align is not None:
+        da += g_align
     ds = align * (da - (align * da).sum(axis=1, keepdims=True))
     if need[iq]:
-        _acc(grads, need, iq, np.einsum("bt,bth->bh", ds, k3))
+        _acc(grads, need, iq, np.matmul(ds[:, None, :], k3)[:, 0])
     if need[ik]:
-        dk = align[:, :, None] * g_ctx[:, None, :]
-        dk += ds[:, :, None] * q[:, None, :]
+        # dk_t = a_t g_ctx + ds_t q, as one batched product.
+        dk = np.matmul(np.stack([align, ds], axis=2),
+                       np.stack([g_ctx, q], axis=1))
         _acc(grads, need, ik, dk.reshape(rows, steps * n))
 
 
@@ -643,6 +681,7 @@ def _bw_mse(nd, nodes, g, grads, need):
         _acc(grads, need, j, half + half)
 
 
+_BLOCK_RULES = {"lstm_sequence", "attend"}
 _BACKWARD = {
     "affine": _bw_affine,
     "concat_cols": _bw_concat_cols,

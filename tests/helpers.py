@@ -86,6 +86,32 @@ def taped_attention(params, batch):
     return node, tape.nodes[head.inputs[0]]
 
 
+def einsum_attend(q, keys):
+    """``autodiff.attend`` in plain numpy: [alignment | context] of the
+    (B, H) queries over the (B, T*H) keys, with every product an einsum."""
+    rows, n = q.shape
+    k3 = keys.reshape(rows, -1, n)
+    scores = np.einsum("bth,bh->bt", k3, q)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    align = e / e.sum(axis=1, keepdims=True)
+    return np.concatenate([align, np.einsum("bt,bth->bh", align, k3)], axis=1)
+
+
+def einsum_attend_backward(q, keys, g):
+    """The gradients (dq, dkeys) of ``einsum_attend`` for the upstream
+    gradient ``g`` of its output, by the chain rule in plain numpy."""
+    rows, n = q.shape
+    k3 = keys.reshape(rows, -1, n)
+    steps = k3.shape[1]
+    align = einsum_attend(q, keys)[:, :steps]
+    g_align, g_ctx = g[:, :steps], g[:, steps:]
+    da = g_align + np.einsum("bth,bh->bt", k3, g_ctx)
+    ds = align * (da - (align * da).sum(axis=1, keepdims=True))
+    dk = (np.einsum("bt,bh->bth", align, g_ctx)
+          + np.einsum("bt,bh->bth", ds, q))
+    return np.einsum("bt,bth->bh", ds, k3), dk.reshape(rows, steps * n)
+
+
 def reference_adam_step(params, grads, state, config):
     """Adam as it runs on the per-gate blocks of ``params.items()``: the
     reference that ``training.adam_step`` must match bit for bit.

@@ -7,7 +7,13 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close, extrapolated_grad, numeric_grad
+from helpers import (
+    assert_grads_close,
+    einsum_attend,
+    einsum_attend_backward,
+    extrapolated_grad,
+    numeric_grad,
+)
 from motortemp import models
 from motortemp.autodiff import (
     ContractError,
@@ -562,11 +568,12 @@ def test_hidden_states_rebuild_bitwise_from_kept_span_starts(reverse):
     np.testing.assert_array_equal(hidden, seq)
 
 
-def _bptt_keeping_every_gate(x, wx, wh, b, g, reverse):
+def _bptt_keeping_every_gate(x, wx, wh, b, g, reverse, g_seq=None):
     """The weight gradients of one LSTM layer from zero states, with the
     node's folded weight and op order but every gate of the forward kept:
     the reference for the re-run spans.  ``g`` is the upstream
-    gradient of [h | c] after the last step."""
+    gradient of [h | c] after the last step, and ``g_seq``, if given, that
+    of the kept hidden sequence, B x TH in processing order."""
     n = wh.shape[0]
     rows, d = x.shape[0], wx.shape[0]
     steps = x.shape[1] // d
@@ -587,7 +594,10 @@ def _bptt_keeping_every_gate(x, wx, wh, b, g, reverse):
     wh_t = np.ascontiguousarray(w[:, d:d + n].T)
     dh, dc = g[:, :n].T.copy(), g[:, n:].T.copy()
     dw = np.zeros(w.shape)
-    for z, c_prev, tc, operand in reversed(kept):
+    for s in range(steps - 1, -1, -1):
+        z, c_prev, tc, operand = kept[s]
+        if g_seq is not None:
+            dh += g_seq[:, s * n:(s + 1) * n].T
         i, f, o, gc = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
         dz = np.empty_like(z)
         dz[2 * n:3 * n] = dh * tc
@@ -683,3 +693,176 @@ def test_tape_memory_grows_with_the_root_of_the_window():
             tracemalloc.stop()
         del tape, loss
     assert peaks[400] < 2.5 * peaks[100], peaks
+
+
+def _mse_grad(diff, count):
+    """The gradient of an mse over ``count`` entries at ``diff``, formed as
+    mse's backward forms it."""
+    half = (1.0 / count) * diff
+    return half + half
+
+
+# The column ranges of h, c and the kept sequence in the output of a
+# 5-step lstm_sequence of hidden width 3.
+_LSTM_SLICES = {"h": (0, 3), "c": (3, 6), "seq": (6, 21)}
+
+
+def _lstm_slice_inputs(rng, rows):
+    return [_r(rng, rows, 20, 3.0), _r(rng, 4, 12), _r(rng, 3, 12),
+            _r(rng, 1, 12)]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("unused", sorted(_LSTM_SLICES))
+def test_lstm_sequence_read_through_slices(reverse, unused):
+    # The output reaches the loss only through its h, c and sequence
+    # slices, one of them unused: the backward reads each slice's gradient
+    # as a column block and counts the unused one as zero.  The weight
+    # gradients must be those of the whole upstream gradient, zeros in the
+    # unused columns, bit for bit, and the output's own gradient must come
+    # back whole.
+    rng = np.random.default_rng(85)
+    x, wx, wh, b = _lstm_slice_inputs(rng, 7)
+    used = [cut for name, cut in _LSTM_SLICES.items() if name != unused]
+    targets = [_r(rng, 7, stop - start) for start, stop in used]
+    with Tape() as tape:
+        out = lstm_sequence(x, wx, wh, b, reverse=reverse, keep_sequence=True)
+        loss = mse(concat_cols([slice_cols(out, *cut) for cut in used]),
+                   concat_cols(targets))
+    got = tape.backward(loss, wrt=[wx, wh, b, out])
+    count = 7 * sum(stop - start for start, stop in used)
+    want = np.zeros(out.shape)
+    for (start, stop), t in zip(used, targets):
+        want[:, start:stop] += _mse_grad(out.values[:, start:stop] - t.values,
+                                         count)
+    np.testing.assert_array_equal(got[3], want)
+    ref = _bptt_keeping_every_gate(x.values, wx.values, wh.values, b.values,
+                                   want[:, :6], reverse, want[:, 6:])
+    for a, e in zip(got[:3], ref):
+        np.testing.assert_array_equal(a, e)
+
+
+@pytest.mark.parametrize("whole_first", [False, True])
+def test_lstm_sequence_read_whole_and_through_a_slice(whole_first):
+    # A matrix also read whole takes one dense gradient, whichever of its
+    # readers the backward reaches first: the slice's block added into the
+    # whole gradient, or the block in zeros with the whole gradient added.
+    rng = np.random.default_rng(86)
+    x, wx, wh, b = _lstm_slice_inputs(rng, 7)
+    w1, b1, t = _r(rng, 21, 2), _r(rng, 1, 2), _r(rng, 7, 5)
+    with Tape() as tape:
+        out = lstm_sequence(x, wx, wh, b, keep_sequence=True)
+        if whole_first:
+            whole = affine(out, w1, b1)
+            h = slice_cols(out, 0, 3)
+        else:
+            h = slice_cols(out, 0, 3)
+            whole = affine(out, w1, b1)
+        loss = mse(concat_cols([whole, h]), t)
+    got = tape.backward(loss, wrt=[wx, wh, b, out])
+    want = _mse_grad(whole.values - t.values[:, :2], 35) @ w1.values.T
+    want[:, :3] += _mse_grad(h.values - t.values[:, 2:], 35)
+    np.testing.assert_array_equal(got[3], want)
+    ref = _bptt_keeping_every_gate(x.values, wx.values, wh.values, b.values,
+                                   want[:, :6], False, want[:, 6:])
+    for a, e in zip(got[:3], ref):
+        np.testing.assert_array_equal(a, e)
+
+
+def test_sliced_matrix_in_wrt_comes_back_whole():
+    # Two slices of one range add up, a third lies apart, and the columns
+    # between them get zeros; each slice's own gradient comes back as the
+    # loss gave it.
+    rng = np.random.default_rng(87)
+    x, t = _r(rng, 3, 8), _r(rng, 3, 7)
+    with Tape() as tape:
+        parts = [slice_cols(x, 0, 2), slice_cols(x, 0, 2), slice_cols(x, 5, 8)]
+        loss = mse(concat_cols(parts), t)
+    got_x, *got_parts = tape.backward(loss, wrt=[x, *parts])
+    g = [_mse_grad(x.values[:, 0:2] - t.values[:, 0:2], 21),
+         _mse_grad(x.values[:, 0:2] - t.values[:, 2:4], 21),
+         _mse_grad(x.values[:, 5:8] - t.values[:, 4:7], 21)]
+    want = np.zeros((3, 8))
+    want[:, 0:2] += g[0]
+    want[:, 0:2] += g[1]
+    want[:, 5:8] += g[2]
+    np.testing.assert_array_equal(got_x, want)
+    for got, own in zip(got_parts, g):
+        np.testing.assert_array_equal(got, own)
+
+
+@pytest.mark.parametrize("keep_sequence", [False, True])
+@pytest.mark.parametrize("whole", [False, True])
+def test_one_row_gradients_survive_the_lstm_backward(keep_sequence, whole):
+    # At one row the transpose of a (1, H) block of the output's gradient
+    # is already contiguous, and the backward walks dh and dc back in
+    # place: it must do so on copies, so the gradients of the output read
+    # whole, or of its h and c slices, come back as the loss gave them.
+    rng = np.random.default_rng(88)
+    x, wx, wh, b = _lstm_slice_inputs(rng, 1)
+    with Tape() as tape:
+        out = lstm_sequence(x, wx, wh, b, keep_sequence=keep_sequence)
+        read = ([out] if whole
+                else [slice_cols(out, 0, 3), slice_cols(out, 3, 6)])
+        targets = [_r(rng, *m.shape) for m in read]
+        loss = mse(concat_cols(read), concat_cols(targets))
+    *got, got_wx = tape.backward(loss, wrt=[*read, wx])
+    count = sum(m.cols for m in read)
+    for g, m, t in zip(got, read, targets):
+        np.testing.assert_array_equal(g, _mse_grad(m.values - t.values, count))
+    assert np.abs(got_wx).max() > 0.0
+
+
+def test_inf_gradient_through_a_clipped_input_gate_stays_non_finite():
+    # The input gate is clipped at every step (bias -10), so the states
+    # start from given ones, and an overflowing output map sends an
+    # infinite gradient back.  The clip
+    # mask multiplies, so inf * 0 gives NaN and the input gate's blocks
+    # are non-finite: a diverging step is located by its first non-finite
+    # gradient block, and a mask that wrote zeros there would hide it.
+    rng = np.random.default_rng(90)
+    bias = np.zeros((1, 8))
+    bias[0, :2] = -10.0
+    x, wx, wh, b = (_r(rng, 2, 6, 0.1), _r(rng, 3, 8, 0.1), _r(rng, 2, 8, 0.1),
+                    Matrix(bias))
+    h0, c0 = _r(rng, 2, 2), _r(rng, 2, 2)
+    big = Matrix(np.full((4, 1), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with Tape() as tape:
+            out = lstm_sequence(x, wx, wh, b, h0=h0, c0=c0)
+            loss = mse(affine(out, big, Matrix.zeros(1, 1)), Matrix.zeros(2, 1))
+        grads = tape.backward(loss, wrt=[out, wx, wh, b])
+    assert np.isinf(grads[0]).all()
+    for g in grads[1:]:
+        assert not np.isfinite(g[:, :2]).any()
+
+
+@pytest.mark.parametrize("context_only", [False, True])
+def test_attend_matches_einsum_reference_at_paper_shape(context_only):
+    # Batch 256, window 180, hidden 100: the batched products must agree
+    # with the plain einsum forms to rounding, whether the loss reads the
+    # whole output or, as the attention model does, only the context.
+    rng = np.random.default_rng(89)
+    rows, steps, n = 256, 180, 100
+    q = Matrix(np.tanh(rng.standard_normal((rows, n))))
+    keys = Matrix(np.tanh(rng.standard_normal((rows, steps * n))))
+    width = n if context_only else steps + n
+    target = _r(rng, rows, width)
+    with Tape() as tape:
+        out = attend(q, keys)
+        read = slice_cols(out, steps, steps + n) if context_only else out
+        loss = mse(read, target)
+    dq, dk = tape.backward(loss, wrt=[q, keys])
+
+    def rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    want = einsum_attend(q.values, keys.values)
+    assert rel(out.values, want) <= 1e-13
+    assert np.abs(out.values[:, :steps].sum(axis=1) - 1.0).max() <= 1e-13
+    g = np.zeros(out.shape)
+    g[:, steps + n - width:] = _mse_grad(read.values - target.values,
+                                         rows * width)
+    want_dq, want_dk = einsum_attend_backward(q.values, keys.values, g)
+    assert rel(dq, want_dq) <= 1e-13
+    assert rel(dk, want_dk) <= 1e-13

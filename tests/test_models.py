@@ -1,6 +1,7 @@
 """Cell semantics, architecture wiring, and end-to-end gradients."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -523,6 +524,32 @@ class TestGradients:
         batch = rng.standard_normal((2, 8, 3))
         targets = rng.standard_normal((2, 4))
         check_model_gradients(params, batch, targets)
+
+
+class TestTapeMemory:
+    # The traced peak of one paper-shape Tape.backward (batch 256, window
+    # 180, 65 channels, hidden 100), counted from the taped forward on, so
+    # that the tape is in it.  The attention step's kept-sequence gradient
+    # stays the key gradient's own array, a column block, with no
+    # full-width copy beside it; the vanilla and bilstm bounds catch a path
+    # that makes blocks whole without need.
+    @pytest.mark.parametrize("variant,bound_mb", [
+        ("vanilla", 34), ("attention", 110), ("bilstm", 46)])
+    def test_paper_shape_backward_peak(self, variant, bound_mb):
+        params = init_params(variant, seed=0)
+        rng = np.random.default_rng(14)
+        batch = rng.standard_normal((256, 180, 65))
+        target = Matrix(rng.standard_normal((256, 4)))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = mse(forward_for_training(params, batch), target)
+            tracemalloc.reset_peak()
+            tape.backward(loss, wrt=params.matrices())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6, f"{variant}: {peak / 1e6:.1f} MB"
 
 
 class TestDescribeAndRebuild:
