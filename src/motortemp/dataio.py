@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import warnings
+from array import array
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -125,88 +127,96 @@ def _profile_id(cell: str) -> int:
 def load_csv(path) -> list[ProfileFrame]:
     """Read a combined recording CSV into one ProfileFrame per session.
 
-    The file must carry a ``profile_id`` column plus every attribute in
-    ``ATTRIBUTES``.  Extra columns are ignored with a warning.  Frames come
-    back in order of first appearance, rows in file order.  Each profile's
-    rows must be one contiguous run.  A cell that is not a finite number, a
-    profile_id that is not a whole number held exactly, a row too short to
-    hold every column and a profile that resumes after another one started
-    raise CsvParseError with the rows at fault.
+    The file is UTF-8, optionally after a byte order mark, and is read in
+    one pass: each profile's columns grow as float64 buffers, and each cell
+    is checked where it is parsed, so the first fault in file order is the
+    one reported.  The header names ``profile_id``, every attribute in
+    ``ATTRIBUTES`` and no column twice; other columns are ignored with a
+    warning.  Frames come back in order of first appearance, rows in file
+    order.  A byte that is not UTF-8 raises CsvParseError naming the file.
+    A row not as wide as the header, a cell that is not a finite number, a
+    profile_id that is not a whole number held exactly and a profile that
+    resumes after another one started raise it naming the row as well.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty")
-        header = [h.strip() for h in header]
-        missing = [c for c in (PROFILE_COLUMN, *ATTRIBUTES) if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
-        extra = [c for c in header if c != PROFILE_COLUMN and c not in ATTRIBUTES]
-        if extra:
-            warnings.warn(
-                f"{path}: ignoring unrecognized columns: {', '.join(extra)}",
-                stacklevel=2,
-            )
-        col_idx = {c: header.index(c) for c in (PROFILE_COLUMN, *ATTRIBUTES)}
-        needed = max(col_idx.values()) + 1
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return _read_csv(path, csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 text: {exc.reason} "
+                            f"{exc.object[exc.start:exc.end]!r}") from None
 
-        buckets: dict[int, dict[str, list[float]]] = {}
-        row_numbers: dict[int, list[int]] = {}
-        order: list[int] = []
-        for row_no, row in enumerate(reader, start=2):
+
+def _read_csv(path, reader) -> list[ProfileFrame]:
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise SchemaError(f"{path}: file is empty")
+    missing = [c for c in (PROFILE_COLUMN, *ATTRIBUTES) if c not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
+    twice = sorted({h for h in header if header.count(h) > 1})
+    if twice:
+        raise SchemaError(f"{path}: columns named twice: {', '.join(twice)}")
+    extra = [c for c in header if c != PROFILE_COLUMN and c not in ATTRIBUTES]
+    if extra:
+        warnings.warn(f"{path}: ignoring unrecognized columns: "
+                      f"{', '.join(extra)}", stacklevel=3)
+    pid_at = header.index(PROFILE_COLUMN)
+    attributes = [(header.index(name), name) for name in ATTRIBUTES]
+
+    # Per profile, in order of first appearance: its columns and its last row.
+    columns: dict[int, list[array]] = {}
+    ended: dict[int, int] = {}
+    pid = None
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
             if not row:
                 continue
-            if len(row) < needed:
-                first = min(i for i in col_idx.values() if i >= len(row))
+            if len(row) > len(header):
                 raise CsvParseError(
-                    f"{path}: row {row_no} has {len(row)} cells, so column "
-                    f"{header[first]!r} is missing"
+                    f"{path}: row {row_no} has {len(row)} cells, but the "
+                    f"header has {len(header)}"
                 )
-            cell = row[col_idx[PROFILE_COLUMN]]
+            raise CsvParseError(
+                f"{path}: row {row_no} has {len(row)} cells, so column "
+                f"{header[len(row)]!r} is missing"
+            )
+        cell = row[pid_at]
+        try:
+            row_pid = _profile_id(cell)
+        except ValueError:
+            raise CsvParseError(
+                f"{path}: bad profile_id at row {row_no}: {cell!r} is not an "
+                f"integer, nor a whole number of at most 2**53 in magnitude"
+            )
+        if row_pid != pid:
+            if row_pid in columns:
+                raise CsvParseError(
+                    f"{path}: profile {row_pid} resumes at row {row_no} after "
+                    f"its rows ended at row {ended[row_pid]}; profile "
+                    f"{pid} started in between"
+                )
+            pid = row_pid
+            columns[pid] = [array("d") for _ in ATTRIBUTES]
+        ended[pid] = row_no
+        for buffer, (at, name) in zip(columns[pid], attributes):
+            cell = row[at]
             try:
-                pid = _profile_id(cell)
+                value = float(cell)
             except ValueError:
                 raise CsvParseError(
-                    f"{path}: bad profile_id at row {row_no}: {cell!r} is not an "
-                    f"integer, nor a whole number of at most 2**53 in magnitude"
+                    f"{path}: non-numeric value {cell!r} in column "
+                    f"{name!r} at row {row_no}"
                 )
-            if pid in buckets and pid != order[-1]:
+            if not isfinite(value):
                 raise CsvParseError(
-                    f"{path}: profile {pid} resumes at row {row_no} after "
-                    f"its rows ended at row {row_numbers[pid][-1]}; profile "
-                    f"{order[-1]} started in between"
+                    f"{path}: non-finite value {value} in column "
+                    f"{name!r} at row {row_no} (profile {pid})"
                 )
-            if pid not in buckets:
-                buckets[pid] = {name: [] for name in ATTRIBUTES}
-                row_numbers[pid] = []
-                order.append(pid)
-            row_numbers[pid].append(row_no)
-            bucket = buckets[pid]
-            for name in ATTRIBUTES:
-                cell = row[col_idx[name]]
-                try:
-                    bucket[name].append(float(cell))
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: non-numeric value {cell!r} in column "
-                        f"{name!r} at row {row_no}"
-                    )
-
-    frames = []
-    for pid in order:
-        columns = {n: np.array(v) for n, v in buckets[pid].items()}
-        for name, col in columns.items():
-            bad = np.flatnonzero(~np.isfinite(col))
-            if bad.size:
-                i = bad[0]
-                raise CsvParseError(
-                    f"{path}: non-finite value {float(col[i])} in column "
-                    f"{name!r} at row {row_numbers[pid][i]} (profile {pid})"
-                )
-        frames.append(ProfileFrame(pid, columns))
-    return frames
+            buffer.append(value)
+    return [ProfileFrame(pid, {name: np.frombuffer(buffer) for name, buffer
+                               in zip(ATTRIBUTES, buffers)})
+            for pid, buffers in columns.items()]
 
 
 def save_csv(frames, path) -> None:

@@ -1,5 +1,7 @@
 """CSV ingestion, splitting, and the synthetic recording generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,64 @@ class TestLoadCsv:
         assert str(path) in msg
         assert "row 2" in msg
         assert f"column {ATTRIBUTES[3]!r} is missing" in msg
+
+    def test_long_row_names_row_and_both_cell_counts(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        rows = _rows(1, 3)
+        rows[1].append(0.5)
+        _write_csv(path, ["profile_id", *ATTRIBUTES], rows)
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        assert f"{path}: row 3 has 14 cells, but the header has 13" in str(info.value)
+
+    def test_column_named_twice_is_schema_error(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        rows = [r + [r[1]] for r in _rows(1, 3)]
+        _write_csv(path, ["profile_id", *ATTRIBUTES, "ambient"], rows)
+        with pytest.raises(SchemaError, match="columns named twice: ambient"):
+            load_csv(path)
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        rows = _rows(1, 10)
+        rows[1][1 + ATTRIBUTES.index("pm")] = "nan"
+        rows[7][1 + ATTRIBUTES.index("torque")] = "oops"
+        _write_csv(path, ["profile_id", *ATTRIBUTES], rows)
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        assert "non-finite value nan in column 'pm' at row 3" in str(info.value)
+
+    def test_byte_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        save_csv(synthesize(seed=0, profiles=1, length=40), path)
+        data = bytearray(path.read_bytes())
+        data[-5] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        assert f"{path}: not UTF-8 text" in str(info.value)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_csv(synthesize(seed=2, profiles=2, length=30), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for a, b in zip(load_csv(plain), load_csv(marked), strict=True):
+            assert a.profile_id == b.profile_id
+            for name in ATTRIBUTES:
+                assert a.columns[name].tobytes() == b.columns[name].tobytes()
+
+    def test_peak_memory_is_near_the_float64_payload(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        save_csv(synthesize(seed=0, profiles=5, length=4000), path)
+        tracemalloc.start()
+        try:
+            frames = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = sum(c.nbytes for f in frames for c in f.columns.values())
+        assert payload == 5 * 4000 * len(ATTRIBUTES) * 8
+        assert peak <= 2 * payload, f"peak {peak / payload:.2f}x the payload"
 
     def test_interleaved_profile_is_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
