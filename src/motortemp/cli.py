@@ -285,9 +285,11 @@ def _windows(frames, config, stats) -> features.WindowedDataset:
 
 def _save_windows(dataset, inputs_path, targets_path) -> None:
     """The .npy files np.save writes for the whole ``gather``, written as each
-    header and then one appended batch of 256 windows at a time.  Raises
-    OSError before opening either file when the two would not fit in the
-    free space of their directory (counting any files they replace)."""
+    header and then one appended batch of at most 256 windows of one profile
+    at a time.  Such a batch is a view of the window table, and its windows
+    are written one by one, so no batch is copied.  Raises OSError before
+    opening either file when the two would not fit in the free space of
+    their directory (counting any files they replace)."""
     n = dataset.n_windows
     dtype = dataset.channels.dtype
     shapes = ((n, dataset.window, dataset.channels.shape[1]),
@@ -313,9 +315,14 @@ def _save_windows(dataset, inputs_path, targets_path) -> None:
     with open(inputs_path, "wb") as fi, open(targets_path, "wb") as ft:
         fi.write(headers[0])
         ft.write(headers[1])
-        for at in range(0, n, 256):
-            inputs, targets = dataset.gather(np.arange(at, min(at + 256, n)))
-            inputs.tofile(fi)
+        # Batches start every 256 windows and at each profile's first.
+        firsts = np.flatnonzero(np.diff(dataset.profile_ids)) + 1
+        cuts = np.union1d(np.arange(0, n, 256), firsts)
+        for at, end in zip(cuts, [*cuts[1:], n]):
+            inputs, targets = dataset.gather(np.arange(at, end))
+            # Each window is one contiguous block; tofile would write the
+            # view one value at a time.
+            fi.writelines(inputs)
             targets.tofile(ft)
 
 

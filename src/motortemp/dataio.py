@@ -9,9 +9,11 @@ whole package passes lists of ProfileFrame around instead of one big table.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from math import isfinite
 
 import numpy as np
@@ -114,7 +116,8 @@ class DatasetSplit:
 
 def _profile_id(cell: str) -> int:
     """``int(cell)``; float text such as "4.0" or "1e3" only when it is a
-    whole number that a float holds exactly.  Anything else is ValueError."""
+    whole number that a float holds exactly.  Anything else is ValueError.
+    ``cell`` is ASCII without '_', which ``load_csv`` checks first."""
     try:
         return int(cell)
     except ValueError:
@@ -133,24 +136,56 @@ def load_csv(path) -> list[ProfileFrame]:
     one reported.  The header names ``profile_id``, every attribute in
     ``ATTRIBUTES`` and no column twice; other columns are ignored with a
     warning.  Frames come back in order of first appearance, rows in file
-    order.  A byte that is not UTF-8 raises CsvParseError naming the file.
-    A row not as wide as the header, a cell that is not a finite number, a
-    profile_id that is not a whole number held exactly and a profile that
-    resumes after another one started raise it naming the row as well.
+    order.  A byte that is not UTF-8 raises CsvParseError naming the file;
+    the file is decoded up to about 16 kB ahead of the row being read, so
+    such a byte can win over a fault in the rows just before it.  A row not
+    as wide as the header, a cell that is not a finite number, a profile_id
+    that is not a whole number held exactly and a profile that resumes
+    after another one started raise it naming the row as well.  Numbers
+    are ASCII: a cell of ``profile_id`` or an attribute that holds
+    an underscore or a non-ASCII character, which ``float`` and ``int``
+    read ("1_5" as 15, "٣" as 3), raises it naming the row, the column and
+    the cell before any other cell of its row is read.
     """
+    suspect: list[str] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _read_csv(path, csv.reader(fh))
+            lines = chain.from_iterable(_blocks(fh, suspect))
+            return _read_csv(path, csv.reader(lines), suspect)
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: not UTF-8 text: {exc.reason} "
                             f"{exc.object[exc.start:exc.end]!r}") from None
 
 
-def _read_csv(path, reader) -> list[ProfileFrame]:
+def _foreign(text: str) -> bool:
+    """Whether ``text`` holds an underscore or a non-ASCII character: what
+    ``float`` and ``int`` read as part of a number ("1_5" as 15, "٣" as 3)
+    but a number in a recording never holds."""
+    return "_" in text or not text.isascii()
+
+
+def _blocks(fh, suspect: list):
+    """The lines of ``fh`` in blocks of about the size the file decodes at
+    once.  A ``_foreign`` block hands on its lines one by one, appending
+    each ``_foreign`` line to ``suspect`` as it goes, so that only those
+    rows' cells need a look of their own."""
+    for block in iter(lambda: fh.readlines(io.DEFAULT_BUFFER_SIZE), []):
+        yield _flag(block, suspect) if _foreign("".join(block)) else block
+
+
+def _flag(lines, suspect: list):
+    for line in lines:
+        if _foreign(line):
+            suspect.append(line)
+        yield line
+
+
+def _read_csv(path, reader, suspect: list) -> list[ProfileFrame]:
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise SchemaError(f"{path}: file is empty")
+    suspect.clear()  # "profile_id" itself holds an underscore
     missing = [c for c in (PROFILE_COLUMN, *ATTRIBUTES) if c not in header]
     if missing:
         raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
@@ -163,6 +198,7 @@ def _read_csv(path, reader) -> list[ProfileFrame]:
                       f"{', '.join(extra)}", stacklevel=3)
     pid_at = header.index(PROFILE_COLUMN)
     attributes = [(header.index(name), name) for name in ATTRIBUTES]
+    numeric = [(pid_at, PROFILE_COLUMN), *attributes]
 
     # Per profile, in order of first appearance: its columns and its last row.
     columns: dict[int, list[array]] = {}
@@ -181,6 +217,10 @@ def _read_csv(path, reader) -> list[ProfileFrame]:
                 f"{path}: row {row_no} has {len(row)} cells, so column "
                 f"{header[len(row)]!r} is missing"
             )
+        if suspect:
+            # The reader has taken only this row's lines from the file.
+            suspect.clear()
+            _refuse_foreign(path, row_no, row, numeric)
         cell = row[pid_at]
         try:
             row_pid = _profile_id(cell)
@@ -217,6 +257,17 @@ def _read_csv(path, reader) -> list[ProfileFrame]:
     return [ProfileFrame(pid, {name: np.frombuffer(buffer) for name, buffer
                                in zip(ATTRIBUTES, buffers)})
             for pid, buffers in columns.items()]
+
+
+def _refuse_foreign(path, row_no, row, numeric) -> None:
+    """Raise CsvParseError at the first ``_foreign`` cell of the ``numeric``
+    (index, name) columns of ``row``."""
+    for at, name in numeric:
+        if _foreign(row[at]):
+            raise CsvParseError(
+                f"{path}: non-numeric value {row[at]!r} in column {name!r} "
+                f"at row {row_no}: numbers are ASCII, without '_'"
+            )
 
 
 def save_csv(frames, path) -> None:

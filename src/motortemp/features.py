@@ -360,7 +360,9 @@ class WindowedDataset:
     """Each kept profile's rows in turn in one table, and per-window arrays:
     window k is the ``window`` rows from ``starts[k]`` and ends at sample
     ``end_index[k]`` of profile ``profile_ids[k]``.  Windows are gathered
-    on demand, so no (window, channels) slice is held before it is asked for.
+    on demand, so no (window, channels) slice is held before it is asked
+    for; evenly spaced windows come back as a read-only view of the table,
+    others as a read-only copy.
     """
 
     channels: np.ndarray     # (samples, channels), standardized
@@ -375,14 +377,29 @@ class WindowedDataset:
         return len(self.starts)
 
     def gather(self, idx) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize the requested windows as (inputs, targets) arrays."""
+        """The requested windows as read-only (inputs, targets) arrays of
+        shapes (len(idx), window, channels) and (len(idx), 1, targets).
+
+        When the windows' starts are evenly spaced with a positive step, as
+        any run of consecutive windows of one profile is, both are views of
+        the tables and nothing is copied.  Other requests, such as shuffled,
+        repeated or descending windows or most runs that cross a profile
+        boundary, are copied.
+        """
         starts = self.starts[np.asarray(idx, dtype=np.intp)]
+        step = starts[1] - starts[0] if len(starts) > 1 else 1
+        if len(starts) and step > 0 and (np.diff(starts) == step).all():
+            pick = slice(starts[0], starts[-1] + 1, step)
+        else:
+            pick = starts
         # A read-only view whose entry s is table rows s:s + window; each
-        # window is one contiguous block of the table, copied as such.
+        # window is one contiguous block of the table.
         windows = sliding_window_view(self.channels, (self.window, self.channels.shape[1]))
-        inputs = windows[starts, 0]
-        targets = self.targets[starts + (self.window - 1)]
-        return inputs, targets[:, None, :]
+        # Row s of the shifted targets ends the window that starts at row s.
+        inputs, targets = windows[pick, 0], self.targets[self.window - 1:][pick, None]
+        for batch in (inputs, targets):
+            batch.flags.writeable = False
+        return inputs, targets
 
     def provenance(self) -> tuple[np.ndarray, np.ndarray]:
         """(profile_ids, end_index) of every window, in window order."""

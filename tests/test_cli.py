@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -185,6 +186,28 @@ class TestFeaturize:
             buf = io.BytesIO()
             np.save(buf, array)
             assert (out / f"{name}.npy").read_bytes() == buf.getvalue()
+
+    def test_writing_windows_copies_no_batch(self, tmp_path):
+        # 762 windows in two profiles of 381: no batch of 256 windows, nor
+        # the one that would cross from one profile into the next, is
+        # copied on its way to the file.
+        frames = synthesize(seed=1, profiles=2, length=400)
+        config = FeatureConfig(window=20, spans=(4,))
+        dataset = build_dataset(frames, config, fit_standardization(frames, config))
+        batch_bytes = 256 * 20 * dataset.channels.shape[1] * 8
+        paths = (tmp_path / "inputs.npy", tmp_path / "targets.npy")
+        cli._save_windows(dataset, *paths)  # imports numpy's .npy writer
+        tracemalloc.start()
+        try:
+            cli._save_windows(dataset, *paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dataset.n_windows == 762
+        assert peak < batch_bytes / 4, f"peak {peak} bytes, one batch {batch_bytes}"
+        inputs, targets = dataset.gather(np.arange(dataset.n_windows))
+        np.testing.assert_array_equal(np.load(paths[0]), inputs)
+        np.testing.assert_array_equal(np.load(paths[1]), targets)
 
     def test_profiles_shorter_than_window_exit_1(self, tmp_path, capsys):
         with pytest.warns(UserWarning, match="shorter than window"):

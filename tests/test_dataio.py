@@ -120,6 +120,36 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="row 3"):
             load_csv(path)
 
+    # float() and int() read digit group underscores and any Unicode digit.
+    @pytest.mark.parametrize("column,cell", [
+        ("stator_yoke", "1_5"),
+        ("profile_id", "1_5"),
+        ("torque", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("i_q", "\uff11"),     # FULLWIDTH DIGIT ONE
+    ])
+    def test_underscore_or_non_ascii_number_names_row_column_and_cell(
+            self, tmp_path, column, cell):
+        path = tmp_path / "rec.csv"
+        header = ["profile_id", *ATTRIBUTES]
+        rows = _rows(1, 4)
+        rows[2][header.index(column)] = cell
+        _write_csv(path, header, rows)
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        assert (f"{path}: non-numeric value {cell!r} in column {column!r} "
+                f"at row 4") in str(info.value)
+
+    def test_whitespace_exponents_and_non_ascii_names_still_read(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        rows = [[r[0], "\u00b0C"] + r[1:] for r in _rows(1, 3)]
+        rows[1][2] = " 2.5e1 "
+        rows[2][0] = "\t1E0"
+        _write_csv(path, ["profile_id", "unit_\u00e9", *ATTRIBUTES], rows)
+        with pytest.warns(UserWarning, match="unit_"):
+            frames = load_csv(path)
+        assert [f.profile_id for f in frames] == [1]
+        assert frames[0].columns["ambient"].tolist() == [1.0, 25.0, 1.2]
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_reports_column_row_and_profile(self, tmp_path, cell):
         path = tmp_path / "rec.csv"

@@ -1,9 +1,11 @@
 """Feature pipeline: derived quantities, EWMA, standardization, windows."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import make_frame
 from motortemp.dataio import ConfigError, ProfileFrame, SchemaError, synthesize
@@ -448,6 +450,52 @@ class TestWindowize:
         for a, b in zip((*self.gather_all(got), *got.provenance()),
                         (*self.gather_all(want), *want.provenance())):
             np.testing.assert_array_equal(a, b)
+
+    # Two profiles of 60 and 45 samples at window 12: at stride 1, windows
+    # 0-48 are the first profile's and 49-82 the second's; at stride 10,
+    # windows 0-4 and 5-8.
+    @pytest.mark.parametrize("stride,idx,view", [
+        (1, np.arange(30), True),
+        (1, np.arange(2, 45, 10), True),
+        (10, np.arange(5), True),
+        (1, [7], True),
+        (1, [], False),
+        (1, [20, 10, 0], False),
+        (1, [5, 5, 5], False),
+        (1, np.arange(40, 60), False),
+        (10, np.arange(3, 7), False),
+    ], ids=["stride-1", "every-10th", "stride-10", "single", "empty",
+            "descending", "repeated", "across-profiles", "stride-10-across"])
+    def test_gather_contract(self, stride, idx, view):
+        frames = [ProfileFrame(pid, synthesize(seed=pid, profiles=1, length=n)[0].columns)
+                  for pid, n in ((1, 60), (2, 45))]
+        ds = self.fitted(frames, FeatureConfig(window=12, stride=stride, spans=(3,)))
+        inputs, targets = ds.gather(idx)
+        starts = ds.starts[np.asarray(idx, dtype=np.intp)]
+        windows = sliding_window_view(ds.channels, (12, ds.channels.shape[1]))
+        np.testing.assert_array_equal(inputs, windows[starts, 0])
+        np.testing.assert_array_equal(targets, ds.targets[starts + 11][:, None])
+        assert inputs.shape == (len(starts), 12, ds.channels.shape[1])
+        assert targets.shape == (len(starts), 1, 4)
+        # Evenly spaced windows are a view of the table, others a copy;
+        # no caller may write into either.
+        assert np.shares_memory(inputs, ds.channels) is view
+        assert np.shares_memory(targets, ds.targets) is view
+        assert not inputs.flags.writeable and not targets.flags.writeable
+
+    def test_gather_of_consecutive_windows_copies_no_window(self):
+        frames = synthesize(seed=3, profiles=1, length=180 + 255)
+        ds = self.fitted(frames, FeatureConfig())
+        window_bytes = 180 * ds.channels.shape[1] * 8
+        idx = np.arange(256)
+        tracemalloc.start()
+        try:
+            inputs, _ = ds.gather(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inputs.shape == (256, 180, 65)
+        assert peak < window_bytes / 4, f"peak {peak} bytes, one window {window_bytes}"
 
     def test_repeated_profile_id_is_config_error(self):
         frames = synthesize(seed=1, profiles=2, length=40)
