@@ -57,6 +57,7 @@ from .training import (
     AdamState,
     TrainConfig,
     TrainingError,
+    TrainRun,
     adam_step,
     train_grouped,
 )

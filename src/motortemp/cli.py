@@ -366,14 +366,13 @@ def cmd_train(args, parser) -> int:
     data = _data_path(settings, parser.error)
     frames = dataio.load_csv(data)
     test_ids = _test_ids(settings, frames)
-    split = dataio.split(frames, test_ids)
-    # Too few profiles for the groups, a group without a window, or an
-    # --out that cannot be made fail here, before the run trains.
-    training.window_groups(split.train, feature_config, train_config.group_count)
+    # An --out that cannot be made fails here, and too few profiles for the
+    # groups or a group without a window fail in TrainRun before any
+    # featurization: both before the run trains.
     _check_out_dir(args.out)
-
-    params, logs = training.train_grouped(split, feature_config, variant,
-                                          train_config, hidden=hidden)
+    run = training.TrainRun(dataio.split(frames, test_ids), feature_config,
+                            variant, train_config, hidden=hidden)
+    params, logs = run.train()
 
     # --out is made once training has succeeded, so a failed run leaves
     # nothing behind.
@@ -390,15 +389,12 @@ def cmd_train(args, parser) -> int:
         fh.writelines(json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
                       for record in logs)
 
-    stats = features.fit_standardization(split.train, feature_config)
     ckpt_path = os.path.join(args.out, "checkpoint.bin")
-    ckpt.save_checkpoint(params, stats, ckpt_path, feature_config=feature_config)
+    ckpt.save_checkpoint(params, run.stats, ckpt_path, feature_config=feature_config)
     print(f"checkpoint: {ckpt_path}")
     print(f"training log: {log_path}")
-
-    dataset = features.build_dataset(split.test, feature_config, stats=stats)
-    if dataset.n_windows > 0:
-        report = evaluation.evaluate(params, dataset, stats,
+    if run.heldout.n_windows > 0:
+        report = evaluation.evaluate(params, run.heldout, run.stats,
                                      batch_size=train_config.batch_size)
         print(report.to_text())
     return 0

@@ -9,8 +9,8 @@ bit-identical parameters and log records.
 
 Losses are reported in standardized target units (the units the optimizer
 sees).  Timing information is deliberately kept out of the returned log so
-the record stays reproducible; callers that want wall-time print it to
-stderr themselves.
+the record stays reproducible; each epoch's wall time goes to stderr with
+its losses instead.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
     "adam_step",
     "epoch_batches",
     "partition_groups",
-    "window_groups",
+    "TrainRun",
     "train_grouped",
 ]
 
@@ -98,8 +98,9 @@ class TrainConfig:
             raise ConfigError("epochs_per_group must be at least 1")
         if self.group_count < 1:
             raise ConfigError("group_count must be at least 1")
-        if self.fine_tune_profiles < 0:
-            raise ConfigError("fine_tune_profiles must be non-negative")
+        for name in ("fine_tune_profiles", "seed"):
+            if (value := getattr(self, name)) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
         if self.fine_tune_epochs is not None and self.fine_tune_epochs < 0:
             raise ConfigError("fine_tune_epochs must be non-negative when set")
         # A NaN bound would switch clipping off: `norm > nan` is never true.
@@ -217,20 +218,6 @@ def partition_groups(frames: list, group_count: int) -> list[list]:
     return groups
 
 
-def window_groups(frames: list, feature_config: FeatureConfig,
-                  group_count: int) -> list[list]:
-    """``partition_groups``, refusing a group in which no profile is long
-    enough for one window of ``feature_config``."""
-    groups = partition_groups(frames, group_count)
-    for gi, group in enumerate(groups, start=1):
-        if all(f.n_samples < feature_config.window for f in group):
-            raise ConfigError(
-                f"group {gi} has no windows; profiles shorter than the "
-                f"window {feature_config.window}?"
-            )
-    return groups
-
-
 def _train_step(params, state, cfg, stats, inputs, raw_targets):
     targets = stats.transform_targets(raw_targets.reshape(len(inputs), -1))
     # A diverging model overflows in the taped step; adam_step refuses the
@@ -259,17 +246,47 @@ def _dataset_loss(params, dataset: WindowedDataset, stats, batch_size: int) -> f
     return total / count
 
 
-def _run_phase(params, state, cfg, stats, dataset, heldout, label, epochs,
-               rng, logs, stop_below=None):
-    for _ in range(epochs):
-        epoch = len(logs) + 1
+class TrainRun:
+    """One training run's state: the statistics fitted on the training
+    profiles, the held-out windows, the one training table that each group
+    and the fine-tuning sample select from, the parameters, the Adam state,
+    the seeded generator and the per-epoch logs.  The constructor refuses
+    too few profiles for the groups, or a group in which no profile is long
+    enough for one window, before it featurizes any profile."""
+
+    def __init__(self, split: DatasetSplit, feature_config: FeatureConfig,
+                 variant: str, config: TrainConfig, hidden: int = 100):
+        if not split.train:
+            raise ConfigError("train_grouped: no training profiles")
+        self.groups = partition_groups(split.train, config.group_count)
+        for gi, group in enumerate(self.groups, start=1):
+            if all(f.n_samples < feature_config.window for f in group):
+                raise ConfigError(
+                    f"group {gi} has no windows; profiles shorter than the "
+                    f"window {feature_config.window}?"
+                )
+        self.split, self.variant, self.config = split, variant, config
+        self.stats = fit_standardization(split.train, feature_config)
+        self.heldout = build_dataset(split.test, feature_config, stats=self.stats)
+        self.table = build_dataset(split.train, feature_config, stats=self.stats)
+        self.params = init_params(variant, config.seed, hidden=hidden,
+                                  input_dim=feature_config.channel_count())
+        self.state = AdamState.for_params(self.params)
+        self.rng = np.random.default_rng(config.seed)
+        self.logs: list[dict] = []
+
+    def run_epoch(self, dataset: WindowedDataset, label: str) -> float:
+        """One epoch over ``dataset`` in seeded batches, then the held-out
+        loss; appends the epoch's log record and returns its training loss."""
+        cfg, epoch = self.config, len(self.logs) + 1
         started = time.perf_counter()
         total, count = 0.0, 0
-        batches = epoch_batches(dataset.n_windows, cfg.batch_size, rng)
+        batches = epoch_batches(dataset.n_windows, cfg.batch_size, self.rng)
         for b, idx in enumerate(batches, start=1):
             inputs, raw = dataset.gather(idx)
             try:
-                loss = _train_step(params, state, cfg, stats, inputs, raw)
+                loss = _train_step(self.params, self.state, cfg, self.stats,
+                                   inputs, raw)
             except TrainingError as exc:
                 raise TrainingError(
                     f"{label} epoch {epoch} batch {b} of {len(batches)}: {exc}; "
@@ -278,28 +295,50 @@ def _run_phase(params, state, cfg, stats, dataset, heldout, label, epochs,
             count += len(idx)
         train_loss = total / count
         eval_loss = (
-            _dataset_loss(params, heldout, stats, cfg.batch_size)
-            if heldout.n_windows > 0 else None
+            _dataset_loss(self.params, self.heldout, self.stats, cfg.batch_size)
+            if self.heldout.n_windows > 0 else None
         )
         for kind, value in (("train", train_loss), ("held-out", eval_loss)):
             if value is not None and not math.isfinite(value):
                 raise TrainingError(
                     f"{label} epoch {epoch}: {kind} loss is {value}; the run "
                     "diverged, a lower learning rate may help")
-        logs.append({
-            "epoch": epoch,
-            "group": label,
-            "train_loss": train_loss,
-            "eval_loss": eval_loss,
-        })
+        self.logs.append({"epoch": epoch, "group": label,
+                          "train_loss": train_loss, "eval_loss": eval_loss})
         print(
             f"[{label}] epoch {epoch}: train {train_loss:.6f}"
             + (f" eval {eval_loss:.6f}" if eval_loss is not None else "")
             + f" ({time.perf_counter() - started:.1f}s)",
             file=sys.stderr,
         )
-        if stop_below is not None and train_loss < stop_below:
-            break
+        return train_loss
+
+    def train(self, stop_below: float | None = None):
+        """The groups' epochs, then those of the fine-tuning sample, which is
+        drawn once the groups are done; see ``train_grouped``."""
+        cfg, frames = self.config, self.split.train
+        for gi, group in enumerate(self.groups, start=1):
+            self._phase(f"group-{gi}", (f.profile_id for f in group),
+                        cfg.epochs_per_group, stop_below)
+        ft_epochs = (cfg.epochs_per_group if cfg.fine_tune_epochs is None
+                     else cfg.fine_tune_epochs)
+        n_sample = min(cfg.fine_tune_profiles, len(frames))
+        if n_sample > 0 and ft_epochs > 0:
+            picked = self.rng.choice(len(frames), size=n_sample, replace=False)
+            self._phase("finetune", (frames[i].profile_id for i in picked),
+                        ft_epochs, stop_below)
+        print(f"trained {self.variant}: {count_params(self.params)} parameters, "
+              f"{self.state.step} optimizer steps", file=sys.stderr)
+        return self.params, self.logs
+
+    def _phase(self, label, profile_ids, epochs, stop_below):
+        dataset = self.table.select(profile_ids)
+        if dataset.n_windows == 0:  # a fine-tuning sample of short profiles
+            return
+        for _ in range(epochs):
+            train_loss = self.run_epoch(dataset, label)
+            if stop_below is not None and train_loss < stop_below:
+                break
 
 
 def train_grouped(split: DatasetSplit, feature_config: FeatureConfig,
@@ -313,7 +352,8 @@ def train_grouped(split: DatasetSplit, feature_config: FeatureConfig,
     Standardization statistics and one window table are built once from all
     training profiles; each group and the fine-tuning sample select their
     windows from that table, and the held-out evaluation after each epoch
-    reuses the statistics.
+    reuses the statistics.  ``TrainRun`` keeps them for callers that need
+    them once training is done.
 
     ``stop_below`` optionally ends a phase early once its epoch training
     loss falls under the threshold (useful for smoke runs); the default is
@@ -322,43 +362,4 @@ def train_grouped(split: DatasetSplit, feature_config: FeatureConfig,
     Returns (params, logs) where logs is a list of per-epoch records with
     keys epoch, group, train_loss and eval_loss.
     """
-    if not split.train:
-        raise ConfigError("train_grouped: no training profiles")
-    groups = window_groups(split.train, feature_config, config.group_count)
-
-    stats = fit_standardization(split.train, feature_config)
-    heldout = build_dataset(split.test, feature_config, stats=stats)
-    table = build_dataset(split.train, feature_config, stats=stats)
-
-    params = init_params(
-        variant, config.seed,
-        input_dim=feature_config.channel_count(), hidden=hidden,
-    )
-    state = AdamState.for_params(params)
-    rng = np.random.default_rng(config.seed)
-    logs: list[dict] = []
-
-    for gi, group in enumerate(groups, start=1):
-        dataset = table.select(f.profile_id for f in group)
-        _run_phase(params, state, config, stats, dataset, heldout,
-                   f"group-{gi}", config.epochs_per_group, rng, logs,
-                   stop_below=stop_below)
-
-    ft_epochs = (
-        config.fine_tune_epochs
-        if config.fine_tune_epochs is not None else config.epochs_per_group
-    )
-    n_sample = min(config.fine_tune_profiles, len(split.train))
-    if n_sample > 0 and ft_epochs > 0:
-        picked = rng.choice(len(split.train), size=n_sample, replace=False)
-        dataset = table.select(split.train[i].profile_id for i in picked)
-        if dataset.n_windows > 0:
-            _run_phase(params, state, config, stats, dataset, heldout,
-                       "finetune", ft_epochs, rng, logs, stop_below=stop_below)
-
-    print(
-        f"trained {variant}: {count_params(params)} parameters, "
-        f"{state.step} optimizer steps",
-        file=sys.stderr,
-    )
-    return params, logs
+    return TrainRun(split, feature_config, variant, config, hidden).train(stop_below)

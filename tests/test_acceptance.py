@@ -35,6 +35,7 @@ from motortemp.models import (
 from motortemp.training import (
     AdamState,
     TrainConfig,
+    TrainRun,
     _train_step,
     epoch_batches,
     train_grouped,
@@ -212,10 +213,9 @@ def test_08_model_ordering_on_benchmark():
     config = FeatureConfig()
     reports = {}
     for variant in VARIANTS:
-        params, _ = train_grouped(ds, config, variant, TrainConfig())
-        stats = fit_standardization(ds.train, config)
-        dataset = build_dataset(ds.test, config, stats=stats)
-        reports[variant] = evaluate(params, dataset, stats)
+        run = TrainRun(ds, config, variant, TrainConfig())
+        params, _ = run.train()
+        reports[variant] = evaluate(params, run.heldout, run.stats)
     m1 = reports["vanilla"].overall_mse
     m2 = reports["bilstm"].overall_mse
     m3 = reports["attention"].overall_mse

@@ -319,6 +319,14 @@ class TestConfigFile:
         assert err == f"error: hidden must be at least 1, got {hidden}\n"
         assert not (tmp_path / "run").exists()
 
+    def test_negative_seed_exits_1_naming_it_before_the_data_is_read(
+            self, tmp_path, capsys):
+        assert run(["train", "--data", str(tmp_path / "missing.csv"),
+                    "--seed=-1", "--out", str(tmp_path / "run"), *self.BASE]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be non-negative, got -1\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("content,position", [
         (b'{"window": 16,', "line 1 column 15 (char 14)"),
         (b'{"window": \xff}', "position 11")])
@@ -554,13 +562,13 @@ class TestTrainFlow:
 
     def test_out_is_made_only_after_training(self, tmp_path, monkeypatch):
         seen = []
-        real = training.train_grouped
+        real = training.TrainRun.train
 
         def spy(*args, **kwargs):
             seen.append((tmp_path / "run").exists())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(training, "train_grouped", spy)
+        monkeypatch.setattr(training.TrainRun, "train", spy)
         out = self.train(tmp_path)
         assert seen == [False]
         assert sorted(os.listdir(out)) == [
@@ -572,9 +580,9 @@ class TestTrainFlow:
         # --out is made only after training, so a file in its way must be
         # refused before the run trains, not after.
         def refuse(*args, **kwargs):
-            raise AssertionError("train_grouped ran")
+            raise AssertionError("the run trained")
 
-        monkeypatch.setattr(training, "train_grouped", refuse)
+        monkeypatch.setattr(training.TrainRun, "train", refuse)
         blocker = tmp_path / "taken"
         blocker.write_text("")
         out = blocker / "run" if below else blocker
@@ -582,6 +590,23 @@ class TestTrainFlow:
                     "--data", recording(tmp_path, seed=5), *FAST_TRAIN]) == 1
         assert str(blocker) in capsys.readouterr().err
         assert blocker.read_text() == ""
+
+    def test_featurizes_each_training_profile_twice_and_held_out_once(
+            self, tmp_path, monkeypatch):
+        # Twice for the statistics and the training table, once for the
+        # held-out windows; the held-out report reuses the run's own.
+        calls = {}
+        real = features.channel_matrix
+
+        def counting(frame, config):
+            calls[frame.profile_id] = calls.get(frame.profile_id, 0) + 1
+            return real(frame, config)
+
+        monkeypatch.setattr(features, "channel_matrix", counting)
+        assert run(["train", "--out", str(tmp_path / "run"),
+                    "--data", recording(tmp_path, 4, 60), "--test-profiles", "4",
+                    *FAST_TRAIN]) == 0
+        assert calls == {1: 2, 2: 2, 3: 2, 4: 1}
 
     def test_evaluate_refuses_an_overflowing_error_naming_its_target(
             self, tmp_path, capsys):

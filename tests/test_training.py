@@ -79,6 +79,7 @@ class TestTrainConfig:
         {"fine_tune_profiles": 1.0},
         {"fine_tune_epochs": "2"},
         {"seed": 1.5},
+        {"seed": -1},
         {"learning_rate": "0.1"},
         {"clip_norm": True},
     ])
