@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 
 from .autodiff import Matrix
-from .features import FeatureConfig, Standardization
+from .features import TARGETS, FeatureConfig, Standardization
 from .models import VARIANTS, ModelParams, params_from_items
 
 __all__ = ["CheckpointError", "VariantMismatchError", "save_checkpoint", "load_checkpoint"]
@@ -80,8 +80,10 @@ def load_checkpoint(path, expect_variant: str | None = None):
     that is not a well-formed checkpoint, including shape table entries
     that are not [name, rows, cols] (named), parameter blocks whose
     shapes do not fit the variant, non-finite parameter values, header
-    dimensions or channel counts that disagree with the parameters, and a
-    ``stats`` or ``feature_config`` block that does not parse (named), and
+    dimensions or channel counts that disagree with the parameters, a
+    ``stats`` or ``feature_config`` block that does not parse (named),
+    ``stats`` targets other than ``TARGETS``, and ``stats`` channel names
+    that differ from those of ``feature_config`` (the first one named), and
     VariantMismatchError when ``expect_variant`` disagrees with the stored
     tag.
     """
@@ -178,4 +180,15 @@ def load_checkpoint(path, expect_variant: str | None = None):
                                       header["feature_config"],
                                       FeatureConfig.from_dict)
         channels_fit("feature_config", feature_config.channel_count())
+    if stats is not None and stats.target_names != TARGETS:
+        raise CheckpointError(
+            f"{path}: stats gives targets {list(stats.target_names)}, the model "
+            f"predicts {list(TARGETS)}")
+    if stats is not None and feature_config is not None:
+        names = zip(stats.channel_names, feature_config.channel_names())
+        for i, (got, want) in enumerate(names):
+            if got != want:
+                raise CheckpointError(
+                    f"{path}: stats channel {i} is {got!r}, feature_config "
+                    f"channel {i} is {want!r}")
     return params, stats, feature_config

@@ -284,12 +284,12 @@ def _windows(frames, config, stats) -> features.WindowedDataset:
 
 
 def _save_windows(dataset, inputs_path, targets_path) -> None:
-    """The .npy files np.save writes for the whole ``gather``, written as each
-    header and then one appended batch of at most 256 windows of one profile
-    at a time.  Such a batch is a view of the window table, and its windows
-    are written one by one, so no batch is copied.  Raises OSError before
-    opening either file when the two would not fit in the free space of
-    their directory (counting any files they replace)."""
+    """The whole ``gather`` as .npy files, targets as (windows, 1, targets),
+    written as each header and then one appended batch of at most 256
+    windows of one profile at a time.  Such a batch is a view of the window
+    table, and its windows are written one by one, so no batch is copied.
+    Raises OSError before opening either file when the two would not fit in
+    the free space of their directory (counting any files they replace)."""
     n = dataset.n_windows
     dtype = dataset.channels.dtype
     shapes = ((n, dataset.window, dataset.channels.shape[1]),

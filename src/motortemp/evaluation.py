@@ -136,9 +136,8 @@ def collect_predictions(params: ModelParams, dataset: WindowedDataset,
     for at in range(0, n, batch_size):
         idx = np.arange(at, min(at + batch_size, n))
         inputs, raw = dataset.gather(idx)
-        pred = predict(params, inputs).reshape(len(idx), -1)
-        actual.append(raw.reshape(len(idx), -1))
-        predicted.append(stats.untransform_predictions(pred))
+        actual.append(raw)
+        predicted.append(stats.untransform_predictions(predict(params, inputs)))
     return np.concatenate(actual), np.concatenate(predicted)
 
 

@@ -378,7 +378,7 @@ class WindowedDataset:
 
     def gather(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """The requested windows as read-only (inputs, targets) arrays of
-        shapes (len(idx), window, channels) and (len(idx), 1, targets).
+        shapes (len(idx), window, channels) and (len(idx), targets).
 
         When the windows' starts are evenly spaced with a positive step, as
         any run of consecutive windows of one profile is, both are views of
@@ -396,7 +396,7 @@ class WindowedDataset:
         # window is one contiguous block of the table.
         windows = sliding_window_view(self.channels, (self.window, self.channels.shape[1]))
         # Row s of the shifted targets ends the window that starts at row s.
-        inputs, targets = windows[pick, 0], self.targets[self.window - 1:][pick, None]
+        inputs, targets = windows[pick, 0], self.targets[self.window - 1:][pick]
         for batch in (inputs, targets):
             batch.flags.writeable = False
         return inputs, targets

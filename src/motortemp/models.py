@@ -1,7 +1,7 @@
 """The LSTM cell and the three encoder-decoder temperature estimators.
 
-One graph reads a (batch, window, channels) block and emits one (batch, 1,
-4) temperature vector for the final timestamp, for every variant:
+One graph reads a (batch, window, channels) block and emits one (batch, 4)
+temperature vector for the final timestamp, for every variant:
 
 1. An encoder runs over the window from zero states.  ``bilstm`` adds a
    second encoder that reads the window back to front and concatenates the
@@ -407,9 +407,8 @@ def forward_for_training(params: ModelParams, batch) -> Matrix:
 
 
 def predict(params: ModelParams, batch) -> np.ndarray:
-    """Forward pass for any variant; returns (batch, 1, output_dim)."""
-    arr = _check_batch(params, batch)
-    return _graph(params, arr).values.reshape(arr.shape[0], 1, params.output_dim)
+    """Forward pass for any variant; returns the (batch, output_dim) array."""
+    return _graph(params, _check_batch(params, batch)).values
 
 
 def describe_layers(params: ModelParams, window: int = 180) -> list[tuple[str, str, str]]:
@@ -440,4 +439,4 @@ def describe_layers(params: ModelParams, window: int = 180) -> list[tuple[str, s
             ("Dot-2", "context", f"({b}, {h})"),
             ("Concat", "[context | decoder]", f"({b}, {2 * h})"),
         ]
-    return rows + [("Output", "linear", f"({b}, 1, {o})")]
+    return rows + [("Output", "linear", f"({b}, {o})")]

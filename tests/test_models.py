@@ -375,7 +375,16 @@ class TestForwardShapes:
         params = init_params(variant, seed=1)
         batch = np.random.default_rng(0).standard_normal((8, 180, 65))
         out = predict(params, batch)
-        assert out.shape == (8, 1, 4)
+        assert out.shape == (8, 4)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_predict_is_the_training_forward_values(self, variant):
+        params = init_params(variant, seed=2, input_dim=3, hidden=4)
+        batch = np.random.default_rng(1).standard_normal((5, 7, 3))
+        out = predict(params, batch)
+        assert out.shape == (5, 4)
+        np.testing.assert_array_equal(
+            out, forward_for_training(params, batch).values)
 
     def test_batch_validation(self):
         params = init_params("vanilla", seed=1, input_dim=3, hidden=4)

@@ -59,18 +59,12 @@ class TestTrainConfig:
         {"learning_rate": -1e-3},
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
-        {"beta1": 1.0},
-        {"beta2": -0.1},
         {"epochs_per_group": 0},
         {"group_count": 0},
         {"fine_tune_profiles": -1},
         {"clip_norm": 0.0},
         {"clip_norm": float("nan")},
         {"clip_norm": float("inf")},
-        {"eps": 0.0},
-        {"eps": -1e-8},
-        {"eps": float("nan")},
-        {"eps": float("inf")},
         {"fine_tune_epochs": -1},
         {"batch_size": 1.5},
         {"batch_size": True},
@@ -82,6 +76,12 @@ class TestTrainConfig:
         {"seed": -1},
         {"learning_rate": "0.1"},
         {"clip_norm": True},
+        {"learning_rate": None},
+        {"clip_norm": -1.0},
+        {"batch_size": -4},
+        {"group_count": True},
+        {"seed": "0"},
+        {"fine_tune_epochs": 1.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         (field,) = kwargs
@@ -138,11 +138,11 @@ class TestAdam:
 
         m = v = 0.0
         for t, g in ((1, g1), (2, g2)):
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1 ** t)
-            v_hat = v / (1 - cfg.beta2 ** t)
-            theta -= cfg.learning_rate * m_hat / (math.sqrt(v_hat) + cfg.eps)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            m_hat = m / (1 - 0.9 ** t)
+            v_hat = v / (1 - 0.999 ** t)
+            theta -= cfg.learning_rate * m_hat / (math.sqrt(v_hat) + 1e-8)
 
         for g in (g1, g2):
             grads = self.grads_like(params, 0.0)
@@ -572,6 +572,13 @@ class TestCheckpoint:
         ("feature_config", lambda b: b["predictors"].__setitem__(0, 7),
          r"feature_config block is malformed \(ValueError: predictors must be "
          r"attribute names, got \(7, "),
+        ("feature_config", lambda b: b["synthetic"].__setitem__(
+            slice(4, None), ["IMM", "SMM"]),
+         r"stats channel 11 is 'IMC', feature_config channel 11 is 'IMM'"),
+        ("stats", lambda b: [b[k].pop() for k in
+                             ("target_names", "target_mean", "target_std")],
+         r"stats gives targets \['stator_winding', 'stator_tooth', "
+         r"'stator_yoke'\], the model predicts \[.*'pm'\]"),
     ], ids=["spans", "no_target_std", "short_mean", "long_target_std",
             "include_raw_false", "float_window", "string_stride", "float_span",
             "string_standardize_targets", "false_standardize_targets",
@@ -580,7 +587,8 @@ class TestCheckpoint:
             "zero_channel_std", "negative_channel_std", "zero_target_std",
             "huge_integer_channel_mean", "infinite_target_std", "huge_span",
             "huge_stride",
-            "no_window", "no_predictors", "integer_predictor"])
+            "no_window", "no_predictors", "integer_predictor",
+            "synthetic_other_than_stats", "three_targets"])
     def test_rejects_malformed_header_block(self, tmp_path, block, edit,
                                             message):
         _, _, path = self.roundtrip(tmp_path, "vanilla")
