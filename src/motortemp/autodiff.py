@@ -37,10 +37,10 @@ Backward pass conventions:
   order exactly once;
 * interior gradients are freed as soon as they have been consumed, which
   keeps peak memory close to the forward activations alone;
-* a matrix read only through slice_cols keeps its gradient as column
-  blocks, each slice's own array keyed by its (start, stop) range and
-  never written into, until a rule needs it whole: lstm_sequence and
-  attend read their blocks directly and skip one that never arrived;
+* a fused op may hand out several matrices, each a view of its node's one
+  output: lstm_sequence's h, c and kept sequence.  Each has its own
+  gradient, one array, and the node's rule receives them together, None
+  for one that never arrived;
 * leaves that were not requested (e.g. the input windows) never receive a
   gradient, so the corresponding matrix products are skipped.
 """
@@ -140,15 +140,19 @@ def active_tape() -> "Tape | None":
 
 
 class TapeNode:
-    """One recorded primitive: op kind, input node ids, output matrix."""
+    """One recorded primitive: op kind, the (node id, part) keys of its
+    inputs, its whole output and the matrices it handed out: ``(out,)``, or
+    lstm_sequence's (h, c, seq), views of ``out``."""
 
-    __slots__ = ("op", "inputs", "out", "ctx")
+    __slots__ = ("op", "inputs", "out", "ctx", "parts")
 
-    def __init__(self, op: str, inputs: tuple[int, ...], out: Matrix, ctx=()):
+    def __init__(self, op: str, inputs: tuple[tuple[int, int], ...],
+                 out: Matrix, ctx=(), parts=None):
         self.op = op
         self.inputs = inputs
         self.out = out
         self.ctx = ctx
+        self.parts = (out,) if parts is None else parts
 
 
 class Tape:
@@ -163,12 +167,13 @@ class Tape:
 
     Node ids increase with recording order, so every node's inputs appear
     strictly before it.  Run backward before reusing the same Matrix objects
-    on a different tape; ids are looked up by object identity.
+    on a different tape; matrices are looked up by object identity, each
+    under the (node id, part) key of the node that made it.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
-        self._ids: dict[int, int] = {}
+        self._ids: dict[int, tuple[int, int]] = {}
 
     def __enter__(self) -> "Tape":
         _STACK.tapes.append(self)
@@ -184,23 +189,25 @@ class Tape:
         return len(self.nodes)
 
     def node_id(self, m: Matrix) -> int | None:
-        """The node id of ``m`` on this tape, or None if never recorded."""
-        return self._ids.get(id(m))
+        """The id of the node that made ``m`` on this tape, or None."""
+        key = self._ids.get(id(m))
+        return None if key is None else key[0]
 
-    def watch(self, m: Matrix) -> int:
-        """Register ``m`` as a leaf (if new) and return its node id."""
-        nid = self._ids.get(id(m))
-        if nid is None:
-            nid = len(self.nodes)
+    def watch(self, m: Matrix) -> tuple[int, int]:
+        """Register ``m`` as a leaf (if new); return its (node, part) key."""
+        key = self._ids.get(id(m))
+        if key is None:
+            key = self._ids[id(m)] = (len(self.nodes), 0)
             self.nodes.append(TapeNode("leaf", (), m))
-            self._ids[id(m)] = nid
-        return nid
+        return key
 
-    def _record(self, op: str, inputs: tuple[Matrix, ...], out: Matrix, ctx=()):
-        ids = tuple(self.watch(x) for x in inputs)
-        nid = len(self.nodes)
-        self.nodes.append(TapeNode(op, ids, out, ctx))
-        self._ids[id(out)] = nid
+    def _record(self, op: str, inputs: tuple[Matrix, ...], out: Matrix, ctx=(),
+                parts=None):
+        keys = tuple(self.watch(x) for x in inputs)
+        nd = TapeNode(op, keys, out, ctx, parts)
+        self._ids.update((id(m), (len(self.nodes), k))
+                         for k, m in enumerate(nd.parts) if m is not None)
+        self.nodes.append(nd)
 
     def backward(self, loss: Matrix, wrt) -> list[np.ndarray]:
         """Gradients of the 1x1 ``loss`` recorded on this tape, one array per
@@ -209,8 +216,8 @@ class Tape:
         A matrix with no path to the loss, or never recorded, gets zeros; a
         matrix given twice gets its gradient twice.
         """
-        loss_id = self.node_id(loss)
-        if loss_id is None:
+        loss_key = self._ids.get(id(loss))
+        if loss_key is None:
             raise ContractError("loss was not recorded on this tape")
         if loss.shape != (1, 1):
             raise ContractError(
@@ -218,37 +225,38 @@ class Tape:
             )
         wrt = list(wrt)
         nodes = self.nodes
-        wrt_ids = [self.node_id(m) for m in wrt]
-        keep = set(wrt_ids)
+        wrt_keys = [self._ids.get(id(m)) for m in wrt]
+        keep = set(wrt_keys)
 
-        # Forward sweep: a node needs a gradient iff it can reach a requested
-        # matrix.  Inputs are always recorded before their consumers, so one
-        # pass in id order suffices.
-        need = np.zeros(len(nodes), dtype=bool)
-        need[[i for i in keep if i is not None]] = True
+        # Forward sweep: a matrix needs a gradient iff it is requested or
+        # its node can reach a requested matrix.  Inputs are always recorded
+        # before their consumers, so one pass in id order suffices.
+        need = {}
         for i, nd in enumerate(nodes):
-            if nd.op != "leaf" and not need[i]:
-                need[i] = any(need[j] for j in nd.inputs)
+            reach = nd.op != "leaf" and any(need[j] for j in nd.inputs)
+            for k in range(len(nd.parts)):
+                need[i, k] = reach or (i, k) in keep
 
-        grads: dict[int, np.ndarray | dict] = {loss_id: np.ones((1, 1))}
-        for i in range(loss_id, -1, -1):
+        grads: dict[tuple[int, int], np.ndarray] = {loss_key: np.ones((1, 1))}
+        for i in range(loss_key[0], -1, -1):
             nd = nodes[i]
-            g = grads.get(i)
-            if g is None or nd.op == "leaf":
+            keys = [(i, k) for k in range(len(nd.parts))]
+            g = [grads.get(key) for key in keys]
+            if nd.op == "leaf" or all(part is None for part in g):
                 continue
-            if nd.op not in _BLOCK_RULES:
-                g = _dense(g, nd.out.shape)
-            _BACKWARD[nd.op](nd, nodes, g, grads, need)
-            if i not in keep:
-                del grads[i]
-        return [_dense(grads[i], m.shape) if i in grads else np.zeros(m.shape)
-                for i, m in zip(wrt_ids, wrt)]
+            _BACKWARD[nd.op](nd, nodes, grads, need, *g)
+            for key in keys:
+                if key not in keep:
+                    grads.pop(key, None)
+        return [grads[key] if key in grads else np.zeros(m.shape)
+                for key, m in zip(wrt_keys, wrt)]
 
 
-def _maybe_record(op: str, inputs: tuple[Matrix, ...], out: Matrix, ctx=()):
+def _maybe_record(op: str, inputs: tuple[Matrix, ...], out: Matrix, ctx=(),
+                  parts=None):
     tape = active_tape()
     if tape is not None:
-        tape._record(op, inputs, out, ctx)
+        tape._record(op, inputs, out, ctx, parts)
     return out
 
 
@@ -284,8 +292,8 @@ def concat_cols(parts) -> Matrix:
 def slice_cols(x: Matrix, start: int, stop: int) -> Matrix:
     """The contiguous column block x[:, start:stop], sharing x's memory.
 
-    Ops never write into their operands, so the view is as good as a copy
-    and costs nothing for wide blocks such as a kept hidden sequence.
+    Ops never write into their operands, so the view is as good as a copy.
+    On the way back the block's gradient is written into zeros of x's shape.
     """
     if not (0 <= start < stop <= x.cols):
         raise ShapeError(
@@ -332,7 +340,7 @@ def _lstm_step(w, operand, z, c_prev, c, tc, h):
 
 def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
                   reverse: bool = False, keep_sequence: bool = False,
-                  h0: Matrix | None = None, c0: Matrix | None = None) -> Matrix:
+                  h0: Matrix | None = None, c0: Matrix | None = None) -> tuple:
     """One LSTM layer over a whole window.
 
     ``x`` holds one window per row, time-major: row r is [x_0 | ... | x_{T-1}]
@@ -347,11 +355,13 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     walking t backwards when ``reverse`` is set.  The states start at
     ``h0`` and ``c0`` (B x H each, given together, and differentiated like
     any other input), or at zero when neither is given; a one-column-block
-    ``x`` makes this a single LSTM step from those states.  Returns [h | c]
-    after the last step processed (B x 2H); with ``keep_sequence`` the
-    hidden state after each step follows in processing order
-    (B x (2 + T)H).  The backward rule gives the hard sigmoid slope 0.2
-    where the gate lies strictly inside (0, 1) and 0 where it is clipped.
+    ``x`` makes this a single LSTM step from those states.  Returns
+    (h, c, seq): the hidden and cell states after the last step processed
+    (B x H each) and, with ``keep_sequence``, the hidden state after each
+    step side by side in processing order (B x TH), else None.  The three
+    are views of one allocation, and on a tape each has its own gradient.
+    The backward rule gives the hard sigmoid slope 0.2 where the gate lies
+    strictly inside (0, 1) and 0 where it is clipped.
 
     Each step is one matrix product of the folded weight (see
     ``_folded_weight``) with the stacked operand [x_t; h; 1] (D + H + 1 x B),
@@ -426,8 +436,11 @@ def lstm_sequence(x: Matrix, wx: Matrix, wh: Matrix, b: Matrix,
     out[:, :n] = h.T
     out[:, n:2 * n] = c.T
     ctx = (starts, w, reverse, h_init, c_init) if taped else ()
-    return _maybe_record("lstm_sequence", (x, wx, wh, b) + states,
-                         Matrix._wrap(out), ctx)
+    parts = (Matrix._wrap(out[:, :n]), Matrix._wrap(out[:, n:2 * n]),
+             Matrix._wrap(out[:, 2 * n:]) if keep_sequence else None)
+    _maybe_record("lstm_sequence", (x, wx, wh, b) + states, Matrix._wrap(out),
+                  ctx, parts)
+    return parts
 
 
 def attend(query: Matrix, keys: Matrix) -> Matrix:
@@ -476,50 +489,35 @@ def mse(pred: Matrix, target: Matrix) -> Matrix:
     return _maybe_record("mse", (pred, target), out, (diff, k))
 
 
-def _dense(g, shape) -> np.ndarray:
-    """The gradient ``g`` as one array: its column blocks, if it has them,
-    added into zeros in the order they arrived."""
-    if not isinstance(g, dict):
-        return g
-    out = np.zeros(shape)
-    for (start, stop), val in g.items():
-        out[:, start:stop] += val
-    return out
+def _value(nodes, key) -> np.ndarray:
+    """The values of the matrix recorded under the (node, part) ``key``."""
+    j, k = key
+    return nodes[j].parts[k].values
 
 
-def _split(g, shape, cuts):
-    """The gradient ``g`` as one block per column range of ``cuts``: None
-    where none arrived, or views of it whole if its blocks do not line up."""
-    if isinstance(g, dict) and g.keys() <= set(cuts):
-        return [g.get(cut) for cut in cuts]
-    g = _dense(g, shape)
-    return [g[:, start:stop] for start, stop in cuts]
-
-
-def _acc(grads: dict, need, nid: int, val: np.ndarray):
+def _acc(grads: dict, need: dict, key, val: np.ndarray):
     # Backward rules hand over freshly allocated arrays, so accumulating
-    # in place here never aliases another node's stored gradient.
-    if not need[nid]:
+    # in place here never aliases another matrix's stored gradient.
+    if not need[key]:
         return
-    cur = grads.get(nid)
+    cur = grads.get(key)
     if cur is None:
-        grads[nid] = val
+        grads[key] = val
     else:
-        cur = grads[nid] = _dense(cur, val.shape)
         cur += val
 
 
-def _bw_affine(nd, nodes, g, grads, need):
+def _bw_affine(nd, nodes, grads, need, g):
     ix, iw, ib = nd.inputs
     if need[ix]:
-        _acc(grads, need, ix, g @ nodes[iw].out.values.T)
+        _acc(grads, need, ix, g @ _value(nodes, iw).T)
     if need[iw]:
-        _acc(grads, need, iw, nodes[ix].out.values.T @ g)
+        _acc(grads, need, iw, _value(nodes, ix).T @ g)
     if need[ib]:
         _acc(grads, need, ib, g.sum(axis=0, keepdims=True))
 
 
-def _bw_concat_cols(nd, nodes, g, grads, need):
+def _bw_concat_cols(nd, nodes, grads, need, g):
     offset = 0
     for j, width in zip(nd.inputs, nd.ctx):
         if need[j]:
@@ -527,37 +525,30 @@ def _bw_concat_cols(nd, nodes, g, grads, need):
         offset += width
 
 
-def _bw_slice_cols(nd, nodes, g, grads, need):
-    # Until a whole gradient reaches the input, its gradient is a dict of
-    # column blocks: the slice's own g, adopted by reference, under its
-    # (start, stop) range, or the sum of the gradients of equal slices.
+def _bw_slice_cols(nd, nodes, grads, need, g):
     j = nd.inputs[0]
     if need[j]:
-        start, stop = cut = nd.ctx
-        cur = grads.setdefault(j, {})
-        if not isinstance(cur, dict):
-            cur[:, start:stop] += g
-        else:
-            cur[cut] = cur[cut] + g if cut in cur else g
+        start, stop = nd.ctx
+        whole = np.zeros(_value(nodes, j).shape)
+        whole[:, start:stop] = g
+        _acc(grads, need, j, whole)
 
 
-def _bw_lstm_sequence(nd, nodes, g, grads, need):
+def _bw_lstm_sequence(nd, nodes, grads, need, g_h, g_c, g_seq):
     # Works in the folded parameterisation of the forward: with z' = W op,
     # the i/f/o gates are clip(z') and have slope 1 strictly inside (0, 1),
     # and the factor 0.2 between z' and the unfolded z is applied once to
     # the gate rows of the finished weight gradient.
     ix, iwx, iwh, ib = nd.inputs[:4]
     starts, w, reverse, h_init, c_init = nd.ctx
-    (rows, cols), width = nd.out.shape, w.shape[0]
+    rows, width = nd.out.rows, w.shape[0]
     n = width // 4
     d = w.shape[1] - n - 1
-    steps = nodes[ix].out.cols // d
+    x = _value(nodes, ix)
+    steps = x.shape[1] // d
     span = math.isqrt(steps)
-    xs = nodes[ix].out.values.reshape(rows, steps, d)
-    g_h, g_c, g_seq = _split(g, nd.out.shape,
-                             ((0, n), (n, 2 * n), (2 * n, cols)))
-    seq_g = (g_seq.reshape(rows, steps, n)
-             if g_seq is not None and cols > 2 * n else None)
+    xs = x.reshape(rows, steps, d)
+    seq_g = None if g_seq is None else g_seq.reshape(rows, steps, n)
 
     dw = np.zeros(w.shape) if need[iwx] or need[iwh] or need[ib] else None
     dx = np.zeros((rows, steps, d)) if need[ix] else None
@@ -648,20 +639,17 @@ def _bw_lstm_sequence(nd, nodes, g, grads, need):
         _acc(grads, need, j, val.T.copy())
 
 
-def _bw_attend(nd, nodes, g, grads, need):
+def _bw_attend(nd, nodes, grads, need, g):
     iq, ik = nd.inputs
-    q = nodes[iq].out.values
+    q = _value(nodes, iq)
     rows, n = q.shape
     steps = nd.out.cols - n
-    k3 = nodes[ik].out.values.reshape(rows, steps, n)
+    k3 = _value(nodes, ik).reshape(rows, steps, n)
     align = nd.out.values[:, :steps]
-    g_align, g_ctx = _split(g, nd.out.shape, ((0, steps), (steps, steps + n)))
-    if g_ctx is None:
-        g_ctx = np.zeros((rows, n))
+    g_ctx = g[:, steps:]
     # context = sum_t a_t k_t, then the softmax and score rules.
     da = np.matmul(k3, g_ctx[:, :, None])[:, :, 0]
-    if g_align is not None:
-        da += g_align
+    da += g[:, :steps]
     ds = align * (da - (align * da).sum(axis=1, keepdims=True))
     if need[iq]:
         _acc(grads, need, iq, np.matmul(ds[:, None, :], k3)[:, 0])
@@ -672,7 +660,7 @@ def _bw_attend(nd, nodes, g, grads, need):
         _acc(grads, need, ik, dk.reshape(rows, steps * n))
 
 
-def _bw_mse(nd, nodes, g, grads, need):
+def _bw_mse(nd, nodes, grads, need, g):
     # The gradient 2 k diff, as k diff + k diff.
     j = nd.inputs[0]
     if need[j]:
@@ -681,7 +669,6 @@ def _bw_mse(nd, nodes, g, grads, need):
         _acc(grads, need, j, half + half)
 
 
-_BLOCK_RULES = {"lstm_sequence", "attend"}
 _BACKWARD = {
     "affine": _bw_affine,
     "concat_cols": _bw_concat_cols,

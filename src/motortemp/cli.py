@@ -265,6 +265,18 @@ def _check_out_dir(path):
         raise PermissionError(f"--out {path}: cannot write into {ancestor}")
 
 
+def _check_out_file(path):
+    """Raise OSError, naming ``path``, unless it is not a directory and its
+    directory exists and is writable; makes nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path} is a directory")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"--out {path}: no directory {folder}")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise PermissionError(f"--out {path}: cannot write into {folder}")
+
+
 def _write_json(path, payload: dict):
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
@@ -405,6 +417,7 @@ def cmd_evaluate(args, parser) -> int:
     data = _data_path(settings, parser.error)
     params, stats, feature_config = _load_pipeline(
         args.checkpoint, settings.get("variant", models.VARIANTS))
+    _check_out_dir(args.out)
     frames = dataio.load_csv(data)
     test_ids = _test_ids(settings, frames)
     if not test_ids:
@@ -429,6 +442,7 @@ def cmd_predict(args, parser) -> int:
     settings = _Settings(args)
     data = _data_path(settings, parser.error)
     params, stats, feature_config = _load_pipeline(args.checkpoint)
+    _check_out_file(args.out)
     frames = dataio.load_csv(data)
     dataset = _windows(frames, feature_config, stats)
     _, predicted = evaluation.collect_predictions(params, dataset, stats)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
+import re
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -114,6 +116,11 @@ class DatasetSplit:
     test: list[ProfileFrame] = field(default_factory=list)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _profile_id(cell: str) -> int:
     """``int(cell)``; float text such as "4.0" or "1e3" only when it is a
     whole number that a float holds exactly.  Anything else is ValueError.
@@ -136,25 +143,37 @@ def load_csv(path) -> list[ProfileFrame]:
     one reported.  The header names ``profile_id``, every attribute in
     ``ATTRIBUTES`` and no column twice; other columns are ignored with a
     warning.  Frames come back in order of first appearance, rows in file
-    order.  A byte that is not UTF-8 raises CsvParseError naming the file;
-    the file is decoded up to about 16 kB ahead of the row being read, so
-    such a byte can win over a fault in the rows just before it.  A row not
-    as wide as the header, a cell that is not a finite number, a profile_id
-    that is not a whole number held exactly and a profile that resumes
-    after another one started raise it naming the row as well.  Numbers
+    order.  Faults raise CsvParseError naming the file.  A byte that is not
+    UTF-8, in any column or in the header, raises it naming the column and
+    the row.  A row not as wide as the header, a cell that is not a finite
+    number, a profile_id that is not a whole number held exactly and a
+    profile that resumes after another one started raise it naming the row
+    as well.  Numbers
     are ASCII: a cell of ``profile_id`` or an attribute that holds
     an underscore or a non-ASCII character, which ``float`` and ``int``
     read ("1_5" as 15, "٣" as 3), raises it naming the row, the column and
     the cell before any other cell of its row is read.
     """
     suspect: list[str] = []
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = chain.from_iterable(_blocks(fh, suspect))
-            return _read_csv(path, csv.reader(lines), suspect)
-    except UnicodeDecodeError as exc:
-        raise CsvParseError(f"{path}: not UTF-8 text: {exc.reason} "
-                            f"{exc.object[exc.start:exc.end]!r}") from None
+    # A byte that is not UTF-8 becomes a lone surrogate, which _foreign
+    # flags, so the row check finds it where it reads the row.
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
+        lines = chain.from_iterable(_blocks(fh, suspect))
+        return _read_csv(path, csv.reader(lines), suspect)
+
+
+_UNDECODABLE = re.compile("[\udc80-\udcff]+")
+
+
+def _refuse_undecodable(path, cell: str, where: str) -> None:
+    """Raise CsvParseError if ``cell`` holds bytes that are not UTF-8."""
+    bad = _UNDECODABLE.search(cell)
+    if bad:
+        raise CsvParseError(
+            f"{path}: not UTF-8 text: "
+            f"{bad.group().encode('utf-8', 'surrogateescape')!r} in {where}"
+        )
 
 
 def _foreign(text: str) -> bool:
@@ -186,6 +205,8 @@ def _read_csv(path, reader, suspect: list) -> list[ProfileFrame]:
     except StopIteration:
         raise SchemaError(f"{path}: file is empty")
     suspect.clear()  # "profile_id" itself holds an underscore
+    for at, cell in enumerate(header, start=1):
+        _refuse_undecodable(path, cell, f"column {at} of the header")
     missing = [c for c in (PROFILE_COLUMN, *ATTRIBUTES) if c not in header]
     if missing:
         raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
@@ -220,7 +241,7 @@ def _read_csv(path, reader, suspect: list) -> list[ProfileFrame]:
         if suspect:
             # The reader has taken only this row's lines from the file.
             suspect.clear()
-            _refuse_foreign(path, row_no, row, numeric)
+            _refuse_foreign(path, row_no, row, header, numeric)
         cell = row[pid_at]
         try:
             row_pid = _profile_id(cell)
@@ -259,9 +280,12 @@ def _read_csv(path, reader, suspect: list) -> list[ProfileFrame]:
             for pid, buffers in columns.items()]
 
 
-def _refuse_foreign(path, row_no, row, numeric) -> None:
-    """Raise CsvParseError at the first ``_foreign`` cell of the ``numeric``
-    (index, name) columns of ``row``."""
+def _refuse_foreign(path, row_no, row, header, numeric) -> None:
+    """Raise CsvParseError at the first cell of ``row`` that is not UTF-8,
+    else at the first ``_foreign`` cell of its ``numeric`` (index, name)
+    columns."""
+    for cell, name in zip(row, header):
+        _refuse_undecodable(path, cell, f"column {name!r} at row {row_no}")
     for at, name in numeric:
         if _foreign(row[at]):
             raise CsvParseError(
@@ -307,7 +331,11 @@ def write_csv(path, header, columns) -> None:
 
 def split(frames, test_ids) -> DatasetSplit:
     """Partition frames into train and held-out sets by profile id."""
-    test_ids = set(int(t) for t in test_ids)
+    test_ids = list(test_ids)
+    for t in test_ids:
+        if not _is_int(t):
+            raise ConfigError(f"test profile id {t!r} is not an integer")
+    test_ids = {int(t) for t in test_ids}
     known = {f.profile_id for f in frames}
     unknown = sorted(test_ids - known)
     if unknown:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataio import ConfigError, ProfileFrame, one_pole
+from .dataio import ConfigError, ProfileFrame, _is_int, one_pole
 
 __all__ = [
     "PREDICTORS",
@@ -57,10 +57,6 @@ DEFAULT_SYNTHETIC = SYNTHETIC_SETS[DEFAULT_SYNTHETIC_SET]
 DEFAULT_SPANS = (1320, 3360, 6360, 9480)
 
 _SYNTHETIC_SOURCES = ("u_d", "u_q", "i_d", "i_q", "motor_speed", "coolant")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -360,14 +360,8 @@ def _encode(cell: LstmCellParams, batch: np.ndarray, reverse: bool = False,
     processing order, or None.
     """
     n, steps, dim = batch.shape
-    hidden = cell.hidden
     x = Matrix._wrap(batch.reshape(n, steps * dim))
-    out = lstm_sequence(x, *cell, reverse=reverse,
-                        keep_sequence=keep_sequence)
-    h = slice_cols(out, 0, hidden)
-    c = slice_cols(out, hidden, 2 * hidden)
-    seq = slice_cols(out, 2 * hidden, out.cols) if keep_sequence else None
-    return h, c, seq
+    return lstm_sequence(x, *cell, reverse=reverse, keep_sequence=keep_sequence)
 
 
 def _attend(h_de: Matrix, sequence: Matrix) -> Matrix:
@@ -392,8 +386,7 @@ def _graph(params: ModelParams, batch: np.ndarray) -> Matrix:
         h, c = concat_cols([h, h_b]), concat_cols([c, c_b])
     # The final hidden state, repeated once, is the decoder input; the final
     # (h, c) pair seeds the decoder state.
-    h_de = slice_cols(lstm_sequence(h, *params.decoder, h0=h, c0=c),
-                      0, h.cols)
+    h_de, _, _ = lstm_sequence(h, *params.decoder, h0=h, c0=c)
     if attention:
         # The attentional state [context | decoder state] feeds the output map.
         h_de = concat_cols([_attend(h_de, seq), h_de])

@@ -83,7 +83,8 @@ def taped_attention(params, batch):
         forward_for_training(params, batch)
     (node,) = [nd for nd in tape.nodes if nd.op == "attend"]
     (head,) = [nd for nd in tape.nodes if nd.op == "affine"]
-    return node, tape.nodes[head.inputs[0]]
+    (feed, _) = head.inputs[0]
+    return node, tape.nodes[feed]
 
 
 def einsum_attend(q, keys):

@@ -137,9 +137,9 @@ class TestForward:
         b = Matrix(rng.standard_normal((5, 5)) * 100)
         big = Matrix(100.0 * np.eye(5))
         keys = affine(big, concat_cols([a, b]), _r(rng, 1, 10, 100.0))
-        state = lstm_sequence(a, _r(rng, 5, 20, 100.0), _r(rng, 5, 20, 100.0),
-                              _r(rng, 1, 20, 100.0), h0=b,
-                              c0=affine(a, big, _r(rng, 1, 5, 100.0)))
+        state = _whole(lstm_sequence(a, _r(rng, 5, 20, 100.0),
+                                     _r(rng, 5, 20, 100.0), _r(rng, 1, 20, 100.0),
+                                     h0=b, c0=affine(a, big, _r(rng, 1, 5, 100.0))))
         out = attend(affine(slice_cols(state, 0, 5), b, _r(rng, 1, 5, 100.0)),
                      keys)
         assert np.isfinite(state.values).all()
@@ -207,12 +207,13 @@ class TestTape:
             b = affine(a, Matrix(np.ones((3, 3))), Matrix(np.ones((1, 3))))
             c = affine(b, Matrix(np.ones((3, 3))),
                        slice_cols(Matrix(np.ones((1, 5))), 1, 4))
-            out = lstm_sequence(c, Matrix(np.ones((3, 4))), Matrix(np.ones((1, 4))),
-                                Matrix(np.ones((1, 4))), h0=slice_cols(b, 0, 1),
-                                c0=Matrix.zeros(2, 1))
+            out = _whole(lstm_sequence(
+                c, Matrix(np.ones((3, 4))), Matrix(np.ones((1, 4))),
+                Matrix(np.ones((1, 4))), h0=slice_cols(b, 0, 1),
+                c0=Matrix.zeros(2, 1)))
             mse(out, Matrix.zeros(*out.shape))
         for i, node in enumerate(tape.nodes):
-            assert all(j < i for j in node.inputs)
+            assert all(j < i for j, _ in node.inputs)
 
     def test_least_squares_closed_form(self):
         rng = np.random.default_rng(5)
@@ -290,8 +291,8 @@ class TestTape:
         x, h0, c0 = _r(rng, 3, 2), _r(rng, 3, 4), _r(rng, 3, 4)
         target = _r(rng, 3, 8)
         with Tape() as tape:
-            out = lstm_sequence(x, Matrix.zeros(2, 16), Matrix.zeros(4, 16),
-                                b, h0=h0, c0=c0)
+            out = _whole(lstm_sequence(x, Matrix.zeros(2, 16),
+                                       Matrix.zeros(4, 16), b, h0=h0, c0=c0))
             loss = mse(out, target)
         g = tape.backward(loss, wrt=[b])[0][0]
         np.testing.assert_array_equal(g[:12], np.zeros(12))
@@ -332,6 +333,12 @@ def _r(rng, rows, cols, spread=1.0):
     return Matrix(rng.standard_normal((rows, cols)) * spread)
 
 
+def _whole(parts):
+    """lstm_sequence's (h, c, seq) side by side, [h | c] without a kept
+    sequence."""
+    return concat_cols([m for m in parts if m is not None])
+
+
 def _lstm_inputs(rng, steps=4):
     # Two windows of ``steps`` 3-wide steps, hidden width 2.  Small weights
     # keep every gate pre-activation well inside the hard sigmoid's kinks,
@@ -365,40 +372,51 @@ PRIMITIVES = [
     ("slice_cols", lambda rng: [_r(rng, 3, 6)],
      lambda a: slice_cols(a, 1, 4)),
     ("lstm_sequence", _lstm_inputs,
-     lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b)),
+     lambda x, wx, wh, b: _whole(lstm_sequence(x, wx, wh, b))),
     ("lstm_sequence_reverse", _lstm_inputs,
-     lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b, reverse=True)),
+     lambda x, wx, wh, b: _whole(lstm_sequence(x, wx, wh, b, reverse=True))),
     ("lstm_sequence_kept", _lstm_inputs,
-     lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b, keep_sequence=True)),
+     lambda x, wx, wh, b: _whole(lstm_sequence(x, wx, wh, b,
+                                               keep_sequence=True))),
     ("lstm_sequence_reverse_kept", _lstm_inputs,
-     lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b, reverse=True,
-                                        keep_sequence=True)),
+     lambda x, wx, wh, b: _whole(lstm_sequence(x, wx, wh, b, reverse=True,
+                                               keep_sequence=True))),
     ("lstm_sequence_states", _lstm_state_inputs,
-     lambda x, wx, wh, b, h0, c0: lstm_sequence(x, wx, wh, b, h0=h0, c0=c0)),
+     lambda x, wx, wh, b, h0, c0: _whole(lstm_sequence(x, wx, wh, b, h0=h0,
+                                                       c0=c0))),
     ("lstm_sequence_reverse_states", _lstm_state_inputs,
-     lambda x, wx, wh, b, h0, c0: lstm_sequence(x, wx, wh, b, reverse=True,
-                                                h0=h0, c0=c0)),
+     lambda x, wx, wh, b, h0, c0: _whole(lstm_sequence(
+         x, wx, wh, b, reverse=True, h0=h0, c0=c0))),
     ("lstm_sequence_decoder_step", _decoder_inputs,
-     lambda x, wx, wh, b, c0: lstm_sequence(x, wx, wh, b, h0=x, c0=c0)),
+     lambda x, wx, wh, b, c0: _whole(lstm_sequence(x, wx, wh, b, h0=x, c0=c0))),
+    # One part read alone: the backward takes no gradient for the others.
+    ("lstm_sequence_part_h", _lstm_state_inputs,
+     lambda x, wx, wh, b, h0, c0: lstm_sequence(x, wx, wh, b, h0=h0, c0=c0)[0]),
+    ("lstm_sequence_part_c", _lstm_state_inputs,
+     lambda x, wx, wh, b, h0, c0: lstm_sequence(x, wx, wh, b, reverse=True,
+                                                h0=h0, c0=c0)[1]),
+    ("lstm_sequence_part_seq", _lstm_state_inputs,
+     lambda x, wx, wh, b, h0, c0: lstm_sequence(
+         x, wx, wh, b, keep_sequence=True, h0=h0, c0=c0)[2]),
     # The backward re-runs the steps span by span, isqrt(T) steps each:
     # 4 steps split into two whole spans, while 5 and 10 steps end on a
     # partial span of one step.
     *[case for steps in (5, 10) for case in (
         (f"lstm_sequence_{steps}_steps",
          lambda rng, _s=steps: _lstm_inputs(rng, _s),
-         lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b)),
+         lambda x, wx, wh, b: _whole(lstm_sequence(x, wx, wh, b))),
         (f"lstm_sequence_reverse_kept_{steps}_steps",
          lambda rng, _s=steps: _lstm_inputs(rng, _s),
-         lambda x, wx, wh, b: lstm_sequence(x, wx, wh, b, reverse=True,
-                                            keep_sequence=True)),
+         lambda x, wx, wh, b: _whole(lstm_sequence(x, wx, wh, b, reverse=True,
+                                                   keep_sequence=True))),
         (f"lstm_sequence_kept_states_{steps}_steps",
          lambda rng, _s=steps: _lstm_state_inputs(rng, _s),
-         lambda x, wx, wh, b, h0, c0: lstm_sequence(
-             x, wx, wh, b, keep_sequence=True, h0=h0, c0=c0)),
+         lambda x, wx, wh, b, h0, c0: _whole(lstm_sequence(
+             x, wx, wh, b, keep_sequence=True, h0=h0, c0=c0))),
         (f"lstm_sequence_reverse_states_{steps}_steps",
          lambda rng, _s=steps: _lstm_state_inputs(rng, _s),
-         lambda x, wx, wh, b, h0, c0: lstm_sequence(
-             x, wx, wh, b, reverse=True, h0=h0, c0=c0)),
+         lambda x, wx, wh, b, h0, c0: _whole(lstm_sequence(
+             x, wx, wh, b, reverse=True, h0=h0, c0=c0))),
     )],
     ("attend", lambda rng: [_r(rng, 3, 4), _r(rng, 3, 20)],
      lambda q, k: attend(q, k)),
@@ -436,8 +454,8 @@ def test_composite_graph_gradient():
         h = affine(a_m, b_m, row2)
         sq = affine(h, b_m, row)
         split = concat_cols([slice_cols(sq, 2, 4), slice_cols(h, 0, 2)])
-        state = lstm_sequence(split, wx, wh, bias, h0=slice_cols(h, 0, 2),
-                              c0=slice_cols(sq, 2, 4))
+        state = _whole(lstm_sequence(split, wx, wh, bias, h0=slice_cols(h, 0, 2),
+                                     c0=slice_cols(sq, 2, 4)))
         out = attend(slice_cols(state, 0, 2),
                      concat_cols([slice_cols(h, 2, 4), slice_cols(state, 2, 4)]))
         return mse(out, target)
@@ -479,9 +497,11 @@ def test_lstm_sequence_taped_and_untaped_agree_bitwise(reverse, keep_sequence):
     rng = np.random.default_rng(80)
     inputs = [_r(rng, 3, 20, 3.0), _r(rng, 4, 12), _r(rng, 3, 12),
               _r(rng, 1, 12)]
-    off = lstm_sequence(*inputs, reverse=reverse, keep_sequence=keep_sequence)
+    off = _whole(lstm_sequence(*inputs, reverse=reverse,
+                               keep_sequence=keep_sequence))
     with Tape():
-        on = lstm_sequence(*inputs, reverse=reverse, keep_sequence=keep_sequence)
+        on = _whole(lstm_sequence(*inputs, reverse=reverse,
+                                  keep_sequence=keep_sequence))
     np.testing.assert_array_equal(on.values, off.values)
 
 
@@ -516,9 +536,11 @@ def _taped_lstm(reverse, keep_sequence, steps=5):
     inputs = [_r(rng, 7, 4 * steps, 3.0), _r(rng, 4, 12), _r(rng, 3, 12),
               _r(rng, 1, 12)]
     with Tape() as tape:
-        out = lstm_sequence(*inputs, reverse=reverse, keep_sequence=keep_sequence)
+        parts = lstm_sequence(*inputs, reverse=reverse,
+                              keep_sequence=keep_sequence)
+        out = _whole(parts)
         loss = mse(out, _r(rng, *out.shape))
-    return inputs, loss, tape, tape.nodes[tape.node_id(out)]
+    return inputs, loss, tape, tape.nodes[tape.node_id(parts[0])]
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -632,7 +654,7 @@ def test_backward_equals_bptt_keeping_every_gate_bitwise(reverse, rows):
         put(threads)
         try:
             with Tape() as tape:
-                out = lstm_sequence(x, wx, wh, b, reverse=reverse)
+                out = _whole(lstm_sequence(x, wx, wh, b, reverse=reverse))
                 loss = mse(out, target)
             got = tape.backward(loss, wrt=[wx, wh, b])
             half = (1.0 / out.values.size) * (out.values - target.values)
@@ -686,7 +708,7 @@ def test_tape_memory_grows_with_the_root_of_the_window():
         tracemalloc.start()
         try:
             with Tape() as tape:
-                loss = mse(lstm_sequence(x, wx, wh, b), target)
+                loss = mse(_whole(lstm_sequence(x, wx, wh, b)), target)
             tape.backward(loss, wrt=[wx, wh, b])
             peaks[steps] = tracemalloc.get_traced_memory()[1]
         finally:
@@ -702,69 +724,38 @@ def _mse_grad(diff, count):
     return half + half
 
 
-# The column ranges of h, c and the kept sequence in the output of a
-# 5-step lstm_sequence of hidden width 3.
-_LSTM_SLICES = {"h": (0, 3), "c": (3, 6), "seq": (6, 21)}
-
-
 def _lstm_slice_inputs(rng, rows):
     return [_r(rng, rows, 20, 3.0), _r(rng, 4, 12), _r(rng, 3, 12),
             _r(rng, 1, 12)]
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("unused", sorted(_LSTM_SLICES))
+@pytest.mark.parametrize("unused", ["c", "h", "seq"])
 def test_lstm_sequence_read_through_slices(reverse, unused):
-    # The output reaches the loss only through its h, c and sequence
-    # slices, one of them unused: the backward reads each slice's gradient
-    # as a column block and counts the unused one as zero.  The weight
-    # gradients must be those of the whole upstream gradient, zeros in the
-    # unused columns, bit for bit, and the output's own gradient must come
-    # back whole.
+    # A 5-step layer of hidden width 3 reaches the loss through its h, c
+    # and kept sequence, one of them unused, whose gradient never arrives.
+    # Each part's own gradient must come back as the loss gave it, the
+    # unused one as zeros, and the weight gradients must be those of the
+    # whole upstream gradient, zeros for the unused part, bit for bit.
     rng = np.random.default_rng(85)
     x, wx, wh, b = _lstm_slice_inputs(rng, 7)
-    used = [cut for name, cut in _LSTM_SLICES.items() if name != unused]
-    targets = [_r(rng, 7, stop - start) for start, stop in used]
     with Tape() as tape:
-        out = lstm_sequence(x, wx, wh, b, reverse=reverse, keep_sequence=True)
-        loss = mse(concat_cols([slice_cols(out, *cut) for cut in used]),
-                   concat_cols(targets))
-    got = tape.backward(loss, wrt=[wx, wh, b, out])
-    count = 7 * sum(stop - start for start, stop in used)
-    want = np.zeros(out.shape)
-    for (start, stop), t in zip(used, targets):
-        want[:, start:stop] += _mse_grad(out.values[:, start:stop] - t.values,
-                                         count)
-    np.testing.assert_array_equal(got[3], want)
+        parts = dict(zip(("h", "c", "seq"), lstm_sequence(
+            x, wx, wh, b, reverse=reverse, keep_sequence=True)))
+        targets = {name: _r(rng, *m.shape) for name, m in parts.items()
+                   if name != unused}
+        loss = mse(concat_cols([parts[name] for name in targets]),
+                   concat_cols(list(targets.values())))
+    got = tape.backward(loss, wrt=[wx, wh, b, *parts.values()])
+    count = sum(t.values.size for t in targets.values())
+    want = {name: np.zeros(m.shape) for name, m in parts.items()}
+    for name, t in targets.items():
+        want[name] = _mse_grad(parts[name].values - t.values, count)
+    for g, e in zip(got[3:], want.values()):
+        np.testing.assert_array_equal(g, e)
     ref = _bptt_keeping_every_gate(x.values, wx.values, wh.values, b.values,
-                                   want[:, :6], reverse, want[:, 6:])
-    for a, e in zip(got[:3], ref):
-        np.testing.assert_array_equal(a, e)
-
-
-@pytest.mark.parametrize("whole_first", [False, True])
-def test_lstm_sequence_read_whole_and_through_a_slice(whole_first):
-    # A matrix also read whole takes one dense gradient, whichever of its
-    # readers the backward reaches first: the slice's block added into the
-    # whole gradient, or the block in zeros with the whole gradient added.
-    rng = np.random.default_rng(86)
-    x, wx, wh, b = _lstm_slice_inputs(rng, 7)
-    w1, b1, t = _r(rng, 21, 2), _r(rng, 1, 2), _r(rng, 7, 5)
-    with Tape() as tape:
-        out = lstm_sequence(x, wx, wh, b, keep_sequence=True)
-        if whole_first:
-            whole = affine(out, w1, b1)
-            h = slice_cols(out, 0, 3)
-        else:
-            h = slice_cols(out, 0, 3)
-            whole = affine(out, w1, b1)
-        loss = mse(concat_cols([whole, h]), t)
-    got = tape.backward(loss, wrt=[wx, wh, b, out])
-    want = _mse_grad(whole.values - t.values[:, :2], 35) @ w1.values.T
-    want[:, :3] += _mse_grad(h.values - t.values[:, 2:], 35)
-    np.testing.assert_array_equal(got[3], want)
-    ref = _bptt_keeping_every_gate(x.values, wx.values, wh.values, b.values,
-                                   want[:, :6], False, want[:, 6:])
+                                   np.hstack([want["h"], want["c"]]), reverse,
+                                   want["seq"])
     for a, e in zip(got[:3], ref):
         np.testing.assert_array_equal(a, e)
 
@@ -794,16 +785,15 @@ def test_sliced_matrix_in_wrt_comes_back_whole():
 @pytest.mark.parametrize("keep_sequence", [False, True])
 @pytest.mark.parametrize("whole", [False, True])
 def test_one_row_gradients_survive_the_lstm_backward(keep_sequence, whole):
-    # At one row the transpose of a (1, H) block of the output's gradient
-    # is already contiguous, and the backward walks dh and dc back in
-    # place: it must do so on copies, so the gradients of the output read
-    # whole, or of its h and c slices, come back as the loss gave them.
+    # At one row the transpose of a (1, H) gradient is already contiguous,
+    # and the backward walks dh and dc back in place: it must do so on
+    # copies, so the gradients of the parts read side by side, or of h and
+    # c read on their own, come back as the loss gave them.
     rng = np.random.default_rng(88)
     x, wx, wh, b = _lstm_slice_inputs(rng, 1)
     with Tape() as tape:
-        out = lstm_sequence(x, wx, wh, b, keep_sequence=keep_sequence)
-        read = ([out] if whole
-                else [slice_cols(out, 0, 3), slice_cols(out, 3, 6)])
+        parts = lstm_sequence(x, wx, wh, b, keep_sequence=keep_sequence)
+        read = [_whole(parts)] if whole else list(parts[:2])
         targets = [_r(rng, *m.shape) for m in read]
         loss = mse(concat_cols(read), concat_cols(targets))
     *got, got_wx = tape.backward(loss, wrt=[*read, wx])
@@ -829,7 +819,7 @@ def test_inf_gradient_through_a_clipped_input_gate_stays_non_finite():
     big = Matrix(np.full((4, 1), 1e200))
     with np.errstate(over="ignore", invalid="ignore"):
         with Tape() as tape:
-            out = lstm_sequence(x, wx, wh, b, h0=h0, c0=c0)
+            out = _whole(lstm_sequence(x, wx, wh, b, h0=h0, c0=c0))
             loss = mse(affine(out, big, Matrix.zeros(1, 1)), Matrix.zeros(2, 1))
         grads = tape.backward(loss, wrt=[out, wx, wh, b])
     assert np.isinf(grads[0]).all()

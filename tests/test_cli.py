@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import motortemp
-from motortemp import cli, evaluation, features, training
+from motortemp import cli, dataio, evaluation, features, training
 from motortemp.checkpoint import load_checkpoint, save_checkpoint
 from motortemp.dataio import synthesize
 from motortemp.features import FeatureConfig, build_dataset, fit_standardization
@@ -590,6 +590,33 @@ class TestTrainFlow:
                     "--data", recording(tmp_path, seed=5), *FAST_TRAIN]) == 1
         assert str(blocker) in capsys.readouterr().err
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command,out,message", [
+        ("evaluate", "taken", "--out {} exists and is not a directory"),
+        ("predict", "absent/p.csv", "--out {}: no directory {}/absent"),
+        ("predict", "", "--out {} is a directory"),
+    ], ids=["evaluate_into_a_file", "predict_into_no_directory",
+            "predict_onto_a_directory"])
+    def test_out_that_cannot_be_written_exits_1_before_reading(
+            self, tmp_path, monkeypatch, capsys, command, out, message):
+        # Found out only after every window was scored, this cost a whole
+        # read and scoring pass.
+        ckpt = self.train(tmp_path) / "checkpoint.bin"
+        data = recording(tmp_path, seed=5)
+        (tmp_path / "taken").write_text("")
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recording was read")
+
+        monkeypatch.setattr(dataio, "load_csv", refuse)
+        target = str(tmp_path / out)
+        held_out = ["--test-profiles", "2"] if command == "evaluate" else []
+        assert run([command, "--checkpoint", str(ckpt), "--data", data,
+                    *held_out, "--out", target]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(target, tmp_path)}\n"
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_featurizes_each_training_profile_twice_and_held_out_once(
             self, tmp_path, monkeypatch):

@@ -240,6 +240,60 @@ class TestLoadCsv:
             load_csv(path)
         assert f"{path}: not UTF-8 text" in str(info.value)
 
+    def test_byte_that_is_not_utf8_comes_after_an_earlier_fault(self, tmp_path):
+        # The bad byte sits in the last row, a NaN at row 4: the NaN is the
+        # first fault in file order.
+        path = tmp_path / "rec.csv"
+        save_csv(synthesize(seed=0, profiles=1, length=40), path)
+        lines = path.read_bytes().split(b"\n")
+        cells = lines[3].split(b",")
+        cells[1 + ATTRIBUTES.index("coolant")] = b"nan"
+        lines[3] = b",".join(cells)
+        data = bytearray(b"\n".join(lines))
+        data[-6] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        assert str(info.value) == (f"{path}: non-finite value nan in column "
+                                   "'coolant' at row 4 (profile 1)")
+
+    def test_byte_that_is_not_utf8_names_column_and_row(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        _write_csv(path, ["profile_id", *ATTRIBUTES], _rows(1, 4))
+        lines = path.read_bytes().split(b"\n")
+        cells = lines[3].split(b",")
+        cells[1 + ATTRIBUTES.index("torque")] = b"1.\xe2\x825"
+        lines[3] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        assert str(info.value) == (f"{path}: not UTF-8 text: b'\\xe2\\x82' in "
+                                   "column 'torque' at row 4")
+
+    def test_byte_that_is_not_utf8_in_the_header_is_refused(self, tmp_path):
+        # In the name of an extra column, which is otherwise ignored.
+        path = tmp_path / "rec.csv"
+        _write_csv(path, ["profile_id", *ATTRIBUTES, "note"], [
+            r + [0.0] for r in _rows(1, 3)])
+        path.write_bytes(path.read_bytes().replace(b"note", b"n\xffte", 1))
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        assert str(info.value) == (f"{path}: not UTF-8 text: b'\\xff' in "
+                                   "column 14 of the header")
+
+    def test_byte_that_is_not_utf8_in_an_extra_column_is_refused(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        rows = [r + ["ok"] for r in _rows(1, 5)]
+        rows[2][-1] = "\N{LATIN SMALL LETTER E WITH ACUTE}"
+        _write_csv(path, ["profile_id", *ATTRIBUTES, "note"], rows)
+        path.write_bytes(path.read_bytes().replace(
+            "\N{LATIN SMALL LETTER E WITH ACUTE}".encode("utf-8"), b"\xe9"))
+        with pytest.raises(CsvParseError) as info:
+            with pytest.warns(UserWarning, match="note"):
+                load_csv(path)
+        assert str(info.value) == (f"{path}: not UTF-8 text: b'\\xe9' in "
+                                   "column 'note' at row 4")
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         save_csv(synthesize(seed=2, profiles=2, length=30), plain)
@@ -360,6 +414,20 @@ class TestSplit:
         frames = synthesize(seed=1, profiles=3, length=10)
         with pytest.raises(ConfigError, match="65"):
             split(frames, [65])
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", None],
+                             ids=["float", "whole_float", "bool", "str", "none"])
+    def test_id_that_is_not_an_integer_is_config_error(self, bad):
+        # int() would turn 2.7 into profile 2 and True into profile 1.
+        frames = synthesize(seed=1, profiles=3, length=10)
+        with pytest.raises(ConfigError) as info:
+            split(frames, [3, bad])
+        assert str(info.value) == f"test profile id {bad!r} is not an integer"
+
+    def test_numpy_integer_ids_are_accepted(self):
+        frames = synthesize(seed=1, profiles=3, length=10)
+        out = split(frames, np.array([2], dtype=np.int64))
+        assert [f.profile_id for f in out.test] == [2]
 
 
 class TestSynthesize:

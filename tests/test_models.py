@@ -18,7 +18,6 @@ from motortemp.autodiff import (
     concat_cols,
     lstm_sequence,
     mse,
-    slice_cols,
 )
 from motortemp.models import (
     VARIANTS,
@@ -212,8 +211,8 @@ class TestParamShapes:
 
 def _step(cell, x, h0, c0):
     """One LSTM step from (h0, c0), a one-step lstm_sequence; (h, c) arrays."""
-    out = lstm_sequence(x, *cell, h0=h0, c0=c0).values
-    return out[:, :cell.hidden], out[:, cell.hidden:]
+    h, c, _ = lstm_sequence(x, *cell, h0=h0, c0=c0)
+    return h.values, c.values
 
 
 class TestLstmStep:
@@ -304,8 +303,7 @@ def _unrolled_encode(cell, batch, reverse):
     c = Matrix.zeros(n, width)
     seq = []
     for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
-        out = lstm_sequence(Matrix(batch[:, t, :]), *cell, h0=h, c0=c)
-        h, c = slice_cols(out, 0, width), slice_cols(out, width, 2 * width)
+        h, c, _ = lstm_sequence(Matrix(batch[:, t, :]), *cell, h0=h, c0=c)
         seq.append(h)
     return h, c, concat_cols(seq)
 
@@ -356,7 +354,7 @@ class TestFusedEncoder:
             assert sizes[variant, 2] == sizes[variant, 40], variant
 
     @pytest.mark.parametrize("variant,nodes,leaves", [
-        ("vanilla", 17, 10), ("attention", 21, 10), ("bilstm", 26, 14)])
+        ("vanilla", 14, 10), ("attention", 17, 10), ("bilstm", 21, 14)])
     def test_training_step_tape_size(self, variant, nodes, leaves):
         # Leaves: wx, wh and b of each cell, the output map's two blocks,
         # the batch and the target.
@@ -539,9 +537,9 @@ class TestTapeMemory:
     # The traced peak of one paper-shape Tape.backward (batch 256, window
     # 180, 65 channels, hidden 100), counted from the taped forward on, so
     # that the tape is in it.  The attention step's kept-sequence gradient
-    # stays the key gradient's own array, a column block, with no
-    # full-width copy beside it; the vanilla and bilstm bounds catch a path
-    # that makes blocks whole without need.
+    # is the key gradient's own array, handed to the encoder's backward with
+    # no full-width copy of [h | c | seq] beside it; the vanilla and bilstm
+    # bounds catch a path that copies gradients without need.
     @pytest.mark.parametrize("variant,bound_mb", [
         ("vanilla", 34), ("attention", 110), ("bilstm", 46)])
     def test_paper_shape_backward_peak(self, variant, bound_mb):
