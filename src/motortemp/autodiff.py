@@ -41,6 +41,13 @@ Backward pass conventions:
   output: lstm_sequence's h, c and kept sequence.  Each has its own
   gradient, one array, and the node's rule receives them together, None
   for one that never arrived;
+* one gradient is not an array: attend hands its keys the four factors
+  (align, ds, g_ctx, q) of dk_t = a_t g_ctx + ds_t q, 0.6 MB where dk is
+  37 MB at the paper shape.  Only lstm_sequence's rule reads them as they
+  are, when the keys are its kept sequence: it adds one step's dk_t at a
+  time on its way back.  ``_dense`` expands them, with the same bits,
+  before any other rule, a second gradient of the same matrix, or a
+  ``wrt`` entry sees them;
 * leaves that were not requested (e.g. the input windows) never receive a
   gradient, so the corresponding matrix products are skipped.
 """
@@ -244,11 +251,15 @@ class Tape:
             g = [grads.get(key) for key in keys]
             if nd.op == "leaf" or all(part is None for part in g):
                 continue
+            # Only lstm_sequence's rule reads a kept sequence's factored
+            # gradient as it is; every other rule gets one array.
+            g = [part if nd.op == "lstm_sequence" and k == 2 else _dense(part)
+                 for k, part in enumerate(g)]
             _BACKWARD[nd.op](nd, nodes, grads, need, *g)
             for key in keys:
                 if key not in keep:
                     grads.pop(key, None)
-        return [grads[key] if key in grads else np.zeros(m.shape)
+        return [_dense(grads[key]) if key in grads else np.zeros(m.shape)
                 for key, m in zip(wrt_keys, wrt)]
 
 
@@ -495,16 +506,38 @@ def _value(nodes, key) -> np.ndarray:
     return nodes[j].parts[k].values
 
 
-def _acc(grads: dict, need: dict, key, val: np.ndarray):
-    # Backward rules hand over freshly allocated arrays, so accumulating
-    # in place here never aliases another matrix's stored gradient.
+def _key_grad(a, ds, g_ctx, q, out, tmp):
+    """attend's key gradient a * g_ctx + ds * q, written into ``out``: the
+    one definition of its bits, formed whole or one step at a time."""
+    np.multiply(a, g_ctx, out=out)
+    np.multiply(ds, q, out=tmp)
+    out += tmp
+    return out
+
+
+def _dense(g):
+    """A gradient as one array: attend's factored key gradient
+    (align, ds, g_ctx, q) expanded to B x TH, any other passed through."""
+    if type(g) is not tuple:
+        return g
+    a, ds, g_ctx, q = g
+    shape = a.shape + q.shape[1:]
+    return _key_grad(a[:, :, None], ds[:, :, None], g_ctx[:, None], q[:, None],
+                     np.empty(shape), np.empty(shape)).reshape(a.shape[0], -1)
+
+
+def _acc(grads: dict, need: dict, key, val):
+    # Backward rules hand over freshly allocated arrays, or attend's factors,
+    # which are made dense before a second gradient is added, so
+    # accumulating in place here never aliases another matrix's gradient.
     if not need[key]:
         return
     cur = grads.get(key)
     if cur is None:
         grads[key] = val
     else:
-        cur += val
+        cur = grads[key] = _dense(cur)
+        cur += _dense(val)
 
 
 def _bw_affine(nd, nodes, grads, need, g):
@@ -548,7 +581,13 @@ def _bw_lstm_sequence(nd, nodes, grads, need, g_h, g_c, g_seq):
     steps = x.shape[1] // d
     span = math.isqrt(steps)
     xs = x.reshape(rows, steps, d)
-    seq_g = None if g_seq is None else g_seq.reshape(rows, steps, n)
+    # The kept sequence's gradient: one array, or attend's factors, read
+    # one step at a time as a_s * g_ctx + ds_s * q, feature-major.
+    seq_g = factors = None
+    if type(g_seq) is tuple:
+        factors = [np.ascontiguousarray(f.T) for f in g_seq]
+    elif g_seq is not None:
+        seq_g = g_seq.reshape(rows, steps, n)
 
     dw = np.zeros(w.shape) if need[iwx] or need[iwh] or need[ib] else None
     dx = np.zeros((rows, steps, d)) if need[ix] else None
@@ -597,6 +636,10 @@ def _bw_lstm_sequence(nd, nodes, grads, need, g_h, g_c, g_seq):
             t = steps - 1 - s if reverse else s
             if seq_g is not None:
                 dh += seq_g[:, s].T
+            elif factors is not None:
+                # dz is written whole below, so its first block is free here.
+                a, ds, g_ctx, q = factors
+                dh += _key_grad(a[s], ds[s], g_ctx, q, tmp, dz[:n])
             z, tc = gates[j], tcs[j]
             gi, gf, go, gc = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
             c_prev = cells[j - 1] if j else c_start
@@ -654,10 +697,9 @@ def _bw_attend(nd, nodes, grads, need, g):
     if need[iq]:
         _acc(grads, need, iq, np.matmul(ds[:, None, :], k3)[:, 0])
     if need[ik]:
-        # dk_t = a_t g_ctx + ds_t q, as one batched product.
-        dk = np.matmul(np.stack([align, ds], axis=2),
-                       np.stack([g_ctx, q], axis=1))
-        _acc(grads, need, ik, dk.reshape(rows, steps * n))
+        # dk_t = a_t g_ctx + ds_t q, handed over as its four factors (0.6 MB
+        # at the paper shape, where the whole is 37 MB); see _dense.
+        _acc(grads, need, ik, (align, ds, g_ctx, q))
 
 
 def _bw_mse(nd, nodes, grads, need, g):

@@ -339,6 +339,7 @@ def _save_windows(dataset, inputs_path, targets_path) -> None:
 
 
 def cmd_synth(args, parser) -> int:
+    _check_out_file(args.out)
     settings = _Settings(args)
     frames = dataio.synthesize(
         seed=settings.get("seed", "integer", _SEED),
@@ -353,7 +354,9 @@ def cmd_synth(args, parser) -> int:
 def cmd_featurize(args, parser) -> int:
     settings = _Settings(args)
     config = _feature_config(settings)
-    frames = dataio.load_csv(_data_path(settings, parser.error))
+    data = _data_path(settings, parser.error)
+    _check_out_dir(args.out)
+    frames = dataio.load_csv(data)
     stats = features.fit_standardization(frames, config)
     dataset = _windows(frames, config, stats)
     os.makedirs(args.out, exist_ok=True)

@@ -420,6 +420,17 @@ PRIMITIVES = [
     )],
     ("attend", lambda rng: [_r(rng, 3, 4), _r(rng, 3, 20)],
      lambda q, k: attend(q, k)),
+    # attend hands its keys a factored gradient: the kept sequence's rule
+    # reads it step by step, the final hidden state's is made dense first.
+    ("attend_over_kept_sequence", lambda rng: _lstm_inputs(rng) + [_r(rng, 2, 2)],
+     lambda x, wx, wh, b, q: attend(q, lstm_sequence(x, wx, wh, b,
+                                                     keep_sequence=True)[2])),
+    ("attend_over_reverse_kept_sequence_5_steps",
+     lambda rng: _lstm_inputs(rng, 5) + [_r(rng, 2, 2)],
+     lambda x, wx, wh, b, q: attend(q, lstm_sequence(
+         x, wx, wh, b, reverse=True, keep_sequence=True)[2])),
+    ("attend_over_final_hidden_state", lambda rng: _lstm_inputs(rng) + [_r(rng, 2, 2)],
+     lambda x, wx, wh, b, q: attend(q, lstm_sequence(x, wx, wh, b)[0])),
 ]
 
 
@@ -856,3 +867,115 @@ def test_attend_matches_einsum_reference_at_paper_shape(context_only):
     want_dq, want_dk = einsum_attend_backward(q.values, keys.values, g)
     assert rel(dq, want_dq) <= 1e-13
     assert rel(dk, want_dk) <= 1e-13
+
+
+def _attend_key_grad(q, keys, out, g):
+    """attend's key gradient a_t g_ctx + ds_t q, B x TH, formed elementwise
+    from the alignment and the upstream gradient ``g`` of [alignment |
+    context], with ds by the rule's own ops."""
+    rows, n = q.shape
+    steps = out.shape[1] - n
+    align, g_ctx = out[:, :steps], g[:, steps:]
+    da = np.matmul(keys.reshape(rows, steps, n), g_ctx[:, :, None])[:, :, 0]
+    da += g[:, :steps]
+    ds = align * (da - (align * da).sum(axis=1, keepdims=True))
+    dk = align[:, :, None] * g_ctx[:, None, :] + ds[:, :, None] * q[:, None, :]
+    return dk.reshape(rows, steps * n)
+
+
+def _attended_layer(rng, rows, steps, d, n, reverse, side_read=None):
+    """A layer's kept sequence read by attend and, with ``side_read``
+    "before" or "after" attend, by an mse of its columns 3:9 too.  Returns
+    the tape, the loss, the layer's inputs, the query, the kept sequence and
+    the sequence's upstream gradient formed all dense."""
+    x, wx, wh, b = (_r(rng, rows, steps * d), _r(rng, d, 4 * n, 0.3),
+                    _r(rng, n, 4 * n, 0.3), _r(rng, 1, 4 * n))
+    q = Matrix(np.tanh(rng.standard_normal((rows, n))))
+    target, side = _r(rng, rows, steps + n), _r(rng, rows, 6)
+    with Tape() as tape:
+        seq = lstm_sequence(x, wx, wh, b, reverse=reverse, keep_sequence=True)[2]
+        terms = [mse(slice_cols(seq, 3, 9), side)] if side_read == "before" else []
+        out = attend(q, seq)
+        terms.append(mse(out, target))
+        if side_read == "after":
+            terms.append(mse(slice_cols(seq, 3, 9), side))
+        # Each term's gradient is 1, so each mse's is as _mse_grad forms it.
+        loss = affine(concat_cols(terms), Matrix(np.ones((len(terms), 1))),
+                      Matrix.zeros(1, 1))
+    g_seq = _attend_key_grad(q.values, seq.values, out.values,
+                             _mse_grad(out.values - target.values, out.values.size))
+    if side_read is not None:
+        whole = np.zeros(seq.shape)
+        whole[:, 3:9] = _mse_grad(seq.values[:, 3:9] - side.values, side.values.size)
+        g_seq += whole
+    return tape, loss, (x, wx, wh, b), q, seq, g_seq
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("rows", [17, 256])
+def test_attended_sequence_backward_equals_dense_key_gradient_bitwise(
+        reverse, rows):
+    # A kept sequence read by attend alone: the layer's rule adds the
+    # factored key gradient step by step, and must give the weight
+    # gradients of the dense one, bit for bit, at one and two BLAS threads.
+    calls = models._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy has no bundled OpenBLAS with thread controls")
+    get, put = calls
+    before = get()
+    for threads in (1, 2):
+        put(threads)
+        try:
+            tape, loss, (x, wx, wh, b), _, seq, g_seq = _attended_layer(
+                np.random.default_rng(91), rows, 10, 65, 100, reverse)
+            got = tape.backward(loss, wrt=[wx, wh, b])
+            want = _bptt_keeping_every_gate(x.values, wx.values, wh.values,
+                                            b.values, np.zeros((rows, 200)),
+                                            reverse, g_seq)
+        finally:
+            put(before)
+        for a, e in zip(got, want):
+            np.testing.assert_array_equal(a, e, err_msg=f"{threads} threads")
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("side_read", ["before", "after"])
+def test_attended_sequence_read_elsewhere_merges_dense_bitwise(
+        reverse, side_read):
+    # A second reader of the kept sequence merges its gradient with
+    # attend's factors, which are made dense first, whichever arrives
+    # first: the sequence's gradient and the weight gradients are those of
+    # the all-dense sum.
+    tape, loss, (x, wx, wh, b), _, seq, g_seq = _attended_layer(
+        np.random.default_rng(92), 7, 5, 4, 3, reverse, side_read)
+    *got, got_seq = tape.backward(loss, wrt=[wx, wh, b, seq])
+    np.testing.assert_array_equal(got_seq, g_seq)
+    want = _bptt_keeping_every_gate(x.values, wx.values, wh.values, b.values,
+                                    np.zeros((7, 6)), reverse, g_seq)
+    for a, e in zip(got, want):
+        np.testing.assert_array_equal(a, e)
+
+
+def test_attended_sequence_in_wrt_comes_back_dense():
+    tape, loss, _, q, seq, g_seq = _attended_layer(
+        np.random.default_rng(93), 7, 5, 4, 3, reverse=False)
+    got_q, got_seq, again = tape.backward(loss, wrt=[q, seq, seq])
+    for got in (got_seq, again):
+        assert type(got) is np.ndarray and got.shape == seq.shape
+        np.testing.assert_array_equal(got, g_seq)
+    assert got_q.shape == q.shape
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_attention_backward_twice_on_one_tape_gives_identical_gradients(reverse):
+    # The factors are views of attend's output, its query and its upstream
+    # gradient: no rule may write into them.
+    tape, loss, inputs, q, seq, _ = _attended_layer(
+        np.random.default_rng(94), 7, 10, 4, 3, reverse)
+    kept = [m.values.copy() for m in (*inputs, q, seq)]
+    first = tape.backward(loss, wrt=[*inputs, q])
+    second = tape.backward(loss, wrt=[*inputs, q])
+    for a, e in zip(first, second):
+        np.testing.assert_array_equal(a, e)
+    for was, m in zip(kept, (*inputs, q, seq)):
+        np.testing.assert_array_equal(was, m.values)

@@ -83,6 +83,21 @@ class TestSynth:
              "--seed", "2"])
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("out,message", [
+        ("absent/r.csv", "--out {}: no directory {}/absent"),
+        ("", "--out {} is a directory"),
+    ], ids=["into_no_directory", "onto_a_directory"])
+    def test_out_that_cannot_be_written_exits_1_naming_the_flag(
+            self, tmp_path, monkeypatch, capsys, out, message):
+        # An OSError from the writer named the path but not the flag.
+        monkeypatch.setattr(dataio, "synthesize",
+                            lambda **_: pytest.fail("the recording was made"))
+        target = str(tmp_path / out)
+        assert run(["synth", "--out", target, "--profiles", "1",
+                    "--length", "30"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {message.format(target, tmp_path)}\n")
+
 
 class TestFeaturize:
     def test_writes_tensors_and_metadata(self, tmp_path):
@@ -101,6 +116,31 @@ class TestFeaturize:
         assert cfg["window"] == 16 and cfg["spans"] == [2, 4]
         stats = json.loads((out / "stats.json").read_text())
         assert len(stats["channel_mean"]) == 39
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_that_cannot_be_made_exits_1_before_reading(
+            self, tmp_path, monkeypatch, capsys, below):
+        # Found out only after the recording was read, featurized and
+        # windowed, and reported without the flag.
+        data = recording(tmp_path, 2, 40)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        monkeypatch.setattr(dataio, "load_csv",
+                            lambda *_: pytest.fail("the recording was read"))
+        out = blocker / "sub" if below else blocker
+        assert run(["featurize", "--data", data, *FAST_FEATURES,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: --out {out}: cannot write into {blocker}\n"
+                       if below else
+                       f"error: --out {out} exists and is not a directory\n")
+        assert blocker.read_text() == ""
+
+    def test_out_below_a_missing_directory_is_made(self, tmp_path):
+        out = tmp_path / "absent" / "sub"
+        assert run(["featurize", "--data", recording(tmp_path, 2, 40),
+                    *FAST_FEATURES, "--out", str(out)]) == 0
+        assert (out / "inputs.npy").exists()
 
     def test_refuses_output_that_cannot_fit(self, tmp_path, monkeypatch, capsys):
         data = recording(tmp_path, 2, 40)
