@@ -539,10 +539,12 @@ class TestTapeMemory:
     # that the tape is in it.  The attention step hands the encoder its key
     # gradient as four small factors, which the encoder's backward adds one
     # step at a time, never as a 37 MB array (73 MB measured, 108 MB with
-    # the array); the vanilla and bilstm bounds catch a path that copies
-    # gradients without need.
+    # the array): attention's 110 MB row bounds the step as a whole, its
+    # 80 MB row fails if the array comes back.  The vanilla and bilstm
+    # bounds catch a path that copies gradients without need.
     @pytest.mark.parametrize("variant,bound_mb", [
-        ("vanilla", 34), ("attention", 80), ("bilstm", 46)])
+        ("vanilla", 34), ("attention", 110), ("bilstm", 46),
+        ("attention", 80)])
     def test_paper_shape_backward_peak(self, variant, bound_mb):
         params = init_params(variant, seed=0)
         rng = np.random.default_rng(14)
